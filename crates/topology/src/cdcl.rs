@@ -381,6 +381,9 @@ struct Solver<'a> {
     class_facets: Vec<Vec<(u32, u32)>>,
     /// Total weight (`n`) of each facet.
     facet_total: Vec<u32>,
+    /// Largest class multiplicity of each facet: no implication fires
+    /// while a counter stays this far inside its window.
+    facet_max_mult: Vec<u32>,
     seen: Vec<bool>,
     rng: XorShift,
     /// Class orbits under the verified symmetry group, CSR-packed
@@ -417,10 +420,12 @@ impl<'a> Solver<'a> {
         let nvars = inst.classes * m;
         let mut class_facets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); inst.classes];
         let mut facet_total = vec![0u32; inst.facets.len()];
+        let mut facet_max_mult = vec![0u32; inst.facets.len()];
         for (f, facet) in inst.facets.iter().enumerate() {
             for &(c, mult) in facet {
                 class_facets[c as usize].push((f as u32, mult));
                 facet_total[f] += mult;
+                facet_max_mult[f] = facet_max_mult[f].max(mult);
             }
         }
         let mut rng = XorShift(cfg.seed | 1);
@@ -488,6 +493,7 @@ impl<'a> Solver<'a> {
             false_w: vec![0; inst.facets.len() * m],
             class_facets,
             facet_total,
+            facet_max_mult,
             seen: vec![false; nvars],
             rng,
             orbit_offsets,
@@ -739,6 +745,10 @@ impl<'a> Solver<'a> {
     /// *different* class of the same facet (the dequeued class is
     /// assigned on this value), and the implied polarity updates the
     /// opposite counter, so thresholds are stable across the scan.
+    ///
+    /// A facet whose counter plus its largest multiplicity stays inside
+    /// the window can neither conflict nor imply, so it is skipped in
+    /// O(1) without scanning its classes.
     fn propagate_facets(&mut self, lit: Lit) -> Option<(Vec<Lit>, bool)> {
         let m = self.inst.values;
         let var = lit.var() as usize;
@@ -747,10 +757,14 @@ impl<'a> Solver<'a> {
             let (f, _) = self.class_facets[c][k];
             let fi = f as usize;
             let idx = fi * m + vi;
+            let max_mult = self.facet_max_mult[fi];
             if lit.is_positive() {
                 // Σ mult(c')·x_{c',v} ≤ u_v: saturation forbids the value
                 // for the facet's remaining classes.
                 let u = self.inst.upper[vi];
+                if self.true_w[idx] + max_mult <= u {
+                    continue;
+                }
                 if self.true_w[idx] > u {
                     return Some((self.upper_reason(fi, vi, None), true));
                 }
@@ -768,6 +782,9 @@ impl<'a> Solver<'a> {
                 // Σ mult(c')·x_{c',v} ≥ l_v ⇔ forbidden weight ≤ n − l_v:
                 // a deficit forces the value on the remaining classes.
                 let slack = self.facet_total[fi] - self.inst.lower[vi].min(self.facet_total[fi]);
+                if self.false_w[idx] + max_mult <= slack {
+                    continue;
+                }
                 if self.false_w[idx] > slack {
                     return Some((self.lower_reason(fi, vi, None), true));
                 }

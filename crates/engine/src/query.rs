@@ -127,7 +127,8 @@ pub struct EngineOpts {
     /// Node budget for the reference backtracker.
     pub node_budget: Option<u64>,
     /// Approximate memory budget in bytes, charged at frontier/arena
-    /// growth points during streamed construction.
+    /// growth points during streamed construction and by each CDCL
+    /// solver's setup (clauses, watch lists, facet counters).
     pub memory_budget: Option<u64>,
     /// Node budget for the reference backtracker, `None` = unbounded.
     ///

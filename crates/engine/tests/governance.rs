@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use gsb_core::govern::fault::{self, FaultAction};
 use gsb_core::SymmetricGsb;
 use gsb_engine::{Batch, EngineCache, Error, Evidence, Query, SearchEngine, StopReason, Verdict};
+use gsb_topology::SearchMode;
 
 /// Serializes all governance tests in this binary (see module docs).
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -105,6 +106,34 @@ fn memory_budget_stops_streamed_construction() {
     assert_eq!(stop_reason_of(&verdict), StopReason::MemoryBudget);
 }
 
+/// The memory budget covers the solver too: with construction served
+/// from the cache, a budget below the CDCL setup charge trips before
+/// any search, in the portfolio and in the race's CDCL lane alike, and
+/// the interrupted verdict leaves no cache entry behind.
+#[test]
+fn memory_budget_covers_solver_setup() {
+    let _g = lock();
+    for mode in [SearchMode::Cdcl, SearchMode::Race] {
+        let cache = EngineCache::new();
+        let _ = cache.constraint_system(3, 2);
+        let mut tripped = Query::solvable_in_rounds(wsb(3), 2);
+        tripped.opts_mut().mode = mode;
+        tripped.opts_mut().memory_budget = Some(1024);
+        let verdict = tripped
+            .run_with(&cache)
+            .expect("budget exhaustion is a verdict");
+        assert_eq!(stop_reason_of(&verdict), StopReason::MemoryBudget);
+        let mut clean = Query::solvable_in_rounds(wsb(3), 2);
+        clean.opts_mut().mode = mode;
+        let clean = clean.run_with(&cache).expect("clean verdict");
+        assert_eq!(clean.is_solvable(), Some(false));
+        assert!(
+            !clean.provenance.cache_hit,
+            "the interrupted run must not have populated the cache"
+        );
+    }
+}
+
 /// The ungoverned paths still reach real verdicts while limits are off.
 #[test]
 fn generous_limits_do_not_change_the_verdict() {
@@ -118,25 +147,27 @@ fn generous_limits_do_not_change_the_verdict() {
 }
 
 /// Seeded fault injection cancels the CDCL portfolio at a counted poll
-/// site: construction runs ungoverned, so the countdown-zero seed lands
-/// on the solver's first strided conflict/decision poll. The solve
-/// returns no result, reports the cancellation on the ticket, and keeps
-/// the partial counters it accumulated before the trip.
+/// site: construction runs ungoverned and the solver setup charge is the
+/// first counted poll, so the countdown-one seed lands on the solver's
+/// first strided conflict/decision poll. The solve returns no result,
+/// reports the cancellation on the ticket, and keeps the partial
+/// counters it accumulated before the trip.
 #[test]
 fn seeded_fault_cancels_the_cdcl_path() {
     let _g = lock();
     let search = gsb_topology::SymmetricSearch::from_spec_streaming(wsb(3), 3);
     let ticket = gsb_core::Ticket::unlimited();
-    // splitmix64(6) % 32 == 0: the very first counted poll fires.
-    let guard = fault::arm_action(6, FaultAction::Cancel);
+    // splitmix64(1) % 32 == 1: the setup charge survives, the next
+    // counted poll fires.
+    let guard = fault::arm_action(1, FaultAction::Cancel);
     let start = Instant::now();
     let (result, stats) = search.solve_cdcl_governed(&gsb_topology::CdclConfig::default(), &ticket);
     drop(guard);
     assert!(start.elapsed() < Duration::from_secs(30));
     assert!(result.is_none(), "a cancelled solve reaches no result");
     assert_eq!(ticket.stop_reason(), Some(StopReason::Cancelled));
-    // Countdown zero lands on the solver's first poll (decision count 0
-    // is a multiple of the stride), so only propagation work precedes
+    // The fault lands on a member's first strided poll (decision count
+    // 0 is a multiple of the stride), so only propagation work precedes
     // it — the stats are partial but well-formed.
     assert!(
         stats.propagations + stats.decisions + stats.conflicts > 0,

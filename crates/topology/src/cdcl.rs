@@ -11,11 +11,14 @@
 //!   per-class domain exact; facet cardinality windows stay *native*
 //!   (counter propagators that explain their implications as clauses on
 //!   demand), so no cardinality-to-CNF blow-up is ever materialized.
+//!   Value precedence uses Walsh's linear ladder over auxiliary
+//!   variables `a(t, w)`, which are never decided.
 //! * **Propagation.** Clausal constraints (domain clauses, value
 //!   precedence, learned clauses) use the classic two-watched-literal
 //!   scheme; facet windows keep per-`(facet, value)` assigned/forbidden
 //!   weight counters that fire upper-saturation and lower-deficit
-//!   implications with eagerly materialized reason clauses.
+//!   implications with eagerly materialized reason clauses. A facet
+//!   whose counter cannot cross its window is skipped in O(1).
 //! * **Learning.** First-UIP conflict analysis with VSIDS-style variable
 //!   activities (seeded by facet-occurrence `class_weight`, decayed
 //!   geometrically), phase saving, Luby restarts, and LBD-guarded
@@ -27,7 +30,8 @@
 //!   for fully symmetric specs, adjacent value transpositions — so one
 //!   conflict prunes its entire (small) orbit. Value-interchangeable
 //!   specs additionally get static value-precedence breaking; clauses
-//!   touching those constraints are tainted and never imaged.
+//!   touching those constraints (and so every clause mentioning a ladder
+//!   auxiliary) are tainted and never imaged.
 //! * **Portfolio.** [`solve_portfolio`] fans diversified configurations
 //!   (seed, phase, restart cadence, random-decision rate) across scoped
 //!   threads — sized by `rayon::current_num_threads()`, which honors
@@ -182,7 +186,7 @@ pub(crate) enum CdclResult {
     Interrupted,
 }
 
-/// A literal over the `x_{c,v}` variables, `code = var · 2 + negated`.
+/// A literal over the `x_{c,v}` (and ladder) variables, `code = var · 2 + negated`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct Lit(u32);
 
@@ -351,10 +355,12 @@ impl SharedPool {
     }
 }
 
-struct Solver<'a> {
+pub(crate) struct Solver<'a> {
     inst: &'a Instance,
     cfg: CdclConfig,
-    nvars: usize,
+    /// Number of `x_{c,v}` variables (`k · m`, numbered `c · m + v − 1`);
+    /// the value-precedence ladder's auxiliaries are numbered after them.
+    class_vars: usize,
     clauses: Vec<Clause>,
     watches: Vec<Vec<u32>>,
     value: Vec<u8>,
@@ -415,9 +421,21 @@ impl<'a> Solver<'a> {
         class * self.inst.values as u32 + value_index as u32
     }
 
+    /// Ladder auxiliary `a(t, w)`: "value `w` occurs at a precedence
+    /// position `≤ t`" (`t < k − 1`, `w < m`).
+    fn aux_of(&self, position: usize, value_index: usize) -> u32 {
+        (self.class_vars + position * (self.inst.values - 1) + value_index) as u32
+    }
+
+    /// Whether `var` is a ladder auxiliary rather than an `x_{c,v}`.
+    fn is_aux(&self, var: u32) -> bool {
+        var as usize >= self.class_vars
+    }
+
     fn new(inst: &'a Instance, cfg: CdclConfig) -> Solver<'a> {
         let m = inst.values;
-        let nvars = inst.classes * m;
+        let class_vars = inst.classes * m;
+        let nvars = class_vars + ladder_vars(inst);
         let mut class_facets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); inst.classes];
         let mut facet_total = vec![0u32; inst.facets.len()];
         let mut facet_max_mult = vec![0u32; inst.facets.len()];
@@ -461,11 +479,13 @@ impl<'a> Solver<'a> {
                 }
             }
         }
+        // Ladder auxiliaries are never decided: they stay out of the
+        // order (and out of the random-decision scan).
         let mut order = VarOrder::new(nvars);
-        for v in 0..nvars as u32 {
+        for v in 0..class_vars as u32 {
             order.insert(v, &activity);
         }
-        let var_maps = build_var_maps(inst, m);
+        let var_maps = build_var_maps(inst, m, nvars);
         let (orbit_offsets, orbit_data, orbit_of) = if cfg.orbit_decisions {
             build_class_orbits(inst.classes, &inst.class_perms)
         } else {
@@ -473,7 +493,7 @@ impl<'a> Solver<'a> {
         };
         let mut solver = Solver {
             inst,
-            nvars,
+            class_vars,
             clauses: Vec::new(),
             watches: vec![Vec::new(); nvars * 2],
             value: vec![UNDEF; nvars],
@@ -550,17 +570,32 @@ impl<'a> Solver<'a> {
             // Value v may first appear at position t of the precedence
             // order only after v−1 appeared strictly earlier: with fully
             // interchangeable values every solution has a relabelling
-            // whose first occurrences come in value order.
+            // whose first occurrences come in value order. Walsh's ladder
+            // states this in linear size: a(t, w) is pushed down by
+            //   a(t, w) → a(t−1, w) ∨ x(c_t, w)      (a(−1, w) false)
+            // and demanded by
+            //   x(c_t, v) → a(t−1, v−1),
+            // 2·k·(m−1) clauses of at most three literals on which unit
+            // propagation derives exactly what the quadratic family
+            // ¬x(c_t, v) ∨ ⋁_{s<t} x(c_s, v−1) derived.
             let order = self.inst.precedence_order.clone();
             for (t, &c) in order.iter().enumerate() {
-                for vi in 1..m {
-                    let mut lits = vec![Lit::new(self.var_of(c, vi), false)];
-                    lits.extend(
-                        order[..t]
-                            .iter()
-                            .map(|&c2| Lit::new(self.var_of(c2, vi - 1), true)),
-                    );
-                    self.add_input_clause(lits, false);
+                for wi in 0..m - 1 {
+                    if t + 1 < order.len() {
+                        let mut down = vec![
+                            Lit::new(self.aux_of(t, wi), false),
+                            Lit::new(self.var_of(c, wi), true),
+                        ];
+                        if t > 0 {
+                            down.push(Lit::new(self.aux_of(t - 1, wi), true));
+                        }
+                        self.add_input_clause(down, false);
+                    }
+                    let mut demand = vec![Lit::new(self.var_of(c, wi + 1), false)];
+                    if t > 0 {
+                        demand.push(Lit::new(self.aux_of(t - 1, wi), true));
+                    }
+                    self.add_input_clause(demand, false);
                 }
             }
         }
@@ -585,6 +620,7 @@ impl<'a> Solver<'a> {
 
     fn attach_clause(&mut self, lits: Vec<Lit>, learned: bool, symmetric: bool, lbd: u32) -> u32 {
         debug_assert!(lits.len() >= 2);
+        self.debug_assert_untainted_free_of_aux(&lits, symmetric);
         let cref = self.clauses.len() as u32;
         self.watches[lits[0].code()].push(cref);
         self.watches[lits[1].code()].push(cref);
@@ -599,6 +635,16 @@ impl<'a> Solver<'a> {
             deleted: false,
         });
         cref
+    }
+
+    /// Ladder auxiliaries live only in tainted clauses, so orbit
+    /// learning (which images untainted clauses alone) never has to map
+    /// one; `var_maps` fixes them all the same.
+    fn debug_assert_untainted_free_of_aux(&self, lits: &[Lit], symmetric: bool) {
+        debug_assert!(
+            !symmetric || !lits.iter().any(|l| self.is_aux(l.var())),
+            "untainted clause mentions a precedence-ladder auxiliary: {lits:?}"
+        );
     }
 
     fn decision_level(&self) -> usize {
@@ -638,7 +684,11 @@ impl<'a> Solver<'a> {
                 self.trail.push(lit);
                 // Counters move at enqueue (and symmetrically at undo) so
                 // trail and counters never disagree; threshold checks run
-                // when the literal is dequeued.
+                // when the literal is dequeued. Ladder auxiliaries are in
+                // no facet.
+                if self.is_aux(lit.var()) {
+                    return true;
+                }
                 let m = self.inst.values;
                 let (c, vi) = ((lit.var() as usize) / m, (lit.var() as usize) % m);
                 let w = if lit.is_positive() {
@@ -701,6 +751,11 @@ impl<'a> Solver<'a> {
         while self.trail.len() > keep {
             let lit = self.trail.pop().expect("non-empty trail");
             let var = lit.var() as usize;
+            self.value[var] = UNDEF;
+            self.reason[var] = Reason::None;
+            if self.is_aux(lit.var()) {
+                continue;
+            }
             let (c, vi) = (var / m, var % m);
             let w = if lit.is_positive() {
                 &mut self.true_w
@@ -710,8 +765,6 @@ impl<'a> Solver<'a> {
             for &(f, mult) in &self.class_facets[c] {
                 w[f as usize * m + vi] -= mult;
             }
-            self.value[var] = UNDEF;
-            self.reason[var] = Reason::None;
             self.saved_phase[var] = lit.is_positive();
             self.order.insert(lit.var(), &self.activity);
         }
@@ -750,6 +803,9 @@ impl<'a> Solver<'a> {
     /// the window can neither conflict nor imply, so it is skipped in
     /// O(1) without scanning its classes.
     fn propagate_facets(&mut self, lit: Lit) -> Option<(Vec<Lit>, bool)> {
+        if self.is_aux(lit.var()) {
+            return None;
+        }
         let m = self.inst.values;
         let var = lit.var() as usize;
         let (c, vi) = (var / m, var % m);
@@ -995,6 +1051,7 @@ impl<'a> Solver<'a> {
     /// portfolio pool, and queues its symmetry-orbit images.
     fn record(&mut self, learnt: Vec<Lit>, lbd: u32, symmetric: bool, pool: Option<&SharedPool>) {
         self.stats.learned += 1;
+        self.debug_assert_untainted_free_of_aux(&learnt, symmetric);
         if learnt.len() == 1 {
             let ok = self.enqueue_root(learnt[0], !symmetric);
             debug_assert!(ok, "asserting literal is unassigned after backtrack");
@@ -1162,11 +1219,11 @@ impl<'a> Solver<'a> {
         }
         if self.cfg.random_decision_pct > 0
             && (self.rng.next() % 100) < u64::from(self.cfg.random_decision_pct)
-            && self.nvars > 0
+            && self.class_vars > 0
         {
-            let start = (self.rng.next() % self.nvars as u64) as usize;
-            for i in 0..self.nvars {
-                let v = (start + i) % self.nvars;
+            let start = (self.rng.next() % self.class_vars as u64) as usize;
+            for i in 0..self.class_vars {
+                let v = (start + i) % self.class_vars;
                 if self.value[v] == UNDEF {
                     return Some(Lit::new(v as u32, self.saved_phase[v]));
                 }
@@ -1230,6 +1287,35 @@ impl<'a> Solver<'a> {
         Lit::new((c * m + vi) as u32, true)
     }
 
+    /// Bytes allocated at setup: clause literals, watch lists, the
+    /// per-`(facet, value)` counters, the class→facet index and the
+    /// symmetry variable maps.
+    fn setup_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let clauses: usize = self
+            .clauses
+            .iter()
+            .map(|c| size_of::<Clause>() + c.lits.capacity() * size_of::<Lit>())
+            .sum();
+        let watches: usize = self
+            .watches
+            .iter()
+            .map(|w| size_of::<Vec<u32>>() + w.capacity() * size_of::<u32>())
+            .sum();
+        let counters = (self.true_w.capacity() + self.false_w.capacity()) * size_of::<u32>();
+        let class_facets: usize = self
+            .class_facets
+            .iter()
+            .map(|f| size_of::<Vec<(u32, u32)>>() + f.capacity() * size_of::<(u32, u32)>())
+            .sum();
+        let var_maps: usize = self
+            .var_maps
+            .iter()
+            .map(|map| map.capacity() * size_of::<u32>())
+            .sum();
+        (clauses + watches + counters + class_facets + var_maps) as u64
+    }
+
     fn extract_assignment(&self) -> Vec<usize> {
         let m = self.inst.values;
         (0..self.inst.classes)
@@ -1242,7 +1328,7 @@ impl<'a> Solver<'a> {
             .collect()
     }
 
-    fn solve(
+    pub(crate) fn solve(
         mut self,
         cancel: Option<&AtomicBool>,
         pool: Option<&SharedPool>,
@@ -1385,10 +1471,21 @@ fn build_class_orbits(classes: usize, perms: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>
     (offsets, data, orbit_of)
 }
 
+/// Auxiliary variables of the value-precedence ladder: `a(t, w)` for
+/// every precedence position but the last and every value but the last.
+fn ladder_vars(inst: &Instance) -> usize {
+    if inst.value_symmetric && inst.values >= 2 {
+        inst.precedence_order.len().saturating_sub(1) * (inst.values - 1)
+    } else {
+        0
+    }
+}
+
 /// Variable permutations of the symmetry group elements: verified class
 /// permutations, adjacent value transpositions (symmetric specs), and
-/// their products — identity excluded.
-fn build_var_maps(inst: &Instance, m: usize) -> Vec<Vec<u32>> {
+/// their products — identity excluded. Ladder auxiliaries (variables
+/// `k · m..nvars`) map to themselves.
+fn build_var_maps(inst: &Instance, m: usize, nvars: usize) -> Vec<Vec<u32>> {
     let identity_class: Vec<u32> = (0..inst.classes as u32).collect();
     let mut class_choices: Vec<&[u32]> = vec![&identity_class];
     for perm in &inst.class_perms {
@@ -1413,6 +1510,7 @@ fn build_var_maps(inst: &Instance, m: usize) -> Vec<Vec<u32>> {
                     let (c, vi) = (var / m, var % m);
                     classes[c] * m as u32 + values[vi] as u32
                 })
+                .chain((inst.classes * m) as u32..nvars as u32)
                 .collect();
             maps.push(map);
         }
@@ -1500,16 +1598,30 @@ pub(crate) fn solve_portfolio_width(
     solve_portfolio_width_governed(inst, base, width, None)
 }
 
-/// One cancellable CDCL run with an explicit configuration — the
-/// completion race's CDCL lane. The cancel flag lets the race stop the
-/// loser as soon as either engine finishes.
-pub(crate) fn solve_single_cancellable(
-    inst: &Instance,
-    cfg: CdclConfig,
-    cancel: &AtomicBool,
+/// Builds one solver per configuration and, under a ticket, charges
+/// their setup memory before any of them searches — so a memory budget
+/// bounds the solver as well as construction. `Err` carries the stats
+/// to report alongside `Interrupted` when the charge trips the ticket.
+pub(crate) fn charged_solvers<'a>(
+    inst: &'a Instance,
+    configs: Vec<CdclConfig>,
     ticket: Option<&Ticket>,
-) -> (CdclResult, SearchStats) {
-    Solver::new(inst, cfg).solve(Some(cancel), None, ticket)
+) -> Result<Vec<Solver<'a>>, SearchStats> {
+    let solvers: Vec<Solver<'a>> = configs
+        .into_iter()
+        .map(|cfg| Solver::new(inst, cfg))
+        .collect();
+    if let Some(t) = ticket {
+        let bytes = solvers.iter().map(Solver::setup_bytes).sum();
+        // ticket.check poll site (solver setup memory)
+        if t.charge_memory(bytes).is_err() {
+            return Err(SearchStats {
+                workers: solvers.len(),
+                ..SearchStats::default()
+            });
+        }
+    }
+    Ok(solvers)
 }
 
 /// [`solve_portfolio_width`] under a governance ticket.
@@ -1519,12 +1631,15 @@ pub(crate) fn solve_portfolio_width_governed(
     width: usize,
     ticket: Option<&Ticket>,
 ) -> (CdclResult, SearchStats) {
-    let configs = diversify(base, width.max(1));
-    if configs.len() == 1 {
-        let cfg = configs.into_iter().next().expect("width 1");
-        return Solver::new(inst, cfg).solve(None, None, ticket);
+    let solvers = match charged_solvers(inst, diversify(base, width.max(1)), ticket) {
+        Ok(solvers) => solvers,
+        Err(stats) => return (CdclResult::Interrupted, stats),
+    };
+    if solvers.len() == 1 {
+        let solver = solvers.into_iter().next().expect("width 1");
+        return solver.solve(None, None, ticket);
     }
-    let workers = configs.len();
+    let workers = solvers.len();
     let pool = SharedPool::default();
     let pool = base.share_learned.then_some(&pool);
     let done = AtomicBool::new(false);
@@ -1534,10 +1649,10 @@ pub(crate) fn solve_portfolio_width_governed(
     // partial progress is still reported.
     let interrupted: Mutex<Option<SearchStats>> = Mutex::new(None);
     std::thread::scope(|scope| {
-        for cfg in configs {
+        for solver in solvers {
             let (done, winner, interrupted, pool) = (&done, &winner, &interrupted, pool);
             scope.spawn(move || {
-                let (result, stats) = Solver::new(inst, cfg).solve(Some(done), pool, ticket);
+                let (result, stats) = solver.solve(Some(done), pool, ticket);
                 if matches!(result, CdclResult::Interrupted) {
                     let mut slot = interrupted.lock().unwrap_or_else(|p| p.into_inner());
                     let busier = slot.is_none_or(|s| {
@@ -1725,6 +1840,153 @@ mod tests {
         };
         let (result, _) = solve_portfolio_width(&sat, &CdclConfig::default(), 3);
         assert!(matches!(result, CdclResult::Sat(_)));
+    }
+
+    /// A graph-colouring instance with interchangeable values: one pair
+    /// facet per edge, each value at most once per edge. Every class has
+    /// at most three neighbours, so four values always suffice.
+    fn colouring(classes: usize, values: usize, seed: u64) -> Instance {
+        let mut rng = XorShift(seed | 1);
+        let mut degree = vec![0usize; classes];
+        let mut facets: Vec<Vec<(u32, u32)>> = (0..classes - 1)
+            .map(|c| vec![(c as u32, 1), (c as u32 + 1, 1)])
+            .collect();
+        for c in 0..classes - 1 {
+            degree[c] += 1;
+            degree[c + 1] += 1;
+        }
+        for _ in 0..classes {
+            let a = (rng.next() % classes as u64) as usize;
+            let b = (rng.next() % classes as u64) as usize;
+            let (a, b) = (a.min(b), a.max(b));
+            let edge = vec![(a as u32, 1), (b as u32, 1)];
+            if b > a + 1 && degree[a] < 3 && degree[b] < 3 && !facets.contains(&edge) {
+                degree[a] += 1;
+                degree[b] += 1;
+                facets.push(edge);
+            }
+        }
+        let mut precedence_order: Vec<u32> = (0..classes as u32).collect();
+        for i in (1..classes).rev() {
+            precedence_order.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+        }
+        Instance {
+            classes,
+            values,
+            lower: vec![0; values],
+            upper: vec![1; values],
+            facets,
+            class_weight: degree,
+            value_symmetric: true,
+            precedence_order,
+            class_perms: vec![],
+        }
+    }
+
+    /// Whether first occurrences along the precedence order come in value
+    /// order (value `v` only after `v − 1`).
+    fn respects_precedence(inst: &Instance, assignment: &[usize]) -> bool {
+        let mut highest = 0;
+        for &c in &inst.precedence_order {
+            let v = assignment[c as usize];
+            if v > highest + 1 {
+                return false;
+            }
+            highest = highest.max(v);
+        }
+        true
+    }
+
+    #[test]
+    fn sat_models_respect_value_precedence() {
+        // Each solve is warm-started from a proper colouring relabelled
+        // so that the first class of the precedence order takes the
+        // highest value: without the ladder the warm dive replays that
+        // map conflict-free, so only the precedence clauses can steer
+        // the solver to a relabelling.
+        for seed in 1..=12u64 {
+            let values = 3 + (seed % 2) as usize;
+            let inst = colouring(24, values, seed);
+            let mut colour = vec![0usize; inst.classes];
+            for c in 0..inst.classes {
+                let used: Vec<usize> = inst
+                    .facets
+                    .iter()
+                    .filter_map(|f| match (f[0].0 as usize, f[1].0 as usize) {
+                        (a, b) if b == c && a < c => Some(colour[a]),
+                        (a, b) if a == c && b < c => Some(colour[b]),
+                        _ => None,
+                    })
+                    .collect();
+                colour[c] = (1..=4).find(|v| !used.contains(v)).expect("degree <= 3");
+            }
+            let first = colour[inst.precedence_order[0] as usize];
+            let relabelled: Vec<u32> = colour
+                .iter()
+                .map(|&v| match v {
+                    v if v == first => values as u32,
+                    v if v == values => first as u32,
+                    v => v as u32,
+                })
+                .collect();
+            if relabelled.iter().any(|&v| v as usize > values) {
+                continue; // the greedy colouring needed a fourth value
+            }
+            assert!(!respects_precedence(
+                &inst,
+                &relabelled.iter().map(|&v| v as usize).collect::<Vec<_>>()
+            ));
+            for default_phase in [false, true] {
+                let config = CdclConfig {
+                    seed,
+                    default_phase,
+                    warm_start: Some(std::sync::Arc::new(relabelled.clone())),
+                    ..CdclConfig::default()
+                };
+                match solve_portfolio_width(&inst, &config, 1).0 {
+                    CdclResult::Sat(assignment) => {
+                        for f in &inst.facets {
+                            assert_ne!(assignment[f[0].0 as usize], assignment[f[1].0 as usize]);
+                        }
+                        assert!(
+                            respects_precedence(&inst, &assignment),
+                            "seed {seed}: {assignment:?} breaks precedence along {:?}",
+                            inst.precedence_order
+                        );
+                    }
+                    other => panic!("seed {seed}: expected SAT, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn precedence_encoding_is_linear_in_the_classes() {
+        // k = 2,000 classes, m = 9 values: the quadratic precedence
+        // family alone held (m − 1)·k(k + 1)/2 ≈ 16M literals here.
+        let (k, m) = (2000usize, 9usize);
+        let inst = Instance {
+            classes: k,
+            values: m,
+            lower: vec![0; m],
+            upper: vec![1; m],
+            facets: (0..k as u32 - 1)
+                .map(|c| vec![(c, 1), (c + 1, 1)])
+                .collect(),
+            class_weight: vec![1; k],
+            value_symmetric: true,
+            precedence_order: (0..k as u32).rev().collect(),
+            class_perms: vec![],
+        };
+        let solver = Solver::new(&inst, CdclConfig::default());
+        let literals: usize =
+            solver.clauses.iter().map(|c| c.lits.len()).sum::<usize>() + solver.trail.len();
+        assert!(literals <= 2 * k * m * m, "{literals} input literals");
+        assert_eq!(solver.value.len(), k * m + (k - 1) * (m - 1));
+        assert!(matches!(
+            solver.solve(None, None, None).0,
+            CdclResult::Sat(_)
+        ));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! budgets, and fault injection cover this engine exactly like the
 //! conflict-driven one.
 
-use crate::cdcl::{solve_single_cancellable, CdclConfig, CdclResult, Instance, SearchStats};
+use crate::cdcl::{charged_solvers, CdclConfig, CdclResult, Instance, SearchStats};
 use gsb_core::govern::{Stopped, Ticket};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -405,7 +405,8 @@ pub(crate) fn solve_local(
 /// local win is packaged as `CdclResult::Sat` (same witness shape, same
 /// downstream facet replay); a local exhaustion simply leaves CDCL to
 /// finish. Both lanes poll the same governance ticket, so budgets and
-/// deadlines cap the race as a whole.
+/// deadlines cap the race as a whole; the CDCL lane's setup memory is
+/// charged before either lane starts.
 pub(crate) fn solve_race_governed(
     inst: &Instance,
     cdcl_cfg: &CdclConfig,
@@ -417,6 +418,10 @@ pub(crate) fn solve_race_governed(
         .as_deref()
         .filter(|w| w.len() == inst.classes)
         .cloned();
+    let cdcl_lane = match charged_solvers(inst, vec![cdcl_cfg.clone()], ticket) {
+        Ok(mut lanes) => lanes.pop().expect("one CDCL lane"),
+        Err(stats) => return (CdclResult::Interrupted, stats),
+    };
     let cancel = AtomicBool::new(false);
     let local_out: std::sync::Mutex<Option<LocalOutcome>> = std::sync::Mutex::new(None);
     let (cdcl_result, mut stats) = std::thread::scope(|scope| {
@@ -427,7 +432,7 @@ pub(crate) fn solve_race_governed(
             }
             *local_out.lock().expect("local lane mutex") = Some(out);
         });
-        let cdcl = solve_single_cancellable(inst, cdcl_cfg.clone(), &cancel, ticket);
+        let cdcl = cdcl_lane.solve(Some(&cancel), None, ticket);
         cancel.store(true, Ordering::Relaxed);
         local_lane.join().expect("local-search lane must not panic");
         cdcl

@@ -115,7 +115,8 @@ OPTIONS:
   --decision-budget D   CDCL decision budget across the portfolio
   --conflict-budget C   CDCL conflict budget across the portfolio
   --node-budget K       reference-backtracker node budget
-  --memory-budget-mb MB approximate construction memory budget
+  --memory-budget-mb MB approximate memory budget: construction plus
+                        each CDCL solver's setup
 
 `gsb complex <n> <r>` builds χ^r(Δ^{n−1}) through the streaming
 subdivision pipeline and prints facet/vertex/signature-class counts plus

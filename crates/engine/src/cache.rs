@@ -446,19 +446,16 @@ impl EngineCache {
             .expect("ungoverned construction cannot stop")
     }
 
-    /// The frontier slot for `n` (created at round 0 on first use) and
-    /// whether it already existed. The map lock is held only for the
-    /// lookup — building happens under the slot's own lock.
-    fn frontier_slot(&self, n: usize) -> (Arc<Mutex<OrbitFrontier>>, bool) {
-        use std::collections::hash_map::Entry;
+    /// The frontier slot for `n` (created at round 0 on first use). The
+    /// map lock is held only for the lookup — building happens under the
+    /// slot's own lock.
+    fn frontier_slot(&self, n: usize) -> Arc<Mutex<OrbitFrontier>> {
         let mut slots = self.frontiers.lock().unwrap_or_else(|p| p.into_inner());
-        match slots.entry(n) {
-            Entry::Occupied(e) => (Arc::clone(e.get()), true),
-            Entry::Vacant(e) => (
-                Arc::clone(e.insert(Arc::new(Mutex::new(OrbitFrontier::new(n))))),
-                false,
-            ),
-        }
+        Arc::clone(
+            slots
+                .entry(n)
+                .or_insert_with(|| Arc::new(Mutex::new(OrbitFrontier::new(n)))),
+        )
     }
 
     /// The governed core of the constraint-system layer.
@@ -476,7 +473,7 @@ impl EngineCache {
         {
             return Ok((Arc::clone(hit), true));
         }
-        let (slot, preexisting) = self.frontier_slot(n);
+        let slot = self.frontier_slot(n);
         let mut frontier = slot.lock().unwrap_or_else(|p| p.into_inner());
         // Double-checked under the per-n build lock: a racing builder of
         // the same (n, rounds) may have published while this thread
@@ -492,7 +489,17 @@ impl EngineCache {
             return Ok((Arc::clone(hit), true));
         }
         let system = if frontier.rounds() <= rounds {
-            if preexisting && frontier.rounds() < rounds {
+            // Advancing a frontier that earlier work already used is an
+            // extension. A slot that a racing thread created but has not
+            // yet built from (still at round 0, no system for `n`) is not.
+            let reused = frontier.rounds() > 0
+                || self
+                    .systems
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .keys()
+                    .any(|&(built_n, _)| built_n == n);
+            if reused && frontier.rounds() < rounds {
                 self.extensions.fetch_add(1, Ordering::Relaxed);
             }
             while frontier.rounds() < rounds {

@@ -498,13 +498,25 @@ fn u128_str_field(obj: &Json, key: &str) -> Result<u128> {
     })
 }
 
-/// A millisecond count as a [`Duration`], rejecting the values
-/// `Duration::from_secs_f64` would panic on (NaN, infinities — which
-/// untrusted numbers like `1e999` parse to — and overflow).
+/// A duration as milliseconds, computed from whole nanoseconds so that
+/// [`duration_from_ms`] recovers it exactly: a parsed report re-renders
+/// byte-identically.
+fn duration_ms(d: Duration) -> f64 {
+    d.as_nanos() as f64 / 1e6
+}
+
+/// A millisecond count as a [`Duration`] rounded to whole nanoseconds,
+/// rejecting infinities (which untrusted numbers like `1e999` parse to)
+/// and magnitudes past `u64` nanoseconds.
 fn duration_from_ms(ms: f64, key: &str) -> Result<Duration> {
-    Duration::try_from_secs_f64(ms.max(0.0) / 1e3).map_err(|e| Error::Json {
-        details: format!("field '{key}' is not a finite duration: {e}"),
-    })
+    let nanos = (ms.max(0.0) * 1e6).round();
+    if nanos.is_finite() && nanos < u64::MAX as f64 {
+        Ok(Duration::from_nanos(nanos as u64))
+    } else {
+        Err(Error::Json {
+            details: format!("field '{key}' is not a finite duration"),
+        })
+    }
 }
 
 /// Facet ceiling for decision-map rebuilds parsed from untrusted bytes.
@@ -734,7 +746,7 @@ impl crate::query::EngineOpts {
             (
                 "deadline_ms".into(),
                 self.deadline
-                    .map_or(Json::Null, |d| Json::Num(d.as_secs_f64() * 1e3)),
+                    .map_or(Json::Null, |d| Json::Num(duration_ms(d))),
             ),
             ("decision_budget".into(), opt_u64(self.decision_budget)),
             ("conflict_budget".into(), opt_u64(self.conflict_budget)),
@@ -1099,10 +1111,7 @@ impl Verdict {
             (
                 "stats".into(),
                 Json::Obj(vec![
-                    (
-                        "wall_ms".into(),
-                        Json::Num(self.stats.wall.as_secs_f64() * 1e3),
-                    ),
+                    ("wall_ms".into(), Json::Num(duration_ms(self.stats.wall))),
                     (
                         "evidence_checked".into(),
                         Json::Bool(self.stats.evidence_checked),
@@ -1203,6 +1212,34 @@ mod tests {
         for text in ["null", "true", "false", "42", "-3.5", "\"hi\""] {
             let v = Json::parse(text).unwrap();
             assert_eq!(Json::parse(v.render().trim()).unwrap(), v, "{text}");
+        }
+    }
+
+    #[test]
+    fn durations_round_trip_through_rendered_milliseconds() {
+        // A store line whose wall_ms digit was flipped into an exponent
+        // ("2.4598…" → "2.459E…") loaded as 2.459 ms, which re-rendered
+        // as 2.4589999999999996 after a parse: a served verdict that did
+        // not round-trip byte-identically. Millisecond counts with at
+        // most six decimals now re-render unchanged.
+        for text in ["2.459", "0.000001", "1234.5", "4500000000000"] {
+            let ms = Json::parse(text).unwrap().as_f64().unwrap();
+            let d = duration_from_ms(ms, "wall_ms").unwrap();
+            assert_eq!(Json::Num(duration_ms(d)).render_compact(), text);
+        }
+        let mut state = 1u64;
+        for _ in 0..10_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            for d in [
+                Duration::from_nanos(state >> 24),
+                Duration::from_nanos(2_459_000),
+            ] {
+                let text = Json::Num(duration_ms(d)).render_compact();
+                let ms = Json::parse(&text).unwrap().as_f64().unwrap();
+                assert_eq!(duration_from_ms(ms, "wall_ms").unwrap(), d, "{text}");
+            }
         }
     }
 

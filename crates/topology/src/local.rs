@@ -405,8 +405,9 @@ pub(crate) fn solve_local(
 /// local win is packaged as `CdclResult::Sat` (same witness shape, same
 /// downstream facet replay); a local exhaustion simply leaves CDCL to
 /// finish. Both lanes poll the same governance ticket, so budgets and
-/// deadlines cap the race as a whole; the CDCL lane's setup memory is
-/// charged before either lane starts.
+/// deadlines cap the race as a whole. The CDCL lane builds its solver
+/// while the local lane already searches; when its setup-memory charge
+/// trips the ticket, the local lane stops at its next poll.
 pub(crate) fn solve_race_governed(
     inst: &Instance,
     cdcl_cfg: &CdclConfig,
@@ -418,10 +419,6 @@ pub(crate) fn solve_race_governed(
         .as_deref()
         .filter(|w| w.len() == inst.classes)
         .cloned();
-    let cdcl_lane = match charged_solvers(inst, vec![cdcl_cfg.clone()], ticket) {
-        Ok(mut lanes) => lanes.pop().expect("one CDCL lane"),
-        Err(stats) => return (CdclResult::Interrupted, stats),
-    };
     let cancel = AtomicBool::new(false);
     let local_out: std::sync::Mutex<Option<LocalOutcome>> = std::sync::Mutex::new(None);
     let (cdcl_result, mut stats) = std::thread::scope(|scope| {
@@ -432,7 +429,13 @@ pub(crate) fn solve_race_governed(
             }
             *local_out.lock().expect("local lane mutex") = Some(out);
         });
-        let cdcl = cdcl_lane.solve(Some(&cancel), None, ticket);
+        let cdcl = match charged_solvers(inst, vec![cdcl_cfg.clone()], ticket) {
+            Ok(mut lanes) => {
+                let lane = lanes.pop().expect("one CDCL lane");
+                lane.solve(Some(&cancel), None, ticket)
+            }
+            Err(stats) => (CdclResult::Interrupted, stats),
+        };
         cancel.store(true, Ordering::Relaxed);
         local_lane.join().expect("local-search lane must not panic");
         cdcl

@@ -355,7 +355,7 @@ impl SharedPool {
     }
 }
 
-pub(crate) struct Solver<'a> {
+struct Solver<'a> {
     inst: &'a Instance,
     cfg: CdclConfig,
     /// Number of `x_{c,v}` variables (`k · m`, numbered `c · m + v − 1`);
@@ -1328,7 +1328,7 @@ impl<'a> Solver<'a> {
             .collect()
     }
 
-    pub(crate) fn solve(
+    fn solve(
         mut self,
         cancel: Option<&AtomicBool>,
         pool: Option<&SharedPool>,
@@ -1598,30 +1598,30 @@ pub(crate) fn solve_portfolio_width(
     solve_portfolio_width_governed(inst, base, width, None)
 }
 
-/// Builds one solver per configuration and, under a ticket, charges
-/// their setup memory before any of them searches — so a memory budget
-/// bounds the solver as well as construction. `Err` carries the stats
-/// to report alongside `Interrupted` when the charge trips the ticket.
-pub(crate) fn charged_solvers<'a>(
-    inst: &'a Instance,
-    configs: Vec<CdclConfig>,
+/// One CDCL run with an explicit configuration: the solver is built on
+/// the calling thread and, under a ticket, its setup memory is charged
+/// before it searches, so a memory budget bounds the solver as well as
+/// construction. A tripped charge comes back `Interrupted`. The cancel
+/// flag lets a portfolio or the completion race stop the losers.
+pub(crate) fn solve_charged(
+    inst: &Instance,
+    cfg: CdclConfig,
+    cancel: Option<&AtomicBool>,
+    pool: Option<&SharedPool>,
     ticket: Option<&Ticket>,
-) -> Result<Vec<Solver<'a>>, SearchStats> {
-    let solvers: Vec<Solver<'a>> = configs
-        .into_iter()
-        .map(|cfg| Solver::new(inst, cfg))
-        .collect();
+) -> (CdclResult, SearchStats) {
+    let solver = Solver::new(inst, cfg);
     if let Some(t) = ticket {
-        let bytes = solvers.iter().map(Solver::setup_bytes).sum();
         // ticket.check poll site (solver setup memory)
-        if t.charge_memory(bytes).is_err() {
-            return Err(SearchStats {
-                workers: solvers.len(),
+        if t.charge_memory(solver.setup_bytes()).is_err() {
+            let stats = SearchStats {
+                workers: 1,
                 ..SearchStats::default()
-            });
+            };
+            return (CdclResult::Interrupted, stats);
         }
     }
-    Ok(solvers)
+    solver.solve(cancel, pool, ticket)
 }
 
 /// [`solve_portfolio_width`] under a governance ticket.
@@ -1631,33 +1631,30 @@ pub(crate) fn solve_portfolio_width_governed(
     width: usize,
     ticket: Option<&Ticket>,
 ) -> (CdclResult, SearchStats) {
-    let solvers = match charged_solvers(inst, diversify(base, width.max(1)), ticket) {
-        Ok(solvers) => solvers,
-        Err(stats) => return (CdclResult::Interrupted, stats),
-    };
-    if solvers.len() == 1 {
-        let solver = solvers.into_iter().next().expect("width 1");
-        return solver.solve(None, None, ticket);
+    let configs = diversify(base, width.max(1));
+    if configs.len() == 1 {
+        let cfg = configs.into_iter().next().expect("width 1");
+        return solve_charged(inst, cfg, None, None, ticket);
     }
-    let workers = solvers.len();
+    let workers = configs.len();
     let pool = SharedPool::default();
     let pool = base.share_learned.then_some(&pool);
     let done = AtomicBool::new(false);
     let winner: Mutex<Option<(CdclResult, SearchStats)>> = Mutex::new(None);
     // When the ticket trips, *every* member comes back Interrupted and
     // there is no winner; keep the busiest interrupted member's stats so
-    // partial progress is still reported.
+    // partial progress is still reported (a member whose setup charge
+    // tripped has done none).
     let interrupted: Mutex<Option<SearchStats>> = Mutex::new(None);
     std::thread::scope(|scope| {
-        for solver in solvers {
+        for cfg in configs {
             let (done, winner, interrupted, pool) = (&done, &winner, &interrupted, pool);
             scope.spawn(move || {
-                let (result, stats) = solver.solve(Some(done), pool, ticket);
+                let (result, stats) = solve_charged(inst, cfg, Some(done), pool, ticket);
                 if matches!(result, CdclResult::Interrupted) {
                     let mut slot = interrupted.lock().unwrap_or_else(|p| p.into_inner());
-                    let busier = slot.is_none_or(|s| {
-                        stats.conflicts + stats.decisions > s.conflicts + s.decisions
-                    });
+                    let work = |s: &SearchStats| s.conflicts + s.decisions + s.propagations;
+                    let busier = slot.is_none_or(|s| work(&stats) > work(&s));
                     if busier {
                         *slot = Some(stats);
                     }

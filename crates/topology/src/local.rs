@@ -21,7 +21,7 @@
 //! budgets, and fault injection cover this engine exactly like the
 //! conflict-driven one.
 
-use crate::cdcl::{charged_solvers, CdclConfig, CdclResult, Instance, SearchStats};
+use crate::cdcl::{solve_charged, CdclConfig, CdclResult, Instance, SearchStats};
 use gsb_core::govern::{Stopped, Ticket};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -429,13 +429,7 @@ pub(crate) fn solve_race_governed(
             }
             *local_out.lock().expect("local lane mutex") = Some(out);
         });
-        let cdcl = match charged_solvers(inst, vec![cdcl_cfg.clone()], ticket) {
-            Ok(mut lanes) => {
-                let lane = lanes.pop().expect("one CDCL lane");
-                lane.solve(Some(&cancel), None, ticket)
-            }
-            Err(stats) => (CdclResult::Interrupted, stats),
-        };
+        let cdcl = solve_charged(inst, cdcl_cfg.clone(), Some(&cancel), None, ticket);
         cancel.store(true, Ordering::Relaxed);
         local_lane.join().expect("local-search lane must not panic");
         cdcl

@@ -97,9 +97,9 @@ fn wsb_n3_r3_unsat_certificate() {
 }
 
 #[test]
-#[ignore = "χ²(Δ⁴) SAT over 10,945 classes: minutes of 1-core CDCL (the --full search \
-            bench records it in BENCH_search.json); the orbit-quotient prep itself \
-            takes ~50 ms"]
+#[ignore = "χ²(Δ⁴) SAT over 10,945 classes: ~25 s of 2-thread release CDCL, far longer \
+            under debug (the --full search bench records it in BENCH_search.json); the \
+            orbit-quotient prep itself takes ~50 ms"]
 fn loose_renaming_n5_solved_in_two_rounds() {
     // The first n = 5, r = 2 frontier row, reached through the fused
     // orbit-quotient instance prep: (2n−1)-renaming (9 names) has a

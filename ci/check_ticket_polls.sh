@@ -40,12 +40,10 @@ check() {
 }
 
 # file                              max loops   min poll markers
-# cdcl.rs grew two bounded-tiny loops with orbit-granularity decisions:
-# the orbit-queue drain in pick_branch (bounded by the orbit size, <= a
-# handful of classes) and the union-find path-halving walk in
-# build_class_orbits (bounded by the orbit forest depth). Its third
-# marker is the solver setup-memory charge in charged_solvers.
-check crates/topology/src/cdcl.rs         13          3
+# cdcl.rs: the conflict and decision strides poll inside the main search
+# loop; its third marker is the solver setup-memory charge in
+# solve_charged.
+check crates/topology/src/cdcl.rs         11          3
 check crates/topology/src/solvability.rs   2          1
 check crates/topology/src/protocol.rs      1          4
 # local.rs: the repair engine's restart/move loops are all bounded

@@ -4,14 +4,21 @@
 
 use std::time::Instant;
 
-use gsb_topology::{CdclConfig, SymmetricSearch};
+use gsb_bench::reference_baseline;
+use gsb_core::govern::Ticket;
+use gsb_topology::{CdclConfig, SearchMode, SymmetricSearch};
+
+fn build(spec: gsb_core::GsbSpec, rounds: usize) -> SymmetricSearch {
+    SymmetricSearch::build(spec, rounds, &Ticket::unlimited()).expect("unlimited ticket")
+}
 
 fn probe(label: &str, spec: gsb_core::GsbSpec, rounds: usize) {
     let t = Instant::now();
-    let search = SymmetricSearch::new(spec, rounds);
+    let search = build(spec, rounds);
     let prep = t.elapsed();
     let t = Instant::now();
-    let (result, stats) = search.solve_with(&CdclConfig::default());
+    let (result, stats) = search.solve_mode_with(&CdclConfig::default(), SearchMode::Cdcl);
+    let result = result.expect("CDCL is complete");
     println!(
         "{label} r={rounds}: classes={} facets={} prep={prep:?} solve={:?} solvable={} \
          conflicts={} decisions={} props={} learned={} images={} restarts={}",
@@ -80,9 +87,9 @@ fn main() {
                 1_000_000,
             ),
         ] {
-            let search = SymmetricSearch::new(spec, r);
+            let search = build(spec, r);
             let t = Instant::now();
-            let out = search.solve_reference_budgeted(budget);
+            let out = reference_baseline(&search, budget);
             println!(
                 "{label} r={r} budget={budget}: {:?} verdict={:?}",
                 t.elapsed(),
@@ -92,9 +99,9 @@ fn main() {
     }
     if which.contains("ref") {
         let spec = gsb_core::SymmetricGsb::wsb(3).unwrap().to_spec();
-        let search = SymmetricSearch::new(spec, 2);
+        let search = build(spec, 2);
         let t = Instant::now();
-        let result = search.solve_reference();
+        let result = reference_baseline(&search, u64::MAX).expect("no node budget");
         println!(
             "wsb(3) r=2 reference: solvable={} in {:?}",
             result.is_solvable(),

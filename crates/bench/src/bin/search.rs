@@ -12,8 +12,8 @@
 //!   still asserts the frontier verdicts and races the
 //!   `loose_renaming(4) r=2 [race]` row.
 //! * `--full` — uncensored `wsb(3) r=2` baseline (~10 s) plus the
-//!   heavyweight frontier records: `wsb(3) r=3` and its `[orbit]` A/B
-//!   twin, the `loose_renaming(5) r=2` CDCL/race/local split (gated at
+//!   heavyweight frontier records: `wsb(3) r=3`, the
+//!   `loose_renaming(5) r=2` CDCL/race/local split (gated at
 //!   ≤ 20 s for the race row), and the `renaming(3,6) r=2` cold/warm
 //!   split; use this when refreshing the committed
 //!   `BENCH_search.json`. Expect ~15 minutes on one quiet core.
@@ -113,8 +113,11 @@ fn main() {
         );
     }
 
-    // Governance drift gate on the pinned frontier rows: strided poll
-    // sites and a channel-parked watchdog must stay near-free. `--full`
+    // Governance drift gate on the pinned frontier rows: budgets and a
+    // channel-parked watchdog must stay near-free. The reference side
+    // (`cdcl_wall`) runs under the default unlimited ticket — every
+    // query polls one — so the gap prices the limits and the watchdog
+    // registration on top of the same poll sites. `--full`
     // (the mode that refreshes the committed record) enforces the 2%
     // budget; the other modes run on noisy CI boxes and gate loosely so
     // only a real regression (a poll in a hot inner loop) trips them.

@@ -22,7 +22,7 @@
 //! `naive-atlas` feature rebinds [`atlas`] to it, so
 //! `--features naive-atlas` benchmarks the pre-optimization behaviour
 //! under the production entry point. Both engines produce identical rows
-//! (asserted by tests and by the `atlas` criterion bench).
+//! (asserted by tests and by `atlas_report`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +30,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use gsb_core::govern::{Limits, Ticket};
 use gsb_core::kernel::{KernelSet, KernelVector};
 use gsb_core::order::feasible_family;
 use gsb_core::{Anchoring, Solvability, SymmetricGsb};
@@ -37,7 +38,7 @@ use gsb_memory::{
     enumerate_decisions_memoized, enumerate_decisions_naive, Action, Executor, Observation,
     Protocol, Symmetry,
 };
-use gsb_topology::SearchMode;
+use gsb_topology::{CdclConfig, SearchMode, SearchResult, SolveRoute, SymmetricSearch};
 use rayon::prelude::*;
 
 /// Rows of the solvability atlas: one classified task.
@@ -528,8 +529,6 @@ pub struct SearchBenchRow {
     pub instance: String,
     /// Search-mode label (`"cdcl"`, `"race"`, or `"local"`).
     pub mode: String,
-    /// Whether the CDCL side branched at orbit/class granularity.
-    pub orbit_decisions: bool,
     /// Whether a lifted warm-start seed was installed before the trials.
     pub warm_seeded: bool,
     /// Symmetry classes of the quotiented instance.
@@ -538,13 +537,14 @@ pub struct SearchBenchRow {
     pub facets: usize,
     /// Whether a decision map exists.
     pub solvable: bool,
-    /// Engine wall time (median of 5 after a warmup pair; heavyweight
-    /// rows keep their single warmup sample).
+    /// Engine wall time under the default unlimited ticket (median of
+    /// 5 after a warmup pair; heavyweight rows keep their single warmup
+    /// sample).
     pub cdcl_wall: Duration,
     /// Wall time of the same query run *governed* — generous deadline
-    /// (watchdog armed) plus never-tripping budgets, so every poll site
-    /// pays its check (same sampling as `cdcl_wall`). The gap to
-    /// `cdcl_wall` is what governance costs.
+    /// (watchdog armed) plus never-tripping budgets (same sampling as
+    /// `cdcl_wall`). The gap to `cdcl_wall` is what limits and the
+    /// watchdog cost on top of the ticket every query polls.
     pub governed_wall: Duration,
     /// Winner's solver counters.
     pub cdcl_stats: gsb_topology::SearchStats,
@@ -573,7 +573,7 @@ impl SearchBenchRow {
         (self.baseline_censored || ratio >= 1.0).then_some(ratio)
     }
 
-    /// Governed-over-ungoverned wall overhead as a fraction (`0.01` =
+    /// Governed-over-unlimited wall overhead as a fraction (`0.01` =
     /// 1%); negative when scheduler noise made the governed run win.
     #[must_use]
     pub fn governed_overhead(&self) -> f64 {
@@ -602,7 +602,7 @@ impl SearchReport {
             let s = &row.cdcl_stats;
             out.push_str(&format!(
                 "    {{\n      \"instance\": \"{}\",\n      \"mode\": \"{}\",\n      \
-                 \"orbit_decisions\": {},\n      \"warm_seeded\": {},\n      \
+                 \"warm_seeded\": {},\n      \
                  \"classes\": {},\n      \
                  \"facets\": {},\n      \"solvable\": {},\n      \
                  \"cdcl_wall_ms\": {:.3},\n      \"governed_wall_ms\": {:.3},\n      \
@@ -616,7 +616,6 @@ impl SearchReport {
                  \"local_won\": {}\n    }}{}\n",
                 row.instance,
                 row.mode,
-                row.orbit_decisions,
                 row.warm_seeded,
                 row.classes,
                 row.facets,
@@ -662,8 +661,6 @@ pub struct SearchCase {
     /// How the engine attacks the row (plain CDCL, the CDCL-vs-local
     /// completion race, or local search alone).
     pub mode: SearchMode,
-    /// Branch at orbit/class granularity (the `[orbit]` A/B rows).
-    pub orbit_decisions: bool,
     /// Lift a warm-start seed from this round count's decision map
     /// before the timed trials (the `[warm]` rows).
     pub warm_from: Option<usize>,
@@ -689,14 +686,13 @@ impl SearchCase {
             default_budget,
             full_budget,
             mode: SearchMode::Cdcl,
-            orbit_decisions: false,
             warm_from: None,
             baseline: true,
         }
     }
 
-    /// A mode/toggle variant of an instance the suite already
-    /// baselines: no duplicate baseline run.
+    /// A mode variant of an instance the suite already baselines: no
+    /// duplicate baseline run.
     fn variant(
         label: &str,
         spec: gsb_core::GsbSpec,
@@ -710,7 +706,6 @@ impl SearchCase {
             default_budget: 0,
             full_budget: 0,
             mode,
-            orbit_decisions: false,
             warm_from: None,
             baseline: false,
         }
@@ -791,10 +786,7 @@ pub fn search_suite() -> Vec<SearchCase> {
 /// frontier records and the mechanism splits that justify them:
 ///
 /// * `wsb(3) r = 3` — the index-lemma UNSAT over `χ³(Δ²)`'s 1,086
-///   classes (~136k conflicts, seconds of CDCL), plus its `[orbit]`
-///   A/B twin recording what class-granularity decisions *cost* on a
-///   refutation (a measured negative result, gated against silent
-///   drift).
+///   classes (~136k conflicts, seconds of CDCL).
 /// * `loose_renaming(5) r = 2` — the 10,945-class SAT record, as the
 ///   plain-CDCL reference, the `[race]` row (the ≤ 20 s production
 ///   configuration), and the `[local]` row (the completion engine
@@ -825,10 +817,6 @@ pub fn search_suite_full() -> Vec<SearchCase> {
         1_000_000,
         1_000_000,
     ));
-    suite.push(SearchCase {
-        orbit_decisions: true,
-        ..SearchCase::variant("wsb(3) r=3 [orbit]", wsb3.clone(), 3, SearchMode::Cdcl)
-    });
     suite.push(SearchCase::plain(
         "loose_renaming(5) r=2",
         loose5.clone(),
@@ -859,6 +847,19 @@ pub fn search_suite_full() -> Vec<SearchCase> {
         ..SearchCase::variant("renaming(3,6) r=2 [warm]", renaming36, 2, SearchMode::Cdcl)
     });
     suite
+}
+
+/// The backtracking baseline under a node budget (`u64::MAX` = none):
+/// the verdict, or `None` when the budget ran out first.
+#[must_use]
+pub fn reference_baseline(search: &SymmetricSearch, max_nodes: u64) -> Option<SearchResult> {
+    let ticket = Ticket::new(Limits {
+        nodes: Some(max_nodes),
+        ..Limits::none()
+    });
+    search
+        .solve(&CdclConfig::default(), SolveRoute::Reference, &ticket)
+        .0
 }
 
 /// How much baseline work [`search_report_budgeted`] may spend per row.
@@ -901,7 +902,7 @@ fn median_wall(samples: &mut [Duration]) -> Duration {
 /// trials so each trial times one real solve; one untimed query with
 /// full evidence checking then replays every SAT witness facet by facet.
 ///
-/// Timing discipline: one warmup pair (ungoverned + governed,
+/// Timing discipline: one warmup pair (unlimited + governed,
 /// discarded — it absorbs first-touch allocator and page-cache
 /// effects), then five timed interleaved pairs reported as **medians**.
 /// The old min-of-5 made `governed_overhead_pct` a race between two
@@ -917,7 +918,6 @@ fn median_wall(samples: &mut [Duration]) -> Duration {
 #[must_use]
 pub fn search_report_budgeted(budget_mode: BaselineBudget) -> SearchReport {
     use gsb_engine::{EngineOpts, Query};
-    use gsb_topology::SymmetricSearch;
     let suite = match budget_mode {
         BaselineBudget::Full => search_suite_full(),
         BaselineBudget::Default | BaselineBudget::Capped(_) => search_suite(),
@@ -930,7 +930,6 @@ pub fn search_report_budgeted(budget_mode: BaselineBudget) -> SearchReport {
             mode: case.mode,
             ..EngineOpts::default()
         };
-        timing_opts.cdcl.orbit_decisions = case.orbit_decisions;
         if let Some(parent_rounds) = case.warm_from {
             // One untimed parent solve; its decision map lifts through
             // the subdivision into the phase seed every timed trial
@@ -945,16 +944,18 @@ pub fn search_report_budgeted(budget_mode: BaselineBudget) -> SearchReport {
                 .decision_map()
                 .expect("warm-start parent rows are SAT")
                 .clone();
-            let seed = SymmetricSearch::from_spec_streaming(case.spec.clone(), case.rounds)
+            let seed = SymmetricSearch::build(case.spec.clone(), case.rounds, &Ticket::unlimited())
+                .expect("unlimited ticket")
                 .lift_warm_start(&map);
             timing_opts.cdcl.warm_start = Some(std::sync::Arc::new(seed));
         }
         // The governed twin: same query, generous deadline (watchdog
-        // armed) plus never-tripping budgets — every poll site pays its
-        // check and the wall gap to `cdcl_wall` is the governance cost.
-        // Trials interleave ungoverned/governed back-to-back so both
-        // medians sample the same noise environment — on a shared box
-        // minutes can separate the loops otherwise.
+        // armed) plus never-tripping budgets — the wall gap to
+        // `cdcl_wall`, which runs under the default unlimited ticket, is
+        // what limits and the watchdog cost. Trials interleave the two
+        // back-to-back so both medians sample the same noise
+        // environment — on a shared box minutes can separate the loops
+        // otherwise.
         let governed_opts = EngineOpts {
             deadline: Some(Duration::from_secs(3600)),
             decision_budget: Some(u64::MAX / 4),
@@ -1006,7 +1007,8 @@ pub fn search_report_budgeted(budget_mode: BaselineBudget) -> SearchReport {
         verdict.check().expect("evidence re-verifies");
         let stats = verdict.stats.search.expect("a search ran");
         let solvable = verdict.evidence.decision_map().is_some();
-        let search = SymmetricSearch::from_spec_streaming(case.spec, case.rounds);
+        let search = SymmetricSearch::build(case.spec, case.rounds, &Ticket::unlimited())
+            .expect("unlimited ticket");
         let (baseline_wall, baseline_censored) = if case.baseline {
             let budget = match budget_mode {
                 BaselineBudget::Default => case.default_budget,
@@ -1014,7 +1016,7 @@ pub fn search_report_budgeted(budget_mode: BaselineBudget) -> SearchReport {
                 BaselineBudget::Capped(cap) => cap,
             };
             let start = Instant::now();
-            let baseline = search.solve_reference_budgeted(budget);
+            let baseline = reference_baseline(&search, budget);
             let baseline_wall = start.elapsed();
             if let Some(baseline) = &baseline {
                 assert_eq!(
@@ -1034,7 +1036,6 @@ pub fn search_report_budgeted(budget_mode: BaselineBudget) -> SearchReport {
         rows.push(SearchBenchRow {
             instance: case.label,
             mode: case.mode.label().to_string(),
-            orbit_decisions: case.orbit_decisions,
             warm_seeded: stats.warm_seeded > 0,
             classes: search.classes().len(),
             facets: search.facet_count(),
@@ -1280,7 +1281,8 @@ pub fn construct_report(quick: bool) -> ConstructReport {
         let mut fused_system = None;
         for _ in 0..3 {
             let start = Instant::now();
-            let (system, orbit_stats) = ConstraintSystem::streamed(n, rounds);
+            let (system, orbit_stats) = ConstraintSystem::streamed(n, rounds, &Ticket::unlimited())
+                .expect("unlimited ticket");
             fused_wall = fused_wall.min(start.elapsed());
             orbit = Some(orbit_stats);
             fused_system = Some(system);
@@ -1361,7 +1363,8 @@ pub fn construct_report(quick: bool) -> ConstructReport {
         // the streaming/reference side, but the orbit pipeline alone is
         // ~0.1 s — so quick (CI) mode still drift-gates the flagship
         // orbit shape and the ≤ 1/20 stamp-fraction acceptance.
-        let (system, orbit) = gsb_topology::ConstraintSystem::streamed(4, 3);
+        let (system, orbit) =
+            ConstraintSystem::streamed(4, 3, &Ticket::unlimited()).expect("unlimited ticket");
         let &(_, _, facets, vertices, classes) = CONSTRUCT_PINNED
             .iter()
             .find(|&&(pn, pr, ..)| (pn, pr) == (4, 3))
@@ -1493,7 +1496,6 @@ mod tests {
             "\"threads\"",
             "\"instance\"",
             "\"mode\"",
-            "\"orbit_decisions\"",
             "\"warm_seeded\"",
             "\"cdcl_wall_ms\"",
             "\"baseline_wall_ms\"",

@@ -21,7 +21,7 @@ use gsb_core::govern::{Stopped, Ticket};
 use gsb_core::{Classification, GsbSpec, StopReason};
 use gsb_topology::{
     shared_protocol_complex, CdclConfig, ChromaticComplex, ConstraintSystem, DecisionMap,
-    OrbitFrontier, SearchMode, SearchResult, SearchStats, SymmetricSearch,
+    OrbitFrontier, SearchMode, SearchResult, SearchStats, SolveRoute, SymmetricSearch,
 };
 
 use crate::error::Error;
@@ -180,90 +180,82 @@ impl EngineCache {
         (computed, false)
     }
 
-    /// Round-bounded CDCL search verdict for `(spec, rounds)`, memoized
-    /// with its replayable decision map and solver counters. Returns the
-    /// entry and whether it was served from the cache.
+    /// Round-bounded search verdict for `(spec, rounds)` in `mode`,
+    /// memoized with its replayable decision map and solver counters.
+    /// Returns the entry and whether it was served from the cache.
     ///
-    /// The key deliberately excludes `config`: verdicts (and witnesses'
-    /// validity) are configuration-independent, so the entry produced by
-    /// the first miss is served to every later configuration. Callers
-    /// that need config-faithful *counters* (benchmarks) bypass the
-    /// cache via [`EngineOpts::use_cache`](crate::EngineOpts::use_cache).
-    #[must_use]
-    pub fn search(
-        &self,
-        spec: &GsbSpec,
-        rounds: usize,
-        config: &CdclConfig,
-    ) -> (SearchEntry, bool) {
-        self.search_mode(spec, rounds, config, SearchMode::Cdcl, true)
-            .expect("plain CDCL mode always reaches a verdict ungoverned")
-    }
-
-    /// [`EngineCache::search`] with an explicit [`SearchMode`] and
-    /// warm-start policy. `warm_start` lifts a cached `rounds − 1` SAT
-    /// decision map through the subdivision into the solver's seed when
-    /// one is already present (never triggering a recursive solve);
-    /// seeds are perf hints only, so the cached entry stays
-    /// configuration-independent.
+    /// The key deliberately excludes `config` and `mode`: verdicts (and
+    /// witnesses' validity) are configuration-independent, so the entry
+    /// produced by the first miss is served to every later
+    /// configuration. Callers that need config-faithful *counters*
+    /// (benchmarks) bypass the cache via
+    /// [`EngineOpts::use_cache`](crate::EngineOpts::use_cache).
+    ///
+    /// `warm_start` lifts a cached `rounds − 1` SAT decision map through
+    /// the subdivision into the solver's seed when one is already
+    /// present (never triggering a recursive solve); seeds are perf
+    /// hints only, so the cached entry stays configuration-independent.
+    ///
+    /// Hits are served whatever the ticket's state (they cost nothing);
+    /// misses construct and solve under `ticket`.
     ///
     /// # Errors
     ///
+    /// A tripped ticket returns [`Error::Interrupted`] carrying the
+    /// partial counters, and the incomplete result is **not** cached —
+    /// a later, better-funded query recomputes it cleanly.
     /// [`SearchMode::Local`] cannot refute: when local search exhausts
-    /// its restart schedule without a witness this returns
-    /// [`Error::Interrupted`] with the partial counters, and nothing is
-    /// cached.
-    pub fn search_mode(
+    /// its restart schedule without a witness this also returns
+    /// [`Error::Interrupted`], and nothing is cached.
+    pub fn search(
         &self,
         spec: &GsbSpec,
         rounds: usize,
         config: &CdclConfig,
         mode: SearchMode,
         warm_start: bool,
+        ticket: &Ticket,
     ) -> Result<(SearchEntry, bool), Error> {
         let key = (spec.clone(), rounds);
-        if let Some(hit) = self
-            .searches
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((hit.clone(), true));
+        if let Some(hit) = self.cached_search(&key) {
+            return Ok((hit, true));
         }
         // In-flight guard: concurrent identical queries block here and
         // are served the winner's entry by the re-check, instead of
-        // each running the full solve.
+        // each running the full solve. If the winner's ticket trips it
+        // caches nothing and releases the guard; the next waiter
+        // re-checks, misses, and retries under its own budget.
         let guard = self.search_guards.guard(&key);
         let _build = guard.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(hit) = self
-            .searches
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((hit.clone(), true));
+        if let Some(hit) = self.cached_search(&key) {
+            return Ok((hit, true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         // The fused orbit-quotient prep, shared across every spec at
         // the same (n, rounds) and extended incrementally across round
         // sweeps (uncounted: this search is one logical cache lookup).
-        let (system, _) = self.constraint_system_inner(spec.n(), rounds);
+        let (system, _) = self.build_system(spec.n(), rounds, ticket)?;
         let search = SymmetricSearch::with_system(spec.clone(), Some(rounds), system);
         let config = self.seeded_config(spec, rounds, config, warm_start, &search);
-        let (result, stats) = search.solve_mode_with(&config, mode);
-        let Some(result) = result else {
-            return Err(empty_result_error(None, stats));
-        };
-        let map = search.decision_map(&result);
-        let computed = (result, map, stats);
+        let computed = solve_entry(&search, &config, SolveRoute::Mode(mode), ticket)?;
         self.searches
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .entry(key)
             .or_insert_with(|| computed.clone());
         Ok((computed, false))
+    }
+
+    /// The cached search entry for `key`, counted as a hit when present.
+    fn cached_search(&self, key: &(GsbSpec, usize)) -> Option<SearchEntry> {
+        let hit = self
+            .searches
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .get(key)
+            .cloned()?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
     }
 
     /// `config` with the lifted warm-start seed filled in, when wanted,
@@ -310,64 +302,6 @@ impl EngineCache {
         seed.iter().any(|&v| v != 0).then(|| Arc::new(seed))
     }
 
-    /// [`EngineCache::search`] under a governance ticket: cache hits are
-    /// served as usual (they cost nothing), misses run the governed
-    /// construct + solve. A tripped ticket returns
-    /// [`Error::Interrupted`] carrying the partial counters, and the
-    /// incomplete result is **not** cached — a later ungoverned (or
-    /// better-funded) query recomputes it cleanly.
-    pub(crate) fn search_governed(
-        &self,
-        spec: &GsbSpec,
-        rounds: usize,
-        config: &CdclConfig,
-        mode: SearchMode,
-        warm_start: bool,
-        ticket: &Ticket,
-    ) -> Result<(SearchEntry, bool), Error> {
-        let key = (spec.clone(), rounds);
-        if let Some(hit) = self
-            .searches
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((hit.clone(), true));
-        }
-        // Same in-flight guard as the ungoverned path. If the winner's
-        // ticket trips it caches nothing and releases the guard; the
-        // next waiter re-checks, misses, and retries under its own
-        // budget.
-        let guard = self.search_guards.guard(&key);
-        let _build = guard.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(hit) = self
-            .searches
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((hit.clone(), true));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (system, _) = self.constraint_system_inner_governed(spec.n(), rounds, Some(ticket))?;
-        let search = SymmetricSearch::with_system(spec.clone(), Some(rounds), system);
-        let config = self.seeded_config(spec, rounds, config, warm_start, &search);
-        let (result, stats) = search.solve_mode_governed(&config, mode, Some(ticket));
-        let Some(result) = result else {
-            return Err(empty_result_error(Some(ticket), stats));
-        };
-        let map = search.decision_map(&result);
-        let computed = (result, map, stats);
-        self.searches
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .entry(key)
-            .or_insert_with(|| computed.clone());
-        Ok((computed, false))
-    }
-
     /// The streamed protocol complex `χ^rounds(Δ^{n−1})`, served through
     /// the engine's construction layer: first use per `(n, rounds)` pulls
     /// the process-wide [`shared_protocol_complex`] build (which carries
@@ -404,46 +338,15 @@ impl EngineCache {
     /// was served from the cache.
     #[must_use]
     pub fn constraint_system(&self, n: usize, rounds: usize) -> (Arc<ConstraintSystem>, bool) {
-        let (system, hit) = self.constraint_system_inner(n, rounds);
+        let (system, hit) = self
+            .build_system(n, rounds, &Ticket::unlimited())
+            .expect("an unlimited ticket only stops under an armed fault plan");
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
         (system, hit)
-    }
-
-    /// [`EngineCache::constraint_system`] under a governance ticket:
-    /// construction polls the ticket and charges its memory budget. A
-    /// tripped ticket returns the [`Stopped`] reason; any cached
-    /// frontier is left logically at its previous round (round commits
-    /// are atomic — see
-    /// [`OrbitFrontier::try_advance`](gsb_topology::OrbitFrontier::try_advance)),
-    /// so the cache stays valid for later queries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Stopped`] when the ticket trips mid-construction.
-    pub fn constraint_system_governed(
-        &self,
-        n: usize,
-        rounds: usize,
-        ticket: &Ticket,
-    ) -> Result<(Arc<ConstraintSystem>, bool), Stopped> {
-        let outcome = self.constraint_system_inner_governed(n, rounds, Some(ticket));
-        match &outcome {
-            Ok((_, true)) => self.hits.fetch_add(1, Ordering::Relaxed),
-            _ => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        outcome
-    }
-
-    /// [`EngineCache::constraint_system`] without the shared hit/miss
-    /// accounting — the nested call inside [`EngineCache::search`] (one
-    /// query = one logical lookup, whatever the internal layering).
-    fn constraint_system_inner(&self, n: usize, rounds: usize) -> (Arc<ConstraintSystem>, bool) {
-        self.constraint_system_inner_governed(n, rounds, None)
-            .expect("ungoverned construction cannot stop")
     }
 
     /// The frontier slot for `n` (created at round 0 on first use). The
@@ -458,12 +361,18 @@ impl EngineCache {
         )
     }
 
-    /// The governed core of the constraint-system layer.
-    fn constraint_system_inner_governed(
+    /// The constraint-system layer without the shared hit/miss
+    /// accounting (a nested call inside [`EngineCache::search`] is one
+    /// logical lookup, whatever the internal layering). Construction
+    /// polls the ticket and charges its memory budget; a trip leaves
+    /// any cached frontier logically at its previous round (round
+    /// commits are atomic — see [`OrbitFrontier::advance`]), so the
+    /// cache stays valid for later queries.
+    fn build_system(
         &self,
         n: usize,
         rounds: usize,
-        ticket: Option<&Ticket>,
+        ticket: &Ticket,
     ) -> Result<(Arc<ConstraintSystem>, bool), Stopped> {
         if let Some(hit) = self
             .systems
@@ -505,17 +414,17 @@ impl EngineCache {
             while frontier.rounds() < rounds {
                 // A trip mid-extension leaves the cached frontier at
                 // its last completed round.
-                frontier.try_advance(ticket)?;
+                frontier.advance(ticket)?;
             }
-            ConstraintSystem::from_orbit_frontier_governed(&mut frontier, ticket)?
+            ConstraintSystem::from_orbit_frontier(&mut frontier, ticket)?
         } else {
             // Cached deeper than requested (a downward query): build
             // fresh without disturbing the deeper cache.
             let mut fresh = OrbitFrontier::new(n);
             for _ in 0..rounds {
-                fresh.try_advance(ticket)?;
+                fresh.advance(ticket)?;
             }
-            ConstraintSystem::from_orbit_frontier_governed(&mut fresh, ticket)?
+            ConstraintSystem::from_orbit_frontier(&mut fresh, ticket)?
         };
         let system = Arc::new(system);
         self.systems
@@ -563,51 +472,55 @@ impl EngineCache {
     }
 }
 
-/// One uncached solve through the fused orbit-quotient prep
-/// (`SymmetricSearch::from_spec_streaming` — orbit representatives
-/// stream straight into the solver instance, no complex is ever
-/// materialized), packaging the SAT witness as a replayable
-/// [`DecisionMap`]. Uncached runs have no parent entry to lift a warm
-/// start from, so the config is used as given.
+/// Solves `search` along `route` under `ticket` and packages the
+/// verdict with its replayable witness (SAT only) and counters.
 ///
 /// # Errors
 ///
-/// [`SearchMode::Local`] exhaustion (no witness, no refutation) comes
-/// back as [`Error::Interrupted`] with the partial counters.
-pub(crate) fn solve_uncached(
-    spec: &GsbSpec,
-    rounds: usize,
+/// An empty solve comes back as [`Error::Interrupted`]: a tripped
+/// ticket reports its own stop reason; otherwise the empty result can
+/// only be local-search exhaustion, reported as a spent decision budget
+/// (the restart schedule is exactly that — a built-in decision budget
+/// the engine ran out of).
+pub(crate) fn solve_entry(
+    search: &SymmetricSearch,
     config: &CdclConfig,
-    mode: SearchMode,
+    route: SolveRoute,
+    ticket: &Ticket,
 ) -> Result<SearchEntry, Error> {
-    let search = SymmetricSearch::from_spec_streaming(spec.clone(), rounds);
-    let (result, stats) = search.solve_mode_with(config, mode);
+    let (result, stats) = search.solve(config, route, ticket);
     let Some(result) = result else {
-        return Err(empty_result_error(None, stats));
+        return Err(match ticket.stop_reason() {
+            Some(_) => Error::interrupted(ticket, stats),
+            None => Error::Interrupted {
+                reason: StopReason::DecisionBudget,
+                partial: Some(stats),
+            },
+        });
     };
     let map = search.decision_map(&result);
     Ok((result, map, stats))
-}
-
-/// The [`Error::Interrupted`] for a solve that came back empty: a
-/// tripped ticket reports its own stop reason; an *ungoverned* empty
-/// result can only be local-search exhaustion, reported as a spent
-/// decision budget (the restart schedule is exactly that — a built-in
-/// decision budget the engine ran out of).
-pub(crate) fn empty_result_error(ticket: Option<&Ticket>, stats: SearchStats) -> Error {
-    match ticket {
-        Some(t) if t.stop_reason().is_some() => Error::interrupted(t, stats),
-        _ => Error::Interrupted {
-            reason: StopReason::DecisionBudget,
-            partial: Some(stats),
-        },
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gsb_core::SymmetricGsb;
+
+    /// A plain-CDCL cache search under an unlimited ticket.
+    fn search(cache: &EngineCache, spec: &GsbSpec, rounds: usize) -> (SearchEntry, bool) {
+        let config = CdclConfig::default();
+        cache
+            .search(
+                spec,
+                rounds,
+                &config,
+                SearchMode::Cdcl,
+                true,
+                &Ticket::unlimited(),
+            )
+            .expect("CDCL is complete")
+    }
 
     #[test]
     fn classification_hits_after_first_miss() {
@@ -627,12 +540,12 @@ mod tests {
     fn search_entries_carry_the_decision_map() {
         let cache = EngineCache::new();
         let spec = SymmetricGsb::renaming(2, 3).unwrap().to_spec();
-        let ((result, map, _stats), hit) = cache.search(&spec, 1, &CdclConfig::default());
+        let ((result, map, _stats), hit) = search(&cache, &spec, 1);
         assert!(!hit);
         assert!(result.is_solvable());
         let map = map.expect("SAT entries carry a witness");
         map.check(&spec).unwrap();
-        let ((cached, cached_map, _), hit) = cache.search(&spec, 1, &CdclConfig::default());
+        let ((cached, cached_map, _), hit) = search(&cache, &spec, 1);
         assert!(hit);
         assert_eq!(cached, result);
         assert_eq!(cached_map, Some(map));
@@ -671,7 +584,7 @@ mod tests {
         // r = 0, 1, 2 in turn: the first builds the n = 3 frontier, the
         // later rounds extend it in place instead of re-streaming.
         for rounds in 0..=2usize {
-            let (entry, hit) = cache.search(&spec, rounds, &CdclConfig::default());
+            let (entry, hit) = search(&cache, &spec, rounds);
             assert!(!hit, "distinct (spec, rounds) keys");
             assert!(!entry.0.is_solvable(), "WSB n=3 is UNSAT through r=2");
         }
@@ -681,7 +594,7 @@ mod tests {
         assert_eq!(stats.extensions, 2, "r=1 and r=2 extended the cache");
         // A second task at the same parameters reuses the cached system.
         let slot = SymmetricGsb::slot(3, 2).unwrap().to_spec();
-        let (_, hit) = cache.search(&slot, 2, &CdclConfig::default());
+        let (_, hit) = search(&cache, &slot, 2);
         assert!(!hit, "different spec misses the search cache");
         let after = cache.stats();
         assert_eq!(after.extensions, 2, "no new streaming work");
@@ -747,7 +660,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         barrier.wait();
-                        cache.search(&spec, 1, &CdclConfig::default())
+                        search(&cache, &spec, 1)
                     })
                 })
                 .collect();

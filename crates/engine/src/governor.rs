@@ -1,5 +1,8 @@
-//! The engine's resource governor: one [`Ticket`] per governed query,
-//! plus a shared watchdog thread that backstops wall-clock deadlines.
+//! The engine's resource governor: one [`Ticket`] per query, plus a
+//! shared watchdog thread that backstops wall-clock deadlines. A query
+//! without limits holds an unlimited ticket: it still observes
+//! cancellation and injected faults, and registers nothing with the
+//! watchdog.
 //!
 //! Governed loops poll their ticket cooperatively (see
 //! [`gsb_core::govern`]), which bounds how late a deadline can be
@@ -13,9 +16,9 @@
 //!
 //! The watchdog is one process-wide service thread, parked on a channel
 //! until the earliest registered deadline. Registering and
-//! deregistering are single channel sends, so a governed query pays
-//! nanoseconds for deadline coverage rather than a thread spawn + join
-//! per query.
+//! deregistering are single channel sends, so a query with a deadline
+//! pays nanoseconds for deadline coverage rather than a thread spawn +
+//! join per query.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, OnceLock};
@@ -36,16 +39,8 @@ pub struct Governor {
 }
 
 impl Governor {
-    /// A governor for the limits in `opts`, or `None` when `opts`
-    /// requests no governance (the ungoverned fast path: no ticket, no
-    /// polls, zero overhead).
-    #[must_use]
-    pub fn from_opts(opts: &EngineOpts) -> Option<Self> {
-        opts.is_governed().then(|| Self::new(opts))
-    }
-
     /// A governor for the limits in `opts`; the deadline clock starts
-    /// now.
+    /// now, and only a deadline registers with the watchdog.
     #[must_use]
     pub fn new(opts: &EngineOpts) -> Self {
         let ticket = Ticket::new(opts.limits());
@@ -158,8 +153,17 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn ungoverned_opts_get_no_governor() {
-        assert!(Governor::from_opts(&EngineOpts::default()).is_none());
+    fn default_opts_get_an_unlimited_ticket_without_a_watch() {
+        let governor = Governor::new(&EngineOpts::default());
+        assert_eq!(
+            governor.watch_id, None,
+            "no deadline, no watchdog registration"
+        );
+        let ticket = governor.ticket();
+        assert!(ticket.charge_conflicts(u64::MAX / 2).is_ok());
+        assert!(ticket.charge_nodes(u64::MAX / 2).is_ok());
+        assert!(ticket.charge_memory(u64::MAX / 2).is_ok());
+        assert_eq!(ticket.stop_reason(), None);
     }
 
     #[test]
@@ -168,22 +172,9 @@ mod tests {
             conflict_budget: Some(10),
             ..EngineOpts::default()
         };
-        let governor = Governor::from_opts(&opts).expect("governed");
+        let governor = Governor::new(&opts);
         assert!(governor.ticket().check().is_ok());
         assert!(governor.ticket().charge_conflicts(11).is_err());
-    }
-
-    #[test]
-    fn legacy_reference_budget_governs_the_node_budget() {
-        #[allow(deprecated)]
-        let opts = EngineOpts {
-            reference_budget: Some(5),
-            ..EngineOpts::default()
-        };
-        assert!(opts.is_governed());
-        assert_eq!(opts.effective_node_budget(), Some(5));
-        let governor = Governor::from_opts(&opts).expect("governed");
-        assert!(governor.ticket().charge_nodes(6).is_err());
     }
 
     #[test]

@@ -650,10 +650,6 @@ fn stats_to_json(stats: &SearchStats) -> Json {
         ),
         ("imported".into(), Json::Num(stats.imported as f64)),
         ("deleted".into(), Json::Num(stats.deleted as f64)),
-        (
-            "orbit_decisions".into(),
-            Json::Num(stats.orbit_decisions as f64),
-        ),
         ("warm_seeded".into(), Json::Num(stats.warm_seeded as f64)),
         ("local_steps".into(), Json::Num(stats.local_steps as f64)),
         (
@@ -666,8 +662,9 @@ fn stats_to_json(stats: &SearchStats) -> Json {
 }
 
 fn stats_from_json(value: &Json) -> Result<SearchStats> {
-    // The orbit/warm/local fields postdate stored verdict records;
-    // absent keys read as zero so old store entries keep parsing.
+    // The warm/local fields postdate stored verdict records; absent
+    // keys read as zero so old store entries keep parsing, and keys of
+    // counters that have since been removed are ignored.
     let opt_u64 = |key: &str| -> Result<u64> {
         match value.get(key) {
             None | Some(Json::Null) => Ok(0),
@@ -683,7 +680,6 @@ fn stats_from_json(value: &Json) -> Result<SearchStats> {
         symmetric_images: u64_field(value, "symmetric_images")?,
         imported: u64_field(value, "imported")?,
         deleted: u64_field(value, "deleted")?,
-        orbit_decisions: opt_u64("orbit_decisions")?,
         warm_seeded: opt_u64("warm_seeded")?,
         local_steps: opt_u64("local_steps")?,
         local_restarts: opt_u64("local_restarts")?,
@@ -750,8 +746,7 @@ impl crate::query::EngineOpts {
             ),
             ("decision_budget".into(), opt_u64(self.decision_budget)),
             ("conflict_budget".into(), opt_u64(self.conflict_budget)),
-            // The deprecated `reference_budget` alias folds in here.
-            ("node_budget".into(), opt_u64(self.effective_node_budget())),
+            ("node_budget".into(), opt_u64(self.node_budget)),
             ("memory_budget".into(), opt_u64(self.memory_budget)),
             ("mode".into(), Json::Str(self.mode.label().into())),
             ("warm_start".into(), Json::Bool(self.warm_start)),
@@ -760,14 +755,13 @@ impl crate::query::EngineOpts {
 
     /// Parses options back from [`to_json_value`](Self::to_json_value)
     /// output. Missing budget fields stay `None`, so pre-governance
-    /// `EngineOpts` JSON (which only carried `search` and possibly the
-    /// legacy `reference_budget` key) still parses; a `reference_budget`
-    /// key is honored as an alias of `node_budget`.
+    /// `EngineOpts` JSON (which only carried `search`) still parses.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Json`] on unknown engine labels or non-numeric
-    /// budget fields.
+    /// Returns [`Error::Json`] on unknown engine labels, non-numeric
+    /// budget fields, or the removed `reference_budget` key (whose
+    /// budget would otherwise be silently dropped).
     pub fn from_json_value(value: &Json) -> Result<Self> {
         fn opt_u64(value: &Json, key: &str) -> Result<Option<u64>> {
             match value.get(key) {
@@ -779,6 +773,11 @@ impl crate::query::EngineOpts {
                     checked_uint(x, key).map(Some)
                 }
             }
+        }
+        if value.get("reference_budget").is_some() {
+            return Err(Error::Json {
+                details: "field 'reference_budget' was removed; use 'node_budget'".into(),
+            });
         }
         let label = str_field(value, "search")?;
         let search = crate::query::SearchEngine::from_label(label).ok_or_else(|| Error::Json {
@@ -807,7 +806,7 @@ impl crate::query::EngineOpts {
             }
         };
         let warm_start = !matches!(value.get("warm_start"), Some(Json::Bool(false)));
-        let mut opts = crate::query::EngineOpts {
+        Ok(crate::query::EngineOpts {
             search,
             deadline,
             decision_budget: opt_u64(value, "decision_budget")?,
@@ -817,11 +816,7 @@ impl crate::query::EngineOpts {
             mode,
             warm_start,
             ..Default::default()
-        };
-        if opts.node_budget.is_none() {
-            opts.node_budget = opt_u64(value, "reference_budget")?;
-        }
-        Ok(opts)
+        })
     }
 }
 

@@ -130,14 +130,6 @@ pub struct EngineOpts {
     /// growth points during streamed construction and by each CDCL
     /// solver's setup (clauses, watch lists, facet counters).
     pub memory_budget: Option<u64>,
-    /// Node budget for the reference backtracker, `None` = unbounded.
-    ///
-    /// **Deprecated alias** of [`EngineOpts::node_budget`]: still
-    /// honored (and still parsed from existing `EngineOpts` JSON), but
-    /// exhaustion now yields an indeterminate verdict instead of
-    /// [`Error::BudgetExhausted`](crate::Error::BudgetExhausted).
-    #[deprecated(note = "use `node_budget`; exhaustion now yields an indeterminate verdict")]
-    pub reference_budget: Option<u64>,
     /// **Cross-engine agreement mode** for [`Question::Classify`]: when
     /// `Some(r)`, the classifier's verdict is checked against both
     /// decision-map engines for every round count `0..=r` (in the sound
@@ -173,7 +165,6 @@ pub struct EngineOpts {
 }
 
 impl Default for EngineOpts {
-    #[allow(deprecated)] // initializes the legacy `reference_budget` alias
     fn default() -> Self {
         EngineOpts {
             search: SearchEngine::Cdcl,
@@ -182,7 +173,6 @@ impl Default for EngineOpts {
             conflict_budget: None,
             node_budget: None,
             memory_budget: None,
-            reference_budget: None,
             agreement_rounds: None,
             check_evidence: true,
             simulate_witness: false,
@@ -195,33 +185,15 @@ impl Default for EngineOpts {
 }
 
 impl EngineOpts {
-    /// The effective node budget: [`EngineOpts::node_budget`], falling
-    /// back to the deprecated `reference_budget` alias.
-    #[must_use]
-    pub fn effective_node_budget(&self) -> Option<u64> {
-        #[allow(deprecated)] // the alias is exactly what this merges
-        self.node_budget.or(self.reference_budget)
-    }
-
-    /// True when any governance limit is set — the dispatcher then runs
-    /// the query under a [`Governor`](crate::Governor) ticket.
-    #[must_use]
-    pub fn is_governed(&self) -> bool {
-        self.deadline.is_some()
-            || self.decision_budget.is_some()
-            || self.conflict_budget.is_some()
-            || self.memory_budget.is_some()
-            || self.effective_node_budget().is_some()
-    }
-
-    /// The governance limits these options describe.
+    /// The governance limits these options describe; all `None` gives
+    /// the unlimited ticket every query holds by default.
     #[must_use]
     pub fn limits(&self) -> gsb_core::Limits {
         gsb_core::Limits {
             deadline: self.deadline,
             decisions: self.decision_budget,
             conflicts: self.conflict_budget,
-            nodes: self.effective_node_budget(),
+            nodes: self.node_budget,
             memory_bytes: self.memory_budget,
         }
     }

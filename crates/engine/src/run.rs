@@ -10,11 +10,11 @@ use gsb_core::{Classification, GsbSpec, Identity, OutputVector, Solvability, Sto
 use gsb_memory::ProtocolFactory;
 use gsb_topology::{
     election_impossibility_certificate, shared_protocol_complex, SearchResult, SearchStats,
-    SymmetricSearch,
+    SolveRoute, SymmetricSearch,
 };
 use rayon::prelude::*;
 
-use crate::cache::{empty_result_error, solve_uncached, EngineCache, SearchEntry};
+use crate::cache::{solve_entry, EngineCache, SearchEntry};
 use crate::error::{Error, Result};
 use crate::evidence::{AtlasCell, Evidence};
 use crate::governor::Governor;
@@ -29,17 +29,14 @@ const MAX_SIMULATED_RUNS: usize = 64;
 /// Executes `query` against `cache`.
 pub(crate) fn execute(query: &Query, cache: &EngineCache) -> Result<Verdict> {
     let start = Instant::now();
-    // Governed queries get a ticket (and, with a deadline, a watchdog
-    // thread); ungoverned queries take the zero-overhead `None` path.
-    let governor = Governor::from_opts(query.opts());
-    let ticket = governor.as_ref().map(Governor::ticket);
+    // Every query holds a ticket: unlimited unless `opts` sets limits,
+    // and registered with the watchdog only when it carries a deadline.
+    let governor = Governor::new(query.opts());
+    let ticket = governor.ticket();
     // Admission: every question observes a tripped ticket at least
     // once, even closed-form ones that never reach a solver loop.
-    let admitted = match ticket {
-        // ticket.check poll site (query admission)
-        Some(t) => t.check().map_err(Error::from),
-        None => Ok(()),
-    };
+    // ticket.check poll site (query admission)
+    let admitted = ticket.check().map_err(Error::from);
     let outcome = admitted.and_then(|()| match query.question() {
         Question::Classify => run_classify(require_spec(query)?, query.opts(), cache, ticket),
         Question::SolvableInRounds { rounds } => {
@@ -79,7 +76,7 @@ fn require_spec(query: &Query) -> Result<&GsbSpec> {
     })
 }
 
-/// The verdict of a governed query that stopped before deciding
+/// The verdict of a query whose ticket stopped it before deciding
 /// anything: no solvability claim, [`Evidence::Indeterminate`] carrying
 /// the stop reason and whatever counters the interrupted engine kept.
 fn indeterminate_verdict(
@@ -129,108 +126,55 @@ fn witness_of(
 }
 
 /// Runs the round-bounded search with the engine(s) selected in `opts`,
-/// enforcing engine-vs-engine agreement when both run. A governed run
-/// (ticket present) threads the ticket through construction and solve;
-/// a tripped ticket surfaces as [`Error::Interrupted`] with partial
-/// counters, which [`execute`] converts to an indeterminate verdict.
+/// enforcing engine-vs-engine agreement when both run: a system from
+/// the cache (through its verdict memo) or from a fresh build, then one
+/// [`SymmetricSearch::solve`] per engine. The ticket is threaded
+/// through construction and solve; a tripped ticket surfaces as
+/// [`Error::Interrupted`] with partial counters, which [`execute`]
+/// converts to an indeterminate verdict.
 fn search_at(
     spec: &GsbSpec,
     rounds: usize,
     opts: &EngineOpts,
     cache: &EngineCache,
-    ticket: Option<&Ticket>,
+    ticket: &Ticket,
 ) -> Result<(SearchEntry, bool, Vec<String>)> {
-    let cdcl = |cache_wanted: bool| -> Result<(SearchEntry, bool)> {
-        match (ticket, cache_wanted) {
-            (Some(t), true) => {
-                cache.search_governed(spec, rounds, &opts.cdcl, opts.mode, opts.warm_start, t)
-            }
-            (Some(t), false) => {
-                let search =
-                    SymmetricSearch::from_spec_streaming_governed(spec.clone(), rounds, Some(t))?;
-                let (result, stats) = search.solve_mode_governed(&opts.cdcl, opts.mode, Some(t));
-                let Some(result) = result else {
-                    return Err(empty_result_error(Some(t), stats));
-                };
-                let map = search.decision_map(&result);
-                Ok(((result, map, stats), false))
-            }
-            (None, true) => cache.search_mode(spec, rounds, &opts.cdcl, opts.mode, opts.warm_start),
-            (None, false) => Ok((solve_uncached(spec, rounds, &opts.cdcl, opts.mode)?, false)),
-        }
-    };
-    let reference = || -> Result<SearchEntry> {
-        match ticket {
-            Some(t) => {
-                let search =
-                    SymmetricSearch::from_spec_streaming_governed(spec.clone(), rounds, Some(t))?;
-                let (result, stats) = search.solve_reference_governed(t);
-                let Some(result) = result else {
-                    return Err(Error::interrupted(t, stats));
-                };
-                let map = search.decision_map(&result);
-                Ok((result, map, stats))
-            }
-            None => {
-                let search = SymmetricSearch::new(spec.clone(), rounds);
-                let result = search
-                    .solve_reference_budgeted(u64::MAX)
-                    .expect("unbudgeted reference search cannot exhaust");
-                let map = search.decision_map(&result);
-                // The ungoverned reference engine keeps no counters;
-                // report zero work under one worker so the stats stay
-                // honest.
-                let stats = SearchStats {
-                    workers: 1,
-                    ..SearchStats::default()
-                };
-                Ok((result, map, stats))
-            }
-        }
-    };
-    match opts.search {
-        SearchEngine::Cdcl => {
-            let (entry, hit) = cdcl(opts.use_cache)?;
-            Ok((entry, hit, vec!["cdcl".into()]))
-        }
-        SearchEngine::Reference => Ok((reference()?, false, vec!["reference".into()])),
+    if opts.search == SearchEngine::Cdcl && opts.use_cache {
+        let (entry, hit) =
+            cache.search(spec, rounds, &opts.cdcl, opts.mode, opts.warm_start, ticket)?;
+        return Ok((entry, hit, vec!["cdcl".into()]));
+    }
+    let search = SymmetricSearch::build(spec.clone(), rounds, ticket)?;
+    let solve = |route| solve_entry(&search, &opts.cdcl, route, ticket);
+    let (entry, engines) = match opts.search {
+        SearchEngine::Cdcl => (solve(SolveRoute::Mode(opts.mode))?, vec!["cdcl"]),
+        SearchEngine::Reference => (solve(SolveRoute::Reference)?, vec!["reference"]),
         SearchEngine::Both => {
             // Forced CDCL, bypassing the cache and the tiny-instance
-            // fast path: the whole point of `Both` is a genuine
+            // route: the whole point of `Both` is a genuine
             // cdcl-vs-reference diff, and the production front door
             // routes small instances to the same backtracker as the
             // reference arm — which would make this check vacuous
             // exactly where a CDCL setup bug would first appear.
-            let search =
-                SymmetricSearch::from_spec_streaming_governed(spec.clone(), rounds, ticket)?;
-            let entry = match ticket {
-                Some(t) => {
-                    let (result, stats) = search.solve_cdcl_governed(&opts.cdcl, t);
-                    let Some(result) = result else {
-                        return Err(Error::interrupted(t, stats));
-                    };
-                    let map = search.decision_map(&result);
-                    (result, map, stats)
-                }
-                None => {
-                    let (result, stats) = search.solve_cdcl_with(&opts.cdcl);
-                    let map = search.decision_map(&result);
-                    (result, map, stats)
-                }
-            };
-            let (ref_result, _, _) = reference()?;
-            if entry.0.is_solvable() != ref_result.is_solvable() {
+            let entry = solve(SolveRoute::Cdcl)?;
+            let (reference, _, _) = solve(SolveRoute::Reference)?;
+            if entry.0.is_solvable() != reference.is_solvable() {
                 return Err(Error::Disagreement {
                     question: format!("solvable-in-rounds({rounds})"),
                     details: format!(
                         "on {spec}: cdcl says '{}', reference says '{}'",
-                        entry.0, ref_result
+                        entry.0, reference
                     ),
                 });
             }
-            Ok((entry, false, vec!["cdcl".into(), "reference".into()]))
+            (entry, vec!["cdcl", "reference"])
         }
-    }
+    };
+    Ok((
+        entry,
+        false,
+        engines.into_iter().map(String::from).collect(),
+    ))
 }
 
 /// `Question::Classify`: the closed-form classifier, with
@@ -239,7 +183,7 @@ fn run_classify(
     spec: &GsbSpec,
     opts: &EngineOpts,
     cache: &EngineCache,
-    ticket: Option<&Ticket>,
+    ticket: &Ticket,
 ) -> Result<Verdict> {
     let (classification, cache_hit) = classification_of(spec, opts, cache);
     let mut engines = vec!["classifier".to_string()];
@@ -311,7 +255,7 @@ fn agreement_sweep(
     max_rounds: usize,
     opts: &EngineOpts,
     cache: &EngineCache,
-    ticket: Option<&Ticket>,
+    ticket: &Ticket,
 ) -> Result<()> {
     for rounds in 0..=max_rounds {
         let both = EngineOpts {
@@ -346,7 +290,7 @@ fn run_rounds(
     rounds: usize,
     opts: &EngineOpts,
     cache: &EngineCache,
-    ticket: Option<&Ticket>,
+    ticket: &Ticket,
 ) -> Result<Verdict> {
     let (classification, _) = classification_of(spec, opts, cache);
     let ((result, map, stats), cache_hit, mut engines) =
@@ -458,7 +402,7 @@ fn run_certificate(
     rounds: usize,
     opts: &EngineOpts,
     cache: &EngineCache,
-    ticket: Option<&Ticket>,
+    ticket: &Ticket,
 ) -> Result<Verdict> {
     // 1. A no-communication witness is the cheapest positive certificate.
     let (witness, cache_hit) = witness_of(spec, opts, cache);
@@ -513,7 +457,7 @@ fn run_certificate(
 
 /// `Question::Atlas`: classify every feasible symmetric task with
 /// `n ≤ max_n`, fanned out over rayon with the shared cache.
-fn run_atlas(max_n: usize, cache: &EngineCache, ticket: Option<&Ticket>) -> Result<Verdict> {
+fn run_atlas(max_n: usize, cache: &EngineCache, ticket: &Ticket) -> Result<Verdict> {
     if max_n < 2 {
         return Err(Error::Unsupported {
             reason: format!("atlas needs max_n ≥ 2, got {max_n}"),
@@ -525,10 +469,8 @@ fn run_atlas(max_n: usize, cache: &EngineCache, ticket: Option<&Ticket>) -> Resu
     let per_family: Vec<Result<Vec<AtlasCell>>> = families
         .into_par_iter()
         .map(|(n, m)| {
-            if let Some(t) = ticket {
-                // ticket.check poll site (per-family stride)
-                t.check()?;
-            }
+            // ticket.check poll site (per-family stride)
+            ticket.check()?;
             let family = gsb_core::order::feasible_family(n, m).map_err(Error::Core)?;
             Ok(family
                 .into_iter()

@@ -79,18 +79,14 @@ fn election_agreement_extends_to_two_rounds() {
 
 #[test]
 fn budget_exhaustion_is_an_indeterminate_verdict() {
-    // The legacy `reference_budget` alias still governs the node budget,
-    // but exhaustion now surfaces as an indeterminate verdict instead of
-    // `Error::BudgetExhausted`.
+    // Node-budget exhaustion surfaces as an indeterminate verdict, not
+    // as `Error::BudgetExhausted`.
     let spec = gsb_core::SymmetricGsb::wsb(3)
         .expect("well-formed")
         .to_spec();
     let mut query = Query::solvable_in_rounds(spec, 1);
     query.opts_mut().search = SearchEngine::Reference;
-    #[allow(deprecated)]
-    {
-        query.opts_mut().reference_budget = Some(1);
-    }
+    query.opts_mut().node_budget = Some(1);
     let verdict = query
         .run_with(&EngineCache::new())
         .expect("exhaustion is a verdict, not an error");

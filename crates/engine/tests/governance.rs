@@ -1,7 +1,8 @@
-//! Governance integration: every governed loop — CDCL portfolio,
-//! reference backtracker, streamed orbit construction — stops when its
-//! ticket trips, and the engine reports the stop as an *indeterminate
-//! verdict* (never a hang, never an abort). The deterministic
+//! Governance integration: every query holds a ticket (unlimited by
+//! default), every long loop — CDCL portfolio, reference backtracker,
+//! streamed orbit construction — stops when its ticket trips, and the
+//! engine reports the stop as an *indeterminate verdict* (never a hang,
+//! never an abort). The deterministic
 //! fault-injection harness drives the cancellation/panic paths from
 //! explicit seeds.
 //!
@@ -79,8 +80,7 @@ fn conflict_budget_stops_cdcl_with_partial_counters() {
     );
 }
 
-/// The `node_budget` field governs the reference backtracker (the
-/// deprecated `reference_budget` alias is covered in `agreement.rs`).
+/// The `node_budget` field governs the reference backtracker.
 #[test]
 fn node_budget_stops_the_reference_backtracker() {
     let _g = lock();
@@ -134,7 +134,7 @@ fn memory_budget_covers_solver_setup() {
     }
 }
 
-/// The ungoverned paths still reach real verdicts while limits are off.
+/// Generous limits reach the same verdicts as the unlimited default.
 #[test]
 fn generous_limits_do_not_change_the_verdict() {
     let _g = lock();
@@ -147,21 +147,26 @@ fn generous_limits_do_not_change_the_verdict() {
 }
 
 /// Seeded fault injection cancels the CDCL portfolio at a counted poll
-/// site: construction runs ungoverned and the solver setup charge is the
-/// first counted poll, so the countdown-one seed lands on the solver's
-/// first strided conflict/decision poll. The solve returns no result,
-/// reports the cancellation on the ticket, and keeps the partial
-/// counters it accumulated before the trip.
+/// site: construction finishes before the plan is armed (its polls
+/// would otherwise consume the countdown) and the solver setup charge
+/// is the first counted poll, so the countdown-one seed lands on the
+/// solver's first strided conflict/decision poll. The solve returns no
+/// result, reports the cancellation on the ticket, and keeps the
+/// partial counters it accumulated before the trip.
 #[test]
 fn seeded_fault_cancels_the_cdcl_path() {
     let _g = lock();
-    let search = gsb_topology::SymmetricSearch::from_spec_streaming(wsb(3), 3);
     let ticket = gsb_core::Ticket::unlimited();
+    let search = gsb_topology::SymmetricSearch::build(wsb(3), 3, &ticket).expect("unarmed build");
     // splitmix64(1) % 32 == 1: the setup charge survives, the next
     // counted poll fires.
     let guard = fault::arm_action(1, FaultAction::Cancel);
     let start = Instant::now();
-    let (result, stats) = search.solve_cdcl_governed(&gsb_topology::CdclConfig::default(), &ticket);
+    let (result, stats) = search.solve(
+        &gsb_topology::CdclConfig::default(),
+        gsb_topology::SolveRoute::Cdcl,
+        &ticket,
+    );
     drop(guard);
     assert!(start.elapsed() < Duration::from_secs(30));
     assert!(result.is_none(), "a cancelled solve reaches no result");
@@ -215,8 +220,8 @@ fn seeded_fault_cancels_the_reference_backtracker() {
 }
 
 /// Seeded fault injection cancels the orbit-frontier expansion loops
-/// directly at the topology layer: `try_advance`/`try_expand` return
-/// `Stopped` and leave the frontier at its last completed round.
+/// directly at the topology layer: `advance`/`expand` return `Stopped`
+/// and leave the frontier at its last completed round.
 #[test]
 fn seeded_fault_cancels_orbit_frontier_expansion() {
     let _g = lock();
@@ -224,14 +229,32 @@ fn seeded_fault_cancels_orbit_frontier_expansion() {
     // Countdown for this seed lands inside the construction loops of a
     // 4-process, 2-round streamed build (hundreds of poll sites).
     let guard = fault::arm_action(0x0B17, FaultAction::Cancel);
-    let outcome = gsb_topology::ConstraintSystem::streamed_governed(4, 2, Some(&ticket));
+    let outcome = gsb_topology::ConstraintSystem::streamed(4, 2, &ticket);
     drop(guard);
     let stopped = outcome.expect_err("the armed cancel must land mid-construction");
     assert_eq!(stopped.reason, gsb_core::StopReason::Cancelled);
-    // The ungoverned build still works afterwards (no shared-state
-    // corruption from the aborted one).
-    let (system, _) = gsb_topology::ConstraintSystem::streamed(4, 2);
+    // A fresh build still works afterwards (no shared-state corruption
+    // from the aborted one).
+    let fresh = gsb_core::Ticket::unlimited();
+    let (system, _) = gsb_topology::ConstraintSystem::streamed(4, 2, &fresh).expect("unarmed");
     assert!(system.facet_count() > 0);
+}
+
+/// A query with default options holds an unlimited ticket that still
+/// polls: an armed cancellation reaches it mid-construction (the
+/// countdown-one seed survives the admission poll and fires on the
+/// next) and comes back as an indeterminate verdict.
+#[test]
+fn armed_cancel_reaches_a_query_with_default_opts() {
+    let _g = lock();
+    let guard = fault::arm_action(1, FaultAction::Cancel);
+    let mut query = Query::solvable_in_rounds(wsb(3), 2);
+    query.opts_mut().use_cache = false;
+    let verdict = query
+        .run_with(&EngineCache::new())
+        .expect("an injected cancellation is a verdict");
+    drop(guard);
+    assert_eq!(stop_reason_of(&verdict), StopReason::Cancelled);
 }
 
 /// **Batch panic isolation**: a deliberately poisoned query (injected
@@ -243,8 +266,11 @@ fn poisoned_batch_query_leaves_siblings_intact() {
     let _g = lock();
     let guard = fault::arm_action(3, FaultAction::Panic);
     let mut poisoned = Query::solvable_in_rounds(wsb(3), 2);
-    // Only this query is governed, so only it polls — the injected
-    // panic lands in slot 1 deterministically.
+    // Every query polls its ticket, but each classify sibling polls
+    // only once, at admission, while the poisoned search polls dozens
+    // of times through construction: seed 3's countdown of 13 outlasts
+    // the siblings' two polls, so the injected panic lands in slot 1
+    // whatever the scheduling.
     poisoned.opts_mut().conflict_budget = Some(u64::MAX / 4);
     poisoned.opts_mut().use_cache = false;
     let batch: Batch = [Query::classify(wsb(4)), poisoned, Query::classify(wsb(5))]
@@ -289,7 +315,7 @@ fn interrupted_results_are_not_cached() {
     let _g = lock();
     let cache = EngineCache::new();
     // One node is not enough for wsb(3) at one round (five visits), so
-    // the governed tiny-instance path trips on its per-node poll.
+    // the tiny-instance path trips on its per-node poll.
     let mut tripped = Query::solvable_in_rounds(wsb(3), 1);
     tripped.opts_mut().node_budget = Some(1);
     let first = tripped.run_with(&cache).expect("tripped verdict");

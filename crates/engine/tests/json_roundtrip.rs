@@ -181,37 +181,26 @@ fn local_search_witness_replays_through_evidence_check() {
         .expect("local-search witness replays facet by facet");
 }
 
-/// Pre-governance options JSON still parses: missing budget fields stay
-/// `None`, and the legacy `reference_budget` key is honored as an alias
-/// of `node_budget`. The deprecated field itself serializes *as*
-/// `node_budget`, so re-rendering migrates old payloads forward.
+/// Pre-governance options JSON still parses (missing budget fields stay
+/// `None`), but the removed `reference_budget` key is rejected with an
+/// error naming its replacement instead of running without a budget.
 #[test]
-fn legacy_reference_budget_key_parses_as_node_budget() {
-    let legacy =
-        Json::parse("{\"search\": \"reference\", \"reference_budget\": 42}").expect("well-formed");
+fn legacy_reference_budget_key_is_rejected() {
+    let legacy = Json::parse("{\"search\": \"reference\"}").expect("well-formed");
     let parsed = EngineOpts::from_json_value(&legacy).expect("legacy options parse");
     assert_eq!(parsed.search, SearchEngine::Reference);
-    assert_eq!(parsed.node_budget, Some(42));
+    assert_eq!(parsed.node_budget, None);
     assert_eq!(parsed.deadline, None);
     assert_eq!(parsed.memory_budget, None);
-    // An explicit node_budget wins over the alias.
-    let both = Json::parse("{\"search\": \"cdcl\", \"node_budget\": 7, \"reference_budget\": 42}")
-        .expect("well-formed");
-    assert_eq!(
-        EngineOpts::from_json_value(&both).unwrap().node_budget,
-        Some(7)
-    );
-    // The deprecated setter folds into node_budget on the way out.
-    let mut opts = EngineOpts::default();
-    #[allow(deprecated)]
-    {
-        opts.reference_budget = Some(9);
+    for body in [
+        "{\"search\": \"reference\", \"reference_budget\": 42}",
+        "{\"search\": \"cdcl\", \"node_budget\": 7, \"reference_budget\": 42}",
+    ] {
+        let value = Json::parse(body).expect("well-formed");
+        let err = EngineOpts::from_json_value(&value).expect_err("removed key");
+        assert!(matches!(err, gsb_engine::Error::Json { .. }), "{err}");
+        assert!(err.to_string().contains("node_budget"), "{err}");
     }
-    let rendered = opts.to_json_value();
-    assert_eq!(
-        rendered.get("node_budget").and_then(Json::as_f64),
-        Some(9.0)
-    );
 }
 
 #[test]

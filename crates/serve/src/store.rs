@@ -507,7 +507,8 @@ impl VerdictStore {
     /// # Errors
     ///
     /// Returns the first engine error of the batch (the precompute runs
-    /// ungoverned, so errors are genuine bugs, not budget trips).
+    /// under unlimited tickets, so errors are genuine bugs, not budget
+    /// trips).
     pub fn build_atlas(
         &self,
         max_n: usize,

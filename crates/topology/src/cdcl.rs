@@ -101,20 +101,6 @@ pub struct CdclConfig {
     pub share_learned: bool,
     /// Longest clause exported to the portfolio pool.
     pub share_max_len: usize,
-    /// Whether branching works at class granularity: a VSIDS pick with
-    /// a positive saved phase decides a *value* for its whole class
-    /// (positive literal), then queues the class's verified-symmetry
-    /// orbit companions as the next decisions at the same value — one
-    /// conceptual decision per orbit instead of one per variable.
-    ///
-    /// Off by default: on the refutation-heavy frontier instances the
-    /// class-granularity bursts override the phase-saving order VSIDS
-    /// refutes fastest under (measured ≈1.5–4× more conflicts on the
-    /// `wsb(3)` `r = 3` UNSAT certificate, depending on the gate), and
-    /// the verified orbits stay tiny (the signature quotient admits
-    /// only the value-order reversal). The toggle stays for SAT-leaning
-    /// warm-started dives and for A/B runs via `--search-mode`.
-    pub orbit_decisions: bool,
     /// Per-class warm-start values (`1..=m`, `0` = unseeded), lifted
     /// from the previous round's decision map. Seeds preset saved
     /// phases and boost initial VSIDS activity; they never constrain
@@ -134,7 +120,6 @@ impl Default for CdclConfig {
             activity_jitter: false,
             share_learned: true,
             share_max_len: 8,
-            orbit_decisions: false,
             warm_start: None,
         }
     }
@@ -159,9 +144,6 @@ pub struct SearchStats {
     pub imported: u64,
     /// Learned clauses deleted by DB reduction.
     pub deleted: u64,
-    /// Orbit-companion decisions taken by class-granularity branching
-    /// (a subset of `decisions`).
-    pub orbit_decisions: u64,
     /// Classes whose initial phase came from a lifted warm start.
     pub warm_seeded: u64,
     /// Min-conflicts moves performed by the local-search member
@@ -182,7 +164,8 @@ pub(crate) enum CdclResult {
     Sat(Vec<usize>),
     /// The instance admits no decision map.
     Unsat,
-    /// Another portfolio member finished first.
+    /// No verdict: another portfolio member finished first, the ticket
+    /// tripped, or local search ran out of restarts.
     Interrupted,
 }
 
@@ -392,16 +375,6 @@ struct Solver<'a> {
     facet_max_mult: Vec<u32>,
     seen: Vec<bool>,
     rng: XorShift,
-    /// Class orbits under the verified symmetry group, CSR-packed
-    /// (`orbit_data[orbit_offsets[o]..orbit_offsets[o + 1]]`); empty
-    /// when orbit-guided branching is off or no symmetry was verified.
-    orbit_offsets: Vec<u32>,
-    orbit_data: Vec<u32>,
-    /// Orbit id of each class (aligned with `orbit_offsets`).
-    orbit_of: Vec<u32>,
-    /// Companion decisions queued by the last class decision: variables
-    /// to branch true next while still unassigned.
-    orbit_queue: std::collections::VecDeque<u32>,
     /// Variable permutations of the verified symmetry group (identity
     /// excluded), used to replay symmetric learned clauses.
     var_maps: Vec<Vec<u32>>,
@@ -486,11 +459,6 @@ impl<'a> Solver<'a> {
             order.insert(v, &activity);
         }
         let var_maps = build_var_maps(inst, m, nvars);
-        let (orbit_offsets, orbit_data, orbit_of) = if cfg.orbit_decisions {
-            build_class_orbits(inst.classes, &inst.class_perms)
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
         let mut solver = Solver {
             inst,
             class_vars,
@@ -516,10 +484,6 @@ impl<'a> Solver<'a> {
             facet_max_mult,
             seen: vec![false; nvars],
             rng,
-            orbit_offsets,
-            orbit_data,
-            orbit_of,
-            orbit_queue: std::collections::VecDeque::new(),
             var_maps,
             pending: Vec::new(),
             image_seen: HashSet::new(),
@@ -1205,18 +1169,6 @@ impl<'a> Solver<'a> {
 
     fn pick_branch(&mut self) -> Option<Lit> {
         self.stats.decisions += 1;
-        // Companions queued by the last class decision come first: the
-        // orbit of a (class, value) pick is assigned in one burst of
-        // consecutive decisions (each still its own level, so 1-UIP
-        // analysis and backjumping are untouched). Stale entries —
-        // assigned meanwhile by propagation or undone by a backjump —
-        // are skipped.
-        while let Some(var) = self.orbit_queue.pop_front() {
-            if self.value[var as usize] == UNDEF {
-                self.stats.orbit_decisions += 1;
-                return Some(Lit::new(var, true));
-            }
-        }
         if self.cfg.random_decision_pct > 0
             && (self.rng.next() % 100) < u64::from(self.cfg.random_decision_pct)
             && self.class_vars > 0
@@ -1233,58 +1185,9 @@ impl<'a> Solver<'a> {
         loop {
             let v = self.order.pop(&self.activity)?;
             if self.value[v as usize] == UNDEF {
-                if self.cfg.orbit_decisions {
-                    return Some(self.class_decision(v));
-                }
                 return Some(Lit::new(v, self.saved_phase[v as usize]));
             }
         }
-    }
-
-    /// A class-granularity decision for the class of the popped
-    /// variable: pick a *value* (the phase-saved or warm-seeded one if
-    /// still free, else the popped variable's own), branch its literal
-    /// positively, and queue the class's orbit companions at the same
-    /// value. Deciding positively assigns the whole class at once (the
-    /// at-most-one clauses propagate the other values false) instead of
-    /// crawling through `m − 1` negative decisions.
-    ///
-    /// Only fires when the popped variable's saved phase is positive —
-    /// a class has a *preferred* value from phase saving or a warm
-    /// seed. Forcing positive decisions on a negatively-phased variable
-    /// overrides the refutation-friendly default ordering and was
-    /// measured to roughly quadruple the conflict count on the
-    /// `wsb(3)` `r = 3` UNSAT certificate; with the phase gate the
-    /// cold UNSAT path is identical to the baseline while SAT-leaning
-    /// runs still get whole-class bursts.
-    fn class_decision(&mut self, popped: u32) -> Lit {
-        if !self.saved_phase[popped as usize] {
-            return Lit::new(popped, false);
-        }
-        let m = self.inst.values;
-        let c = popped as usize / m;
-        let mut vi = popped as usize % m;
-        for w in 0..m {
-            let var = c * m + w;
-            if self.value[var] == UNDEF && self.saved_phase[var] {
-                vi = w;
-                break;
-            }
-        }
-        if !self.orbit_of.is_empty() {
-            let orbit = self.orbit_of[c] as usize;
-            let (start, end) = (
-                self.orbit_offsets[orbit] as usize,
-                self.orbit_offsets[orbit + 1] as usize,
-            );
-            for i in start..end {
-                let c2 = self.orbit_data[i] as usize;
-                if c2 != c {
-                    self.orbit_queue.push_back((c2 * m + vi) as u32);
-                }
-            }
-        }
-        Lit::new((c * m + vi) as u32, true)
     }
 
     /// Bytes allocated at setup: clause literals, watch lists, the
@@ -1332,7 +1235,7 @@ impl<'a> Solver<'a> {
         mut self,
         cancel: Option<&AtomicBool>,
         pool: Option<&SharedPool>,
-        ticket: Option<&Ticket>,
+        ticket: &Ticket,
     ) -> (CdclResult, SearchStats) {
         self.stats.workers = 1;
         if self.root_conflict {
@@ -1363,12 +1266,10 @@ impl<'a> Solver<'a> {
                             return (CdclResult::Interrupted, self.stats);
                         }
                     }
-                    if let Some(t) = ticket {
-                        let delta = self.stats.conflicts - charged_conflicts;
-                        charged_conflicts = self.stats.conflicts;
-                        if t.charge_conflicts(delta).is_err() {
-                            return (CdclResult::Interrupted, self.stats);
-                        }
+                    let delta = self.stats.conflicts - charged_conflicts;
+                    charged_conflicts = self.stats.conflicts;
+                    if ticket.charge_conflicts(delta).is_err() {
+                        return (CdclResult::Interrupted, self.stats);
                     }
                 }
             } else if conflicts_since_restart >= restart_threshold {
@@ -1396,12 +1297,10 @@ impl<'a> Solver<'a> {
                             return (CdclResult::Interrupted, self.stats);
                         }
                     }
-                    if let Some(t) = ticket {
-                        let delta = self.stats.decisions - charged_decisions;
-                        charged_decisions = self.stats.decisions;
-                        if t.charge_decisions(delta).is_err() {
-                            return (CdclResult::Interrupted, self.stats);
-                        }
+                    let delta = self.stats.decisions - charged_decisions;
+                    charged_decisions = self.stats.decisions;
+                    if ticket.charge_decisions(delta).is_err() {
+                        return (CdclResult::Interrupted, self.stats);
                     }
                 }
                 match self.pick_branch() {
@@ -1414,61 +1313,6 @@ impl<'a> Solver<'a> {
             }
         }
     }
-}
-
-/// Partition the classes into orbits under the verified class
-/// permutations (closure of the group generated by `perms`). Returns
-/// CSR `(offsets, data)` over orbits plus `orbit_of[class]`; all empty
-/// when there are no permutations, so callers can cheaply skip the
-/// machinery on asymmetric instances.
-fn build_class_orbits(classes: usize, perms: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    if perms.is_empty() || classes == 0 {
-        return (Vec::new(), Vec::new(), Vec::new());
-    }
-    // Union-find over classes; each verified permutation merges every
-    // class with its image, which closes the generated group's orbits.
-    let mut parent: Vec<u32> = (0..classes as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    for perm in perms {
-        debug_assert_eq!(perm.len(), classes);
-        for (c, &img) in perm.iter().enumerate() {
-            let a = find(&mut parent, c as u32);
-            let b = find(&mut parent, img);
-            if a != b {
-                parent[a as usize] = b;
-            }
-        }
-    }
-    let mut orbit_of = vec![u32::MAX; classes];
-    let mut orbit_count = 0u32;
-    for c in 0..classes {
-        let root = find(&mut parent, c as u32) as usize;
-        if orbit_of[root] == u32::MAX {
-            orbit_of[root] = orbit_count;
-            orbit_count += 1;
-        }
-        orbit_of[c] = orbit_of[root];
-    }
-    let mut offsets = vec![0u32; orbit_count as usize + 1];
-    for &o in &orbit_of {
-        offsets[o as usize + 1] += 1;
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut cursor = offsets.clone();
-    let mut data = vec![0u32; classes];
-    for (c, &o) in orbit_of.iter().enumerate() {
-        data[cursor[o as usize] as usize] = c as u32;
-        cursor[o as usize] += 1;
-    }
-    (offsets, data, orbit_of)
 }
 
 /// Auxiliary variables of the value-precedence ladder: `a(t, w)` for
@@ -1569,37 +1413,21 @@ fn diversify(base: &CdclConfig, width: usize) -> Vec<CdclConfig> {
 /// `rayon::current_num_threads()` (which honors `RAYON_NUM_THREADS`):
 /// width 1 — the 1-core container case — runs one deterministic solver
 /// inline, wider runs exchange short learned clauses through a shared
-/// pool when the base configuration allows it.
-pub(crate) fn solve_portfolio(inst: &Instance, base: &CdclConfig) -> (CdclResult, SearchStats) {
-    solve_portfolio_governed(inst, base, None)
-}
-
-/// [`solve_portfolio`] under a governance ticket: every member polls the
-/// ticket at its strided check sites, and an externally tripped ticket
-/// interrupts the whole portfolio, returning `Interrupted` with the
-/// partial statistics of the busiest member.
-pub(crate) fn solve_portfolio_governed(
+/// pool when the base configuration allows it. Every member polls the
+/// ticket at its strided check sites; a tripped ticket interrupts the
+/// whole portfolio, returning `Interrupted` with the partial statistics
+/// of the busiest member.
+pub(crate) fn solve_portfolio(
     inst: &Instance,
     base: &CdclConfig,
-    ticket: Option<&Ticket>,
+    ticket: &Ticket,
 ) -> (CdclResult, SearchStats) {
     let width = rayon::current_num_threads().clamp(1, MAX_PORTFOLIO);
-    solve_portfolio_width_governed(inst, base, width, ticket)
-}
-
-/// [`solve_portfolio`] at an explicit width (tests exercise the
-/// multi-worker path regardless of host core count).
-#[cfg(test)]
-pub(crate) fn solve_portfolio_width(
-    inst: &Instance,
-    base: &CdclConfig,
-    width: usize,
-) -> (CdclResult, SearchStats) {
-    solve_portfolio_width_governed(inst, base, width, None)
+    solve_portfolio_width(inst, base, width, ticket)
 }
 
 /// One CDCL run with an explicit configuration: the solver is built on
-/// the calling thread and, under a ticket, its setup memory is charged
+/// the calling thread and its setup memory is charged to the ticket
 /// before it searches, so a memory budget bounds the solver as well as
 /// construction. A tripped charge comes back `Interrupted`. The cancel
 /// flag lets a portfolio or the completion race stop the losers.
@@ -1608,28 +1436,27 @@ pub(crate) fn solve_charged(
     cfg: CdclConfig,
     cancel: Option<&AtomicBool>,
     pool: Option<&SharedPool>,
-    ticket: Option<&Ticket>,
+    ticket: &Ticket,
 ) -> (CdclResult, SearchStats) {
     let solver = Solver::new(inst, cfg);
-    if let Some(t) = ticket {
-        // ticket.check poll site (solver setup memory)
-        if t.charge_memory(solver.setup_bytes()).is_err() {
-            let stats = SearchStats {
-                workers: 1,
-                ..SearchStats::default()
-            };
-            return (CdclResult::Interrupted, stats);
-        }
+    // ticket.check poll site (solver setup memory)
+    if ticket.charge_memory(solver.setup_bytes()).is_err() {
+        let stats = SearchStats {
+            workers: 1,
+            ..SearchStats::default()
+        };
+        return (CdclResult::Interrupted, stats);
     }
     solver.solve(cancel, pool, ticket)
 }
 
-/// [`solve_portfolio_width`] under a governance ticket.
-pub(crate) fn solve_portfolio_width_governed(
+/// [`solve_portfolio`] at an explicit width (tests exercise the
+/// multi-worker path regardless of host core count).
+pub(crate) fn solve_portfolio_width(
     inst: &Instance,
     base: &CdclConfig,
     width: usize,
-    ticket: Option<&Ticket>,
+    ticket: &Ticket,
 ) -> (CdclResult, SearchStats) {
     let configs = diversify(base, width.max(1));
     if configs.len() == 1 {
@@ -1719,7 +1546,7 @@ mod tests {
         // Each edge needs one 1 and one 2: a proper 2-coloring of an odd
         // cycle, which does not exist.
         let inst = nae_triangle();
-        let (result, stats) = solve_portfolio(&inst, &CdclConfig::default());
+        let (result, stats) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
         assert_eq!(result, CdclResult::Unsat);
         assert!(stats.conflicts >= 1);
     }
@@ -1737,7 +1564,7 @@ mod tests {
             precedence_order: vec![0, 1],
             class_perms: vec![],
         };
-        let (result, _) = solve_portfolio(&inst, &CdclConfig::default());
+        let (result, _) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
         match result {
             CdclResult::Sat(assignment) => {
                 assert_eq!(assignment.len(), 2);
@@ -1762,7 +1589,7 @@ mod tests {
             precedence_order: vec![0],
             class_perms: vec![],
         };
-        let (result, _) = solve_portfolio(&inst, &CdclConfig::default());
+        let (result, _) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
         assert_eq!(result, CdclResult::Sat(vec![1]));
     }
 
@@ -1772,7 +1599,7 @@ mod tests {
         // learning must not change the verdict.
         let mut inst = nae_triangle();
         inst.class_perms = vec![vec![1, 2, 0], vec![2, 0, 1]];
-        let (result, _) = solve_portfolio(&inst, &CdclConfig::default());
+        let (result, _) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
         assert_eq!(result, CdclResult::Unsat);
     }
 
@@ -1804,7 +1631,7 @@ mod tests {
                 restart_base,
                 ..CdclConfig::default()
             };
-            let (result, _) = solve_portfolio(&inst, &config);
+            let (result, _) = solve_portfolio(&inst, &config, &Ticket::unlimited());
             match result {
                 CdclResult::Sat(assignment) => {
                     for pair in [(0, 1), (1, 2), (2, 3), (0, 3)] {
@@ -1821,7 +1648,8 @@ mod tests {
         // Exercise the scoped-thread path (first-finisher-wins, shared
         // pool, cancellation) even on a 1-core host.
         let unsat = nae_triangle();
-        let (result, stats) = solve_portfolio_width(&unsat, &CdclConfig::default(), 3);
+        let (result, stats) =
+            solve_portfolio_width(&unsat, &CdclConfig::default(), 3, &Ticket::unlimited());
         assert_eq!(result, CdclResult::Unsat);
         assert_eq!(stats.workers, 3);
         let sat = Instance {
@@ -1835,7 +1663,8 @@ mod tests {
             precedence_order: vec![0, 1],
             class_perms: vec![],
         };
-        let (result, _) = solve_portfolio_width(&sat, &CdclConfig::default(), 3);
+        let (result, _) =
+            solve_portfolio_width(&sat, &CdclConfig::default(), 3, &Ticket::unlimited());
         assert!(matches!(result, CdclResult::Sat(_)));
     }
 
@@ -1940,7 +1769,7 @@ mod tests {
                     warm_start: Some(std::sync::Arc::new(relabelled.clone())),
                     ..CdclConfig::default()
                 };
-                match solve_portfolio_width(&inst, &config, 1).0 {
+                match solve_portfolio_width(&inst, &config, 1, &Ticket::unlimited()).0 {
                     CdclResult::Sat(assignment) => {
                         for f in &inst.facets {
                             assert_ne!(assignment[f[0].0 as usize], assignment[f[1].0 as usize]);
@@ -1981,7 +1810,7 @@ mod tests {
         assert!(literals <= 2 * k * m * m, "{literals} input literals");
         assert_eq!(solver.value.len(), k * m + (k - 1) * (m - 1));
         assert!(matches!(
-            solver.solve(None, None, None).0,
+            solver.solve(None, None, &Ticket::unlimited()).0,
             CdclResult::Sat(_)
         ));
     }

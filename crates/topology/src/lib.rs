@@ -18,8 +18,7 @@
 //!   protocol, reproducing election's and WSB's impossibilities and
 //!   renaming's small-`n` boundaries.
 //! * [`cdcl`] — the conflict-driven engine behind the search: clause
-//!   learning, symmetry-orbit pruning, orbit-granularity decisions, and
-//!   the solver portfolio that pushed the solvability frontier to the
+//!   learning, symmetry-orbit pruning, and the solver portfolio that pushed the solvability frontier to the
 //!   `r = 2` UNSAT certificates.
 //! * [`local`] — the greedy/min-conflicts completion engine for
 //!   suspected-SAT instances and the CDCL-vs-local completion race.
@@ -46,9 +45,9 @@ pub use protocol::{
     protocol_complex_with_stats, shared_protocol_complex, BuildStats, OrbitBuildStats,
     OrbitFrontier,
 };
-#[allow(deprecated)]
-pub use solvability::solvable_in_rounds;
-pub use solvability::{ConstraintSystem, DecisionMap, SearchMode, SearchResult, SymmetricSearch};
+pub use solvability::{
+    ConstraintSystem, DecisionMap, SearchMode, SearchResult, SolveRoute, SymmetricSearch,
+};
 pub use theorem11::{
     check_election_certificate, election_impossibility_certificate, CertificateFailure,
 };

@@ -7,7 +7,7 @@
 //! completing one is usually far easier than the CDCL engine's
 //! refutation-grade search — a greedy weight-order construction
 //! followed by min-conflicts repair walks straight into a witness. The
-//! engine here can never prove unsolvability, so [`solve_race_governed`]
+//! engine here can never prove unsolvability, so [`solve_race`]
 //! races it against a cancellable CDCL lane (reusing the portfolio's
 //! first-finisher-wins plumbing): whichever engine finishes first stops
 //! the other, and a local win is converted into the exact same
@@ -289,7 +289,7 @@ pub(crate) fn solve_local(
     cfg: &LocalConfig,
     warm: Option<&[u32]>,
     cancel: Option<&AtomicBool>,
-    ticket: Option<&Ticket>,
+    ticket: &Ticket,
 ) -> LocalOutcome {
     const POLL_STRIDE: u64 = 4096;
     let m = inst.values;
@@ -309,15 +309,10 @@ pub(crate) fn solve_local(
     'restarts: for restart in 0..cfg.restarts.max(1) {
         out.restarts += 1;
         repair.construct((restart == 0).then_some(warm).flatten(), &mut rng);
-        if let Some(t) = ticket {
-            // ticket.check poll site (local-search restart construction)
-            if let Err(stop) = t
-                .check()
-                .and_then(|()| t.charge_decisions(inst.classes as u64))
-            {
-                out.stopped = Some(stop);
-                break 'restarts;
-            }
+        // ticket.check poll site (local-search restart construction)
+        if let Err(stop) = ticket.charge_decisions(inst.classes as u64) {
+            out.stopped = Some(stop);
+            break 'restarts;
         }
         for _ in 0..cfg.steps_per_restart {
             if repair.violated.is_empty() {
@@ -331,12 +326,10 @@ pub(crate) fn solve_local(
                 if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                     break 'restarts;
                 }
-                if let Some(t) = ticket {
-                    // ticket.check poll site (local-search move stride)
-                    if let Err(stop) = t.check().and_then(|()| t.charge_decisions(POLL_STRIDE)) {
-                        out.stopped = Some(stop);
-                        break 'restarts;
-                    }
+                // ticket.check poll site (local-search move stride)
+                if let Err(stop) = ticket.charge_decisions(POLL_STRIDE) {
+                    out.stopped = Some(stop);
+                    break 'restarts;
                 }
             }
             out.steps += 1;
@@ -408,11 +401,11 @@ pub(crate) fn solve_local(
 /// deadlines cap the race as a whole. The CDCL lane builds its solver
 /// while the local lane already searches; when its setup-memory charge
 /// trips the ticket, the local lane stops at its next poll.
-pub(crate) fn solve_race_governed(
+pub(crate) fn solve_race(
     inst: &Instance,
     cdcl_cfg: &CdclConfig,
     local_cfg: &LocalConfig,
-    ticket: Option<&Ticket>,
+    ticket: &Ticket,
 ) -> (CdclResult, SearchStats) {
     let warm: Option<Vec<u32>> = cdcl_cfg
         .warm_start
@@ -486,7 +479,13 @@ mod tests {
         // 2-colorable, so a witness exists.
         let mut inst = pair_instance();
         inst.facets.pop();
-        let out = solve_local(&inst, &LocalConfig::default(), None, None, None);
+        let out = solve_local(
+            &inst,
+            &LocalConfig::default(),
+            None,
+            None,
+            &Ticket::unlimited(),
+        );
         let assignment = out.assignment.expect("pair instance is satisfiable");
         assert_eq!(assignment.len(), 3);
         for facet in &inst.facets {
@@ -508,8 +507,8 @@ mod tests {
             steps_per_restart: 512,
             ..LocalConfig::default()
         };
-        let a = solve_local(&inst, &cfg, None, None, None);
-        let b = solve_local(&inst, &cfg, None, None, None);
+        let a = solve_local(&inst, &cfg, None, None, &Ticket::unlimited());
+        let b = solve_local(&inst, &cfg, None, None, &Ticket::unlimited());
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.restarts, b.restarts);
@@ -531,7 +530,7 @@ mod tests {
             ..inst
         };
         let cfg = LocalConfig::default();
-        let out = solve_local(&inst2, &cfg, Some(&[2, 1]), None, None);
+        let out = solve_local(&inst2, &cfg, Some(&[2, 1]), None, &Ticket::unlimited());
         assert_eq!(out.assignment, Some(vec![2, 1]));
         assert_eq!(out.steps, 0, "warm seed satisfies outright");
     }
@@ -546,7 +545,7 @@ mod tests {
             steps_per_restart: 64,
             ..LocalConfig::default()
         };
-        let out = solve_local(&inst, &cfg, None, None, None);
+        let out = solve_local(&inst, &cfg, None, None, &Ticket::unlimited());
         assert!(out.assignment.is_none());
         assert_eq!(out.restarts, 3);
         assert!(out.stopped.is_none());
@@ -555,7 +554,7 @@ mod tests {
     #[test]
     fn race_returns_unsat_from_cdcl_lane() {
         let inst = pair_instance();
-        let (result, stats) = solve_race_governed(
+        let (result, stats) = solve_race(
             &inst,
             &CdclConfig::default(),
             &LocalConfig {
@@ -563,7 +562,7 @@ mod tests {
                 steps_per_restart: 64,
                 ..LocalConfig::default()
             },
-            None,
+            &Ticket::unlimited(),
         );
         assert!(matches!(result, CdclResult::Unsat));
         assert!(!stats.local_won);
@@ -578,7 +577,7 @@ mod tests {
             steps_per_restart: 100_000_000,
             ..LocalConfig::default()
         };
-        let out = solve_local(&inst, &cfg, None, Some(&cancel), None);
+        let out = solve_local(&inst, &cfg, None, Some(&cancel), &Ticket::unlimited());
         assert!(out.assignment.is_none());
         assert!(
             out.steps < 100_000_000,

@@ -537,7 +537,7 @@ pub(crate) struct OrbitExpansion {
     /// The distinct facet constraints of the **full** complex as sorted
     /// class multisets, flat (`n` class ids per constraint) and
     /// family-sorted — byte-identical to what
-    /// [`SymmetricSearch::over_complex`](crate::SymmetricSearch)
+    /// [`ConstraintSystem::from_complex`](crate::ConstraintSystem)
     /// derives from the materialized complex.
     pub facet_classes: Vec<u32>,
     /// Candidate class permutations mined from the group image table:
@@ -780,22 +780,20 @@ impl OrbitFrontier {
     /// representative (duplicate canonical rows arise *exactly* from
     /// stabilizer-related templates, so nothing else is ever stamped),
     /// keeps the lex-leader of each produced orbit, and carries the
-    /// orbit's exact size and stabilizer.
-    pub fn advance(&mut self) {
-        self.try_advance(None)
-            .expect("ungoverned advance cannot stop");
-    }
-
-    /// [`OrbitFrontier::advance`] under a governance ticket: polls the
-    /// ticket at a bounded representative-row stride and charges the
-    /// round's cache/row allocations against its memory budget.
+    /// orbit's exact size and stabilizer. Polls the ticket at a bounded
+    /// representative-row stride and charges the round's cache/row
+    /// allocations against its memory budget.
     ///
     /// **Abort safety:** the next round's rows are built locally and
     /// committed only at the end, so an `Err` return leaves the
     /// frontier logically at the *previous* round — safe to retry or
     /// drop (only arena interning and the `stamped_rows` counter have
     /// advanced).
-    pub fn try_advance(&mut self, ticket: Option<&Ticket>) -> Result<(), Stopped> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Stopped`] when the ticket trips mid-round.
+    pub fn advance(&mut self, ticket: &Ticket) -> Result<(), Stopped> {
         let OrbitFrontier {
             n,
             arena,
@@ -824,10 +822,8 @@ impl OrbitFrontier {
         // mid-round.
         let expected_nodes = arena.len() + rows.len() * templates.len();
         if perm_cache.len() < expected_nodes * group_order {
-            if let Some(t) = ticket {
-                let grown = expected_nodes * group_order - perm_cache.len();
-                t.charge_memory((grown * std::mem::size_of::<u32>()) as u64)?;
-            }
+            let grown = expected_nodes * group_order - perm_cache.len();
+            ticket.charge_memory((grown * std::mem::size_of::<u32>()) as u64)?;
             perm_cache.resize(expected_nodes * group_order, 0);
         }
         let mut scratch: Vec<(u32, ViewKey)> = vec![(0, ViewKey::from_index(0)); n];
@@ -838,11 +834,9 @@ impl OrbitFrontier {
         let mut stab_scratch: Vec<u16> = Vec::with_capacity(group_order);
         let mut composed: Vec<u32> = vec![0; n];
         for (r, row) in rows.chunks_exact(n).enumerate() {
-            if let Some(t) = ticket {
-                // ticket.check poll site (representative-row stride)
-                if r % 64 == 0 {
-                    t.check()?;
-                }
+            // ticket.check poll site (representative-row stride)
+            if r % 64 == 0 {
+                ticket.check()?;
             }
             let stab = &stab_data[stab_offsets[r] as usize..stab_offsets[r + 1] as usize];
             for (t, template) in templates.iter().enumerate() {
@@ -950,15 +944,13 @@ impl OrbitFrontier {
                 }
             }
         }
-        if let Some(t) = ticket {
-            // Post-hoc memory charge for the round's committed rows and
-            // stabilizer tables; an `Err` here still leaves the frontier
-            // at the previous round (see the abort-safety note above).
-            let committed = next_rows.len() * std::mem::size_of::<ViewKey>()
-                + next_sizes.len() * std::mem::size_of::<u32>()
-                + next_stab_data.len() * std::mem::size_of::<u16>();
-            t.charge_memory(committed as u64)?;
-        }
+        // Post-hoc memory charge for the round's committed rows and
+        // stabilizer tables; an `Err` here still leaves the frontier at
+        // the previous round (see the abort-safety note above).
+        let committed = next_rows.len() * std::mem::size_of::<ViewKey>()
+            + next_sizes.len() * std::mem::size_of::<u32>()
+            + next_stab_data.len() * std::mem::size_of::<u16>();
+        ticket.charge_memory(committed as u64)?;
         *rows = next_rows;
         *orbit_sizes = next_sizes;
         *stab_offsets = next_stab_offsets;
@@ -983,20 +975,12 @@ impl OrbitFrontier {
     /// come from the same factorization: a class of support size `s`
     /// has exactly `C(n, s)` vertices (one per support), so
     /// `vertices = Σ_classes C(n, s)`.
-    pub(crate) fn expand(&mut self) -> OrbitExpansion {
-        self.try_expand(None)
-            .expect("ungoverned expand cannot stop")
-    }
-
-    /// [`OrbitFrontier::expand`] under a governance ticket: polls the
-    /// ticket once per group element and per emission stride, and
-    /// charges the image/constraint tables against its memory budget.
-    /// Expansion never mutates the frontier's rows, so an `Err` return
-    /// leaves the frontier valid for later extension.
-    pub(crate) fn try_expand(
-        &mut self,
-        ticket: Option<&Ticket>,
-    ) -> Result<OrbitExpansion, Stopped> {
+    ///
+    /// Polls the ticket once per group element and per emission stride,
+    /// and charges the image/constraint tables against its memory
+    /// budget. Expansion never mutates the frontier's rows, so an `Err`
+    /// return leaves the frontier valid for later extension.
+    pub(crate) fn expand(&mut self, ticket: &Ticket) -> Result<OrbitExpansion, Stopped> {
         let OrbitFrontier {
             n,
             arena,
@@ -1023,19 +1007,15 @@ impl OrbitFrontier {
         // of the image.
         let closure = arena.reachable_closure(&distinct_keys);
         let mut column: Vec<u32> = Vec::new();
-        if let Some(t) = ticket {
-            let table_bytes = distinct_keys.len() * group_order * std::mem::size_of::<u32>();
-            t.charge_memory(table_bytes as u64)?;
-        }
+        let table_bytes = distinct_keys.len() * group_order * std::mem::size_of::<u32>();
+        ticket.charge_memory(table_bytes as u64)?;
         let mut table = vec![0u32; distinct_keys.len() * group_order];
         let mut sigs: Vec<ViewKey> = Vec::new();
         let mut sig_slot: Vec<u32> = Vec::new(); // indexed by arena key, grown on demand
         let bits = multiset_bits(n);
         for g in 0..group_order {
-            if let Some(t) = ticket {
-                // ticket.check poll site (group-element stride)
-                t.check()?;
-            }
+            // ticket.check poll site (group-element stride)
+            ticket.check()?;
             if g > 0 {
                 arena.permute_column(&closure, &group[g], &mut column);
             }
@@ -1099,15 +1079,12 @@ impl OrbitFrontier {
         // entries (signatures erase process ids, so few renamings act
         // consistently on classes); survivors are *candidates* only,
         // re-verified downstream (bijectivity + facet-family
-        // invariance) before orbit learning or orbit-guided decisions
-        // trust them.
+        // invariance) before orbit learning trusts them.
         let classes = sigs.len();
         let mut class_perm_candidates: Vec<Vec<u32>> = Vec::new();
         'mine: for h in 1..group_order {
-            if let Some(t) = ticket {
-                // ticket.check poll site (perm-mining stride)
-                t.check()?;
-            }
+            // ticket.check poll site (perm-mining stride)
+            ticket.check()?;
             // compose[g] = index of h∘g (apply `g`, then `h`).
             let compose: Vec<usize> = (0..group_order)
                 .map(|g| {
@@ -1140,18 +1117,14 @@ impl OrbitFrontier {
         // lexicographic multiset order, so a single u128 sort both
         // deduplicates the family and puts it in canonical order. No
         // hashing, no per-constraint allocation.
-        if let Some(t) = ticket {
-            let emission_bytes = rows.len() / n * group_order * std::mem::size_of::<u128>();
-            t.charge_memory(emission_bytes as u64)?;
-        }
+        let emission_bytes = rows.len() / n * group_order * std::mem::size_of::<u128>();
+        ticket.charge_memory(emission_bytes as u64)?;
         let mut packed_constraints: Vec<u128> = Vec::with_capacity(rows.len() / n * group_order);
         let mut multiset: Vec<u32> = vec![0; n];
         for (r, row) in rows.chunks_exact(n).enumerate() {
-            if let Some(t) = ticket {
-                // ticket.check poll site (emission stride)
-                if r % 64 == 0 {
-                    t.check()?;
-                }
+            // ticket.check poll site (emission stride)
+            if r % 64 == 0 {
+                ticket.check()?;
             }
             for g in 0..group_order {
                 for (pos, &key) in row.iter().enumerate() {
@@ -1189,9 +1162,13 @@ impl OrbitFrontier {
     /// Runs the constraint expansion for its side effect only: the
     /// vertex/class counters of [`OrbitFrontier::stats`] (the
     /// `gsb complex --orbits` report path).
-    pub fn quotient_stats(&mut self) -> OrbitBuildStats {
-        let _ = self.expand();
-        self.stats
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Stopped`] when the ticket trips mid-expansion.
+    pub fn quotient_stats(&mut self, ticket: &Ticket) -> Result<OrbitBuildStats, Stopped> {
+        self.expand(ticket)?;
+        Ok(self.stats)
     }
 }
 
@@ -1364,7 +1341,7 @@ mod tests {
         for (n, orbit_rows) in [(1usize, 1usize), (2, 2), (3, 4), (4, 8)] {
             let mut frontier = OrbitFrontier::new(n);
             assert_eq!(frontier.stats().facets, 1, "round 0 is one facet");
-            frontier.advance();
+            frontier.advance(&Ticket::unlimited()).unwrap();
             let stats = frontier.stats();
             assert_eq!(stats.orbit_rows, orbit_rows, "compositions of {n}");
             assert_eq!(stats.facets, ordered_bell(n), "n = {n}");
@@ -1374,7 +1351,7 @@ mod tests {
         // every relabelling) — only exact orbit–stabilizer accounting
         // makes 13.
         let mut frontier = OrbitFrontier::new(3);
-        frontier.advance();
+        frontier.advance(&Ticket::unlimited()).unwrap();
         let mut sizes = frontier.orbit_sizes.clone();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![1, 3, 3, 6]);
@@ -1386,9 +1363,9 @@ mod tests {
             let (_, full) = protocol_complex_with_stats(n, r);
             let mut frontier = OrbitFrontier::new(n);
             for _ in 0..r {
-                frontier.advance();
+                frontier.advance(&Ticket::unlimited()).unwrap();
             }
-            let orbit = frontier.quotient_stats();
+            let orbit = frontier.quotient_stats(&Ticket::unlimited()).unwrap();
             assert_eq!(orbit.facets, full.facets, "facets at ({n},{r})");
             assert_eq!(orbit.vertices, full.vertices, "vertices at ({n},{r})");
             assert_eq!(orbit.classes, full.classes, "classes at ({n},{r})");
@@ -1406,21 +1383,24 @@ mod tests {
         // with a fresh build at the deeper round (the EngineCache
         // extends cached frontiers in place during sweeps).
         let mut extended = OrbitFrontier::new(3);
-        extended.advance();
-        let first = extended.expand();
-        extended.advance();
-        let second = extended.expand();
+        extended.advance(&Ticket::unlimited()).unwrap();
+        let first = extended.expand(&Ticket::unlimited()).unwrap();
+        extended.advance(&Ticket::unlimited()).unwrap();
+        let second = extended.expand(&Ticket::unlimited()).unwrap();
         let mut fresh = OrbitFrontier::new(3);
-        fresh.advance();
-        fresh.advance();
-        let fresh_expansion = fresh.expand();
+        fresh.advance(&Ticket::unlimited()).unwrap();
+        fresh.advance(&Ticket::unlimited()).unwrap();
+        let fresh_expansion = fresh.expand(&Ticket::unlimited()).unwrap();
         assert_eq!(second.facet_classes, fresh_expansion.facet_classes);
         assert_eq!(second.class_keys.len(), fresh_expansion.class_keys.len());
         assert_eq!(extended.stats().facets, fresh.stats().facets);
         // And the round-1 expansion was not clobbered by the extension.
         let mut fresh1 = OrbitFrontier::new(3);
-        fresh1.advance();
-        assert_eq!(first.facet_classes, fresh1.expand().facet_classes);
+        fresh1.advance(&Ticket::unlimited()).unwrap();
+        assert_eq!(
+            first.facet_classes,
+            fresh1.expand(&Ticket::unlimited()).unwrap().facet_classes
+        );
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! and (on multi-core hosts) a first-finisher-wins portfolio — which
 //! certifies instances the seed's plain backtracking could not reach in
 //! reasonable time, such as the WSB `n = 3, r = 2` index-lemma UNSAT.
-//! The seed engine is retained verbatim as
-//! [`SymmetricSearch::solve_reference`], the oracle the CDCL engine is
-//! property-tested against (same pattern as the enumeration crate's
-//! `enumerate_schedules_reference`).
+//! The seed engine is retained verbatim as [`SolveRoute::Reference`],
+//! the oracle the CDCL engine is property-tested against (same pattern
+//! as the enumeration crate's `enumerate_schedules_reference`). Every
+//! solve runs under a governance [`Ticket`]; an unlimited ticket is
+//! what "ungoverned" means.
 //!
 //! **Scope of conclusions.** `Unsolvable` here means "by protocols of at
 //! most the checked round count"; the classical model-equivalence results
@@ -100,8 +101,8 @@ impl std::fmt::Display for SearchResult {
 /// A performance knob, never a semantics knob: any verdict returned
 /// under any mode is correct and carries the same replayable evidence.
 /// [`SearchMode::Local`] is *incomplete* — it can complete witnesses
-/// but never refute, so "no verdict" is a possible outcome even without
-/// a governance ticket.
+/// but never refute, so "no verdict" is a possible outcome even under
+/// an unlimited ticket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SearchMode {
     /// The complete conflict-driven engine (SAT and UNSAT verdicts).
@@ -463,33 +464,27 @@ impl ConstraintSystem {
     /// `rounds` orbit-quotiented subdivision rounds and expand the
     /// representative frontier straight into constraints, returning the
     /// orbit counters alongside. No [`ChromaticComplex`] is ever
-    /// materialized.
+    /// materialized. Every subdivision round and the final expansion
+    /// poll the ticket and charge their allocations against its memory
+    /// budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Stopped`] when the ticket trips mid-construction.
     ///
     /// # Panics
     ///
     /// Panics if `n = 0`.
-    #[must_use]
-    pub fn streamed(n: usize, rounds: usize) -> (Self, OrbitBuildStats) {
-        Self::streamed_governed(n, rounds, None).expect("ungoverned streaming cannot stop")
-    }
-
-    /// [`ConstraintSystem::streamed`] under a governance ticket: every
-    /// subdivision round and the final expansion poll the ticket and
-    /// charge their allocations against its memory budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n = 0`.
-    pub fn streamed_governed(
+    pub fn streamed(
         n: usize,
         rounds: usize,
-        ticket: Option<&Ticket>,
+        ticket: &Ticket,
     ) -> Result<(Self, OrbitBuildStats), Stopped> {
         let mut frontier = OrbitFrontier::new(n);
         for _ in 0..rounds {
-            frontier.try_advance(ticket)?;
+            frontier.advance(ticket)?;
         }
-        let expansion = frontier.try_expand(ticket)?;
+        let expansion = frontier.expand(ticket)?;
         let stats = frontier.stats();
         let perm_id_base = frontier.perm_id_base();
         // One-shot path: the frontier is consumed, so the arena moves.
@@ -503,21 +498,18 @@ impl ConstraintSystem {
     /// Builds the system from an already-advanced [`OrbitFrontier`]
     /// (the engine cache's path: cached frontiers extend round by round
     /// during sweeps, and each round's expansion leaves the frontier
-    /// valid for the next extension).
-    #[must_use]
-    pub fn from_orbit_frontier(frontier: &mut OrbitFrontier) -> Self {
-        Self::from_orbit_frontier_governed(frontier, None)
-            .expect("ungoverned expansion cannot stop")
-    }
-
-    /// [`ConstraintSystem::from_orbit_frontier`] under a governance
-    /// ticket. Expansion never mutates the frontier's rows, so an `Err`
-    /// return leaves the cached frontier valid for later extension.
-    pub fn from_orbit_frontier_governed(
+    /// valid for the next extension). Expansion never mutates the
+    /// frontier's rows, so an `Err` return leaves the cached frontier
+    /// valid for later extension.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Stopped`] when the ticket trips mid-expansion.
+    pub fn from_orbit_frontier(
         frontier: &mut OrbitFrontier,
-        ticket: Option<&Ticket>,
+        ticket: &Ticket,
     ) -> Result<Self, Stopped> {
-        let expansion = frontier.try_expand(ticket)?;
+        let expansion = frontier.expand(ticket)?;
         // The frontier stays cached for later round extension, so the
         // arena is cloned.
         let arena = frontier.clone_arena();
@@ -565,8 +557,7 @@ impl ConstraintSystem {
     }
 
     /// Number of *verified* class permutations available to orbit
-    /// learning and orbit-guided decisions (forces verification on
-    /// first call; cached afterwards).
+    /// learning (forces verification on first call; cached afterwards).
     #[must_use]
     pub fn verified_class_perm_count(&self) -> usize {
         self.class_perms().len()
@@ -614,8 +605,8 @@ impl ConstraintSystem {
     /// renamings mined out of the group image table
     /// ([`OrbitExpansion::class_perm_candidates`]); a candidate is kept
     /// only if it is a bijection on classes under which the facet
-    /// multiset family is invariant, so orbit learning and
-    /// orbit-guided decisions never use an unsound symmetry.
+    /// multiset family is invariant, so orbit learning never uses an
+    /// unsound symmetry.
     /// Computed on first demand and cached; the orbit path derives the
     /// reversal key-level (reversal is an arbitrary-permutation relabel
     /// of the signature's `1..s` support), without materializing views.
@@ -756,41 +747,52 @@ fn verify_class_perm(
     vec![perm]
 }
 
-/// Distinct-constraint count at or below which
-/// [`SymmetricSearch::solve_with`] runs the reference backtracker
+/// Distinct-constraint count at or below which the front door of
+/// [`SymmetricSearch::solve`] runs the reference backtracker
 /// instead of standing up the CDCL engine: tiny instances pay more for
 /// watcher and counter-propagator setup than the whole search costs
 /// (`renaming(3,6) r = 1`: 0.065 ms of solver setup against a 0.011 ms
 /// backtracking verdict).
 const TINY_INSTANCE_FACETS: usize = 32;
 
-/// Node admission for the reference backtracker: a hard node budget
-/// (the legacy `solve_reference_budgeted` contract) plus an optional
-/// governance ticket charged at a 64-node stride.
+/// Node admission for the reference backtracker: every visited node
+/// charges the ticket once, so a node budget of `k` admits exactly `k`
+/// nodes, and deadlines, cancellation and injected faults land on the
+/// next node (tiny searches finish in a handful of nodes, so a stride
+/// would never poll them).
 struct NodeGate<'a> {
-    remaining: u64,
     visited: u64,
-    ticket: Option<&'a Ticket>,
+    ticket: &'a Ticket,
 }
 
 impl NodeGate<'_> {
-    /// Admit one node; `false` means the search must stop. Each node
-    /// charges the ticket exactly once, so a node budget of `k` admits
-    /// exactly `k` nodes — the same contract as the legacy `max_nodes`
-    /// argument (important: governed tiny searches finish in a handful
-    /// of nodes, far below any stride).
+    /// Admit one node; `false` means the search must stop.
     fn visit(&mut self) -> bool {
-        if self.remaining == 0 {
-            return false;
-        }
-        self.remaining -= 1;
         self.visited += 1;
-        match self.ticket {
-            // ticket.check poll site (per-node)
-            Some(t) => t.charge_nodes(1).is_ok(),
-            None => true,
-        }
+        // ticket.check poll site (per-node)
+        self.ticket.charge_nodes(1).is_ok()
     }
+}
+
+/// Which engine [`SymmetricSearch::solve`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolveRoute {
+    /// The production front door: the engine the [`SearchMode`] names.
+    /// Instances of at most 32 distinct constraints run the reference
+    /// backtracker instead, whatever the mode: watcher and propagator
+    /// setup costs several times the whole search there
+    /// (`renaming(3,6) r = 1` is 13 constraints), and the backtracker
+    /// is complete, so even `Local` gets full verdicts.
+    Mode(SearchMode),
+    /// The conflict-driven engine unconditionally, bypassing the
+    /// tiny-instance route — the hook cross-engine checks diff against
+    /// the backtracker (through the front door, small instances would
+    /// route to the very oracle they are compared against).
+    Cdcl,
+    /// The retained seed engine: weight-ordered backtracking with unit
+    /// propagation, the reference oracle the CDCL engine is tested
+    /// against.
+    Reference,
 }
 
 /// A prepared search instance: a task specification over the
@@ -808,76 +810,29 @@ pub struct SymmetricSearch {
 
 impl SymmetricSearch {
     /// Prepares the search for `spec` over the `rounds`-round protocol
-    /// complex (`spec.n()` processes), served from the process-wide
-    /// memoized subdivision table — the **reference path** the fused
-    /// pipeline is equivalence-tested against.
+    /// complex through the **fused orbit-quotient path**: orbit
+    /// representatives stream straight into the constraint system,
+    /// never materializing a [`ChromaticComplex`] — for `χ³(Δ³)` that
+    /// is ~19k stamped representative rows instead of 421,875 facets.
+    /// Construction polls the ticket and charges its memory budget, so
+    /// even the build phase of a query is interruptible.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Stopped`] when the ticket trips mid-construction.
     ///
     /// # Panics
     ///
     /// Panics if `spec.n() = 0`.
-    #[must_use]
-    pub fn new(spec: GsbSpec, rounds: usize) -> Self {
-        let complex = shared_protocol_complex(spec.n(), rounds);
-        let system = Arc::new(ConstraintSystem::from_complex(&complex));
-        SymmetricSearch {
-            spec,
-            rounds: Some(rounds),
-            system,
-        }
-    }
-
-    /// Prepares the search through the **fused orbit-quotient path**:
-    /// orbit representatives stream straight into the constraint
-    /// system, never materializing a [`ChromaticComplex`] — for
-    /// `χ³(Δ³)` that is ~19k stamped representative rows instead of
-    /// 421,875 facets. Byte-identical to [`SymmetricSearch::new`] by
-    /// construction (and by test).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec.n() = 0`.
-    #[must_use]
-    pub fn from_spec_streaming(spec: GsbSpec, rounds: usize) -> Self {
-        let (system, _) = ConstraintSystem::streamed(spec.n(), rounds);
-        SymmetricSearch {
-            spec,
-            rounds: Some(rounds),
-            system: Arc::new(system),
-        }
-    }
-
-    /// [`SymmetricSearch::from_spec_streaming`] under a governance
-    /// ticket: construction polls the ticket and charges its memory
-    /// budget, so even the build phase of a query is interruptible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec.n() = 0`.
-    pub fn from_spec_streaming_governed(
-        spec: GsbSpec,
-        rounds: usize,
-        ticket: Option<&Ticket>,
-    ) -> Result<Self, Stopped> {
-        let (system, _) = ConstraintSystem::streamed_governed(spec.n(), rounds, ticket)?;
-        Ok(SymmetricSearch {
-            spec,
-            rounds: Some(rounds),
-            system: Arc::new(system),
-        })
-    }
-
-    /// Prepares the search for `spec` over an explicit complex.
-    #[must_use]
-    pub fn over_complex(spec: GsbSpec, complex: &ChromaticComplex) -> Self {
-        SymmetricSearch {
-            spec,
-            rounds: None,
-            system: Arc::new(ConstraintSystem::from_complex(complex)),
-        }
+    pub fn build(spec: GsbSpec, rounds: usize, ticket: &Ticket) -> Result<Self, Stopped> {
+        let (system, _) = ConstraintSystem::streamed(spec.n(), rounds, ticket)?;
+        Ok(Self::with_system(spec, Some(rounds), Arc::new(system)))
     }
 
     /// Prepares the search for `spec` over an already-built (usually
-    /// cache-shared) constraint system. `rounds` records the
+    /// cache-shared) constraint system — or over the materialized
+    /// reference build, `ConstraintSystem::from_complex`, that the
+    /// fused path is equivalence-tested against. `rounds` records the
     /// subdivision depth when known, enabling replayable witnesses.
     ///
     /// # Panics
@@ -916,9 +871,8 @@ impl SymmetricSearch {
         &self.spec
     }
 
-    /// Round count of the subdivision, when known (searches prepared via
-    /// [`SymmetricSearch::new`]; `None` after
-    /// [`SymmetricSearch::over_complex`]).
+    /// Round count of the subdivision, when known (`None` for a search
+    /// prepared over a system of unknown provenance).
     #[must_use]
     pub fn rounds(&self) -> Option<usize> {
         self.rounds
@@ -926,9 +880,8 @@ impl SymmetricSearch {
 
     /// Packages a SAT result as a public, replayable [`DecisionMap`].
     ///
-    /// Returns `None` for UNSAT results and for searches prepared over an
-    /// explicit complex (whose round count is unknown, so the witness
-    /// could not be replayed).
+    /// Returns `None` for UNSAT results and for searches whose round
+    /// count is unknown (the witness could not be replayed).
     #[must_use]
     pub fn decision_map(&self, result: &SearchResult) -> Option<DecisionMap> {
         let assignment = result.assignment()?;
@@ -947,231 +900,88 @@ impl SymmetricSearch {
         self.system.facet_count()
     }
 
-    /// Runs the conflict-driven search (the default engine) with default
-    /// configuration.
-    #[must_use]
-    pub fn solve(&self) -> SearchResult {
-        self.solve_with(&CdclConfig::default()).0
-    }
-
-    /// Runs the conflict-driven search with an explicit configuration,
-    /// returning the solver counters alongside the verdict.
+    /// Runs the engine `route` selects under `ticket`, returning the
+    /// verdict and the solver counters. `None` means no verdict: the
+    /// ticket tripped (the counters then report the partial work), or
+    /// the incomplete local mode exhausted its restarts without a
+    /// witness.
     ///
-    /// SAT answers are independently re-checked facet-by-facet before
-    /// being returned.
-    ///
-    /// Instances below [`TINY_INSTANCE_FACETS`] distinct constraints
-    /// skip the CDCL engine entirely and run the reference backtracker:
-    /// on trivially small systems (`renaming(3,6) r = 1` is 13
-    /// constraints) watcher/propagator setup costs several times the
-    /// whole search, so the front door routes around it. The counters
-    /// then report one worker and no conflicts/decisions.
+    /// Every SAT answer is re-checked facet by facet before it is
+    /// returned. The backtracker reports one worker and its visited
+    /// nodes as `decisions`.
     ///
     /// # Panics
     ///
-    /// Panics if the solver produces an assignment that fails the
+    /// Panics if an engine produces an assignment that fails the
     /// facet-by-facet re-check (that would be a soundness bug).
     #[must_use]
-    pub fn solve_with(&self, config: &CdclConfig) -> (SearchResult, SearchStats) {
-        if self.facet_count() <= TINY_INSTANCE_FACETS {
-            let result = self.solve_reference();
-            if let SearchResult::Solvable { assignment } = &result {
-                let checked: Vec<Option<usize>> = assignment.iter().map(|&v| Some(v)).collect();
-                assert!(
-                    self.all_facets_legal(&checked),
-                    "reference assignment must satisfy every facet"
-                );
-            }
-            let stats = SearchStats {
-                workers: 1,
-                ..SearchStats::default()
-            };
-            return (result, stats);
-        }
-        self.solve_cdcl_with(config)
-    }
-
-    /// The governed front door: [`SymmetricSearch::solve_with`] under a
-    /// ticket. `None` means the ticket tripped before a verdict — the
-    /// accompanying counters then report the partial work done (for the
-    /// tiny-instance reference path, nodes visited are reported as
-    /// `decisions`).
-    ///
-    /// # Panics
-    ///
-    /// As [`SymmetricSearch::solve_with`].
-    #[must_use]
-    pub fn solve_governed(
+    pub fn solve(
         &self,
         config: &CdclConfig,
+        route: SolveRoute,
         ticket: &Ticket,
     ) -> (Option<SearchResult>, SearchStats) {
-        if self.facet_count() <= TINY_INSTANCE_FACETS {
-            let (result, stats) = self.solve_reference_governed(ticket);
-            if let Some(SearchResult::Solvable { assignment }) = &result {
-                let checked: Vec<Option<usize>> = assignment.iter().map(|&v| Some(v)).collect();
-                assert!(
-                    self.all_facets_legal(&checked),
-                    "reference assignment must satisfy every facet"
-                );
+        let (outcome, stats) = match route {
+            SolveRoute::Reference => self.backtrack_all(ticket),
+            SolveRoute::Mode(_) if self.facet_count() <= TINY_INSTANCE_FACETS => {
+                self.backtrack_all(ticket)
             }
-            return (result, stats);
-        }
-        self.solve_cdcl_governed(config, ticket)
-    }
-
-    /// Runs the conflict-driven engine unconditionally, bypassing the
-    /// tiny-instance fast path — the hook the engine-equivalence suite
-    /// compares against the backtracking oracle (through the production
-    /// front door, small instances would route to the very oracle the
-    /// suite diffs against, making the comparison vacuous).
-    ///
-    /// # Panics
-    ///
-    /// As [`SymmetricSearch::solve_with`].
-    #[must_use]
-    pub fn solve_cdcl_with(&self, config: &CdclConfig) -> (SearchResult, SearchStats) {
-        let instance = self.instance();
-        let (result, stats) = cdcl::solve_portfolio(&instance, config);
-        match result {
-            CdclResult::Sat(assignment) => {
-                let checked: Vec<Option<usize>> = assignment.iter().map(|&v| Some(v)).collect();
-                assert!(
-                    self.all_facets_legal(&checked),
-                    "CDCL assignment must satisfy every facet"
-                );
-                (SearchResult::Solvable { assignment }, stats)
+            SolveRoute::Cdcl | SolveRoute::Mode(SearchMode::Cdcl) => {
+                cdcl::solve_portfolio(&self.instance(), config, ticket)
             }
-            CdclResult::Unsat => (SearchResult::Unsolvable, stats),
-            CdclResult::Interrupted => unreachable!("portfolio returns a finished member"),
-        }
-    }
-
-    /// The conflict-driven engine under a governance ticket: every
-    /// portfolio member polls the ticket at its strided check sites.
-    /// `None` means the ticket tripped; the counters then carry the
-    /// busiest interrupted member's partial progress.
-    ///
-    /// # Panics
-    ///
-    /// As [`SymmetricSearch::solve_with`].
-    #[must_use]
-    pub fn solve_cdcl_governed(
-        &self,
-        config: &CdclConfig,
-        ticket: &Ticket,
-    ) -> (Option<SearchResult>, SearchStats) {
-        let instance = self.instance();
-        let (result, stats) = cdcl::solve_portfolio_governed(&instance, config, Some(ticket));
-        match result {
-            CdclResult::Sat(assignment) => {
-                let checked: Vec<Option<usize>> = assignment.iter().map(|&v| Some(v)).collect();
-                assert!(
-                    self.all_facets_legal(&checked),
-                    "CDCL assignment must satisfy every facet"
-                );
-                (Some(SearchResult::Solvable { assignment }), stats)
-            }
-            CdclResult::Unsat => (Some(SearchResult::Unsolvable), stats),
-            CdclResult::Interrupted => (None, stats),
-        }
-    }
-
-    /// The mode-dispatching front door: [`SymmetricSearch::solve_governed`]
-    /// generalized over [`SearchMode`]. `None` means no verdict — the
-    /// ticket tripped, or the (incomplete) local mode exhausted its
-    /// restarts without completing a witness.
-    ///
-    /// Tiny instances route to the reference backtracker whatever the
-    /// mode (engine setup costs more than the whole search there, and
-    /// the backtracker is complete, so even `Local` gets full verdicts).
-    ///
-    /// # Panics
-    ///
-    /// As [`SymmetricSearch::solve_with`]: a returned witness failing
-    /// the facet-by-facet re-check is a soundness bug.
-    #[must_use]
-    pub fn solve_mode_governed(
-        &self,
-        config: &CdclConfig,
-        mode: SearchMode,
-        ticket: Option<&Ticket>,
-    ) -> (Option<SearchResult>, SearchStats) {
-        if self.facet_count() <= TINY_INSTANCE_FACETS {
-            return match ticket {
-                Some(t) => self.solve_governed(config, t),
-                None => {
-                    let (result, stats) = self.solve_with(config);
-                    (Some(result), stats)
-                }
-            };
-        }
-        match mode {
-            SearchMode::Cdcl => match ticket {
-                Some(t) => self.solve_cdcl_governed(config, t),
-                None => {
-                    let (result, stats) = self.solve_cdcl_with(config);
-                    (Some(result), stats)
-                }
-            },
-            SearchMode::Race => {
-                let instance = self.instance();
-                let (result, stats) = local::solve_race_governed(
-                    &instance,
-                    config,
+            SolveRoute::Mode(SearchMode::Race) => local::solve_race(
+                &self.instance(),
+                config,
+                &Self::local_config(config),
+                ticket,
+            ),
+            SolveRoute::Mode(SearchMode::Local) => {
+                let warm = config.warm_start.as_deref().map(Vec::as_slice);
+                let out = local::solve_local(
+                    &self.instance(),
                     &Self::local_config(config),
+                    warm,
+                    None,
                     ticket,
                 );
-                match result {
-                    CdclResult::Sat(assignment) => {
-                        let checked: Vec<Option<usize>> =
-                            assignment.iter().map(|&v| Some(v)).collect();
-                        assert!(
-                            self.all_facets_legal(&checked),
-                            "race winner's assignment must satisfy every facet"
-                        );
-                        (Some(SearchResult::Solvable { assignment }), stats)
-                    }
-                    CdclResult::Unsat => (Some(SearchResult::Unsolvable), stats),
-                    CdclResult::Interrupted => (None, stats),
-                }
-            }
-            SearchMode::Local => {
-                let instance = self.instance();
-                let warm = config.warm_start.as_deref().map(Vec::as_slice);
-                let out =
-                    local::solve_local(&instance, &Self::local_config(config), warm, None, ticket);
-                let mut stats = SearchStats {
+                let stats = SearchStats {
                     local_steps: out.steps,
                     local_restarts: out.restarts,
+                    local_won: out.assignment.is_some(),
                     workers: 1,
                     ..SearchStats::default()
                 };
-                match out.assignment {
-                    Some(assignment) => {
-                        stats.local_won = true;
-                        let checked: Vec<Option<usize>> =
-                            assignment.iter().map(|&v| Some(v)).collect();
-                        assert!(
-                            self.all_facets_legal(&checked),
-                            "local-search witness must satisfy every facet"
-                        );
-                        (Some(SearchResult::Solvable { assignment }), stats)
-                    }
-                    None => (None, stats),
-                }
+                (
+                    out.assignment
+                        .map_or(CdclResult::Interrupted, CdclResult::Sat),
+                    stats,
+                )
             }
-        }
+        };
+        let result = match outcome {
+            CdclResult::Sat(assignment) => {
+                let checked: Vec<Option<usize>> = assignment.iter().map(|&v| Some(v)).collect();
+                assert!(
+                    self.all_facets_legal(&checked),
+                    "{route:?} assignment must satisfy every facet"
+                );
+                Some(SearchResult::Solvable { assignment })
+            }
+            CdclResult::Unsat => Some(SearchResult::Unsolvable),
+            CdclResult::Interrupted => None,
+        };
+        (result, stats)
     }
 
-    /// [`SymmetricSearch::solve_mode_governed`] without a ticket.
+    /// [`SymmetricSearch::solve`] through the front door under an
+    /// unlimited ticket.
     #[must_use]
     pub fn solve_mode_with(
         &self,
         config: &CdclConfig,
         mode: SearchMode,
     ) -> (Option<SearchResult>, SearchStats) {
-        self.solve_mode_governed(config, mode, None)
+        self.solve(config, SolveRoute::Mode(mode), &Ticket::unlimited())
     }
 
     /// The local engine's configuration, derived from the CDCL one so
@@ -1217,49 +1027,10 @@ impl SymmetricSearch {
             .collect()
     }
 
-    /// The retained seed engine: weight-ordered backtracking with unit
-    /// propagation — the reference oracle the CDCL engine is tested
-    /// against.
-    #[must_use]
-    pub fn solve_reference(&self) -> SearchResult {
-        self.solve_reference_budgeted(u64::MAX)
-            .expect("unbounded budget cannot exhaust")
-    }
-
-    /// [`solve_reference`](Self::solve_reference) with a node budget
-    /// (counted in propagation-augmented assignments); `None` means the
-    /// budget was exhausted before a verdict — used by the benchmark
-    /// harness to time out the baseline deterministically.
-    #[must_use]
-    pub fn solve_reference_budgeted(&self, max_nodes: u64) -> Option<SearchResult> {
-        self.solve_reference_gate(max_nodes, None).0
-    }
-
-    /// The reference backtracker under a governance ticket: nodes are
-    /// charged against the ticket's node budget at a 64-node stride, so
-    /// deadlines, cancellation and injected faults all land within one
-    /// polling interval. `None` means the ticket tripped; the counters
-    /// report the nodes visited so far as `decisions` (the reference
-    /// engine's only meaningful counter).
-    #[must_use]
-    pub fn solve_reference_governed(&self, ticket: &Ticket) -> (Option<SearchResult>, SearchStats) {
-        let (result, visited) = self.solve_reference_gate(u64::MAX, Some(ticket));
-        let stats = SearchStats {
-            workers: 1,
-            decisions: visited,
-            ..SearchStats::default()
-        };
-        (result, stats)
-    }
-
-    /// Shared core of the budgeted/governed reference paths: returns
-    /// the verdict (`None` when the gate closed first) and the number
-    /// of nodes visited.
-    fn solve_reference_gate(
-        &self,
-        max_nodes: u64,
-        ticket: Option<&Ticket>,
-    ) -> (Option<SearchResult>, u64) {
+    /// The reference backtracker over the whole instance: the verdict
+    /// (`Interrupted` when the ticket tripped first) and one-worker
+    /// counters reporting the visited nodes as `decisions`.
+    fn backtrack_all(&self, ticket: &Ticket) -> (CdclResult, SearchStats) {
         let k = self.system.class_count;
         // Order classes by descending weight: most-constrained first.
         let mut order: Vec<usize> = (0..k).collect();
@@ -1267,25 +1038,23 @@ impl SymmetricSearch {
         let mut assignment: Vec<Option<usize>> = vec![None; k];
         // Value symmetry breaking is sound only for fully symmetric specs.
         let value_symmetric = self.spec.is_symmetric();
-        let mut gate = NodeGate {
-            remaining: max_nodes,
-            visited: 0,
-            ticket,
+        let mut gate = NodeGate { visited: 0, ticket };
+        let outcome = match self.backtrack(&order, 0, &mut assignment, value_symmetric, &mut gate) {
+            Some(true) => CdclResult::Sat(
+                assignment
+                    .into_iter()
+                    .map(|v| v.expect("complete"))
+                    .collect(),
+            ),
+            Some(false) => CdclResult::Unsat,
+            None => CdclResult::Interrupted,
         };
-        let solvable = self.backtrack(&order, 0, &mut assignment, value_symmetric, &mut gate);
-        let result = solvable.map(|solvable| {
-            if solvable {
-                SearchResult::Solvable {
-                    assignment: assignment
-                        .into_iter()
-                        .map(|v| v.expect("complete"))
-                        .collect(),
-                }
-            } else {
-                SearchResult::Unsolvable
-            }
-        });
-        (result, gate.visited)
+        let stats = SearchStats {
+            workers: 1,
+            decisions: gate.visited,
+            ..SearchStats::default()
+        };
+        (outcome, stats)
     }
 
     /// The quotiented instance handed to the CDCL engine.
@@ -1508,37 +1277,33 @@ fn facet_class_window(
     distinct
 }
 
-/// Convenience: is `spec` solvable by an `r`-round comparison-based IIS
-/// protocol?
-#[deprecated(
-    since = "0.1.0",
-    note = "route round-bounded queries through the engine \
-            (`gsb_engine::Query::solvable_in_rounds`), which adds caching, \
-            replayable evidence and cross-engine agreement; or use \
-            `SymmetricSearch::new(spec, rounds).solve()` directly"
-)]
-#[must_use]
-pub fn solvable_in_rounds(spec: &GsbSpec, rounds: usize) -> SearchResult {
-    SymmetricSearch::new(spec.clone(), rounds).solve()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gsb_core::SymmetricGsb;
 
-    /// Local (non-deprecated) shorthand shadowing the deprecated free
-    /// function; `deprecated_free_function_still_answers` keeps the
-    /// public shim itself covered.
-    fn solvable_in_rounds(spec: &GsbSpec, rounds: usize) -> SearchResult {
-        SymmetricSearch::new(spec.clone(), rounds).solve()
+    const FRONT_DOOR: SolveRoute = SolveRoute::Mode(SearchMode::Cdcl);
+
+    /// The fused build under an unlimited ticket.
+    fn fused(spec: GsbSpec, rounds: usize) -> SymmetricSearch {
+        SymmetricSearch::build(spec, rounds, &Ticket::unlimited()).expect("unlimited ticket")
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_free_function_still_answers() {
-        let spec = SymmetricGsb::renaming(2, 3).unwrap().to_spec();
-        assert!(super::solvable_in_rounds(&spec, 1).is_solvable());
+    /// The materialized reference build.
+    fn full(spec: GsbSpec, rounds: usize) -> SymmetricSearch {
+        let complex = shared_protocol_complex(spec.n(), rounds);
+        let system = Arc::new(ConstraintSystem::from_complex(&complex));
+        SymmetricSearch::with_system(spec, Some(rounds), system)
+    }
+
+    /// Runs a complete route to its verdict under an unlimited ticket.
+    fn run(search: &SymmetricSearch, route: SolveRoute) -> (SearchResult, SearchStats) {
+        let (result, stats) = search.solve(&CdclConfig::default(), route, &Ticket::unlimited());
+        (result.expect("a complete route reaches a verdict"), stats)
+    }
+
+    fn solvable_in_rounds(spec: &GsbSpec, rounds: usize) -> SearchResult {
+        run(&full(spec.clone(), rounds), FRONT_DOOR).0
     }
 
     #[test]
@@ -1632,12 +1397,13 @@ mod tests {
     #[test]
     fn found_assignments_satisfy_every_facet() {
         let spec = SymmetricGsb::renaming(2, 3).unwrap().to_spec();
-        let search = SymmetricSearch::new(spec.clone(), 1);
-        match search.solve() {
+        let search = fused(spec.clone(), 1);
+        match run(&search, FRONT_DOOR).0 {
             SearchResult::Solvable { assignment } => {
                 // Re-check independently of the search's own bookkeeping.
                 let complex = protocol_complex(2, 1);
-                let again = SymmetricSearch::over_complex(spec.clone(), &complex);
+                let system = Arc::new(ConstraintSystem::from_complex(&complex));
+                let again = SymmetricSearch::with_system(spec.clone(), None, system);
                 let option_assignment: Vec<Option<usize>> =
                     assignment.iter().map(|&v| Some(v)).collect();
                 assert!(again.all_facets_legal(&option_assignment));
@@ -1650,7 +1416,7 @@ mod tests {
     fn class_counts_are_small() {
         // Documents the symmetry quotient's effectiveness: χ²(Δ²) has
         // hundreds of vertices but far fewer classes.
-        let search = SymmetricSearch::new(SymmetricGsb::wsb(3).unwrap().to_spec(), 2);
+        let search = full(SymmetricGsb::wsb(3).unwrap().to_spec(), 2);
         assert!(search.classes().len() < 100, "{}", search.classes().len());
         assert_eq!(search.facet_count(), 169);
     }
@@ -1672,10 +1438,10 @@ mod tests {
             (SymmetricGsb::wsb(3).unwrap().to_spec(), 1),
             (SymmetricGsb::renaming(3, 6).unwrap().to_spec(), 1),
         ] {
-            let search = SymmetricSearch::new(spec, r);
+            let search = full(spec, r);
             assert_eq!(
-                search.solve().is_solvable(),
-                search.solve_reference().is_solvable()
+                run(&search, SolveRoute::Cdcl).0,
+                run(&search, SolveRoute::Reference).0
             );
         }
     }
@@ -1683,9 +1449,29 @@ mod tests {
     #[test]
     fn reference_budget_exhausts_cleanly() {
         let spec = SymmetricGsb::wsb(3).unwrap().to_spec();
-        let search = SymmetricSearch::new(spec, 1);
-        assert!(search.solve_reference_budgeted(0).is_none());
-        assert!(search.solve_reference_budgeted(u64::MAX).is_some());
+        let search = full(spec, 1);
+        let config = CdclConfig::default();
+        let budget = |nodes| {
+            Ticket::new(gsb_core::Limits {
+                nodes: Some(nodes),
+                ..gsb_core::Limits::none()
+            })
+        };
+        let (stopped, _) = search.solve(&config, SolveRoute::Reference, &budget(0));
+        assert!(stopped.is_none());
+        // A budget of k admits exactly k nodes.
+        let (done, stats) = run(&search, SolveRoute::Reference);
+        assert!(!done.is_solvable());
+        let exact = budget(stats.decisions);
+        assert!(search
+            .solve(&config, SolveRoute::Reference, &exact)
+            .0
+            .is_some());
+        let short = budget(stats.decisions - 1);
+        assert!(search
+            .solve(&config, SolveRoute::Reference, &short)
+            .0
+            .is_none());
     }
 
     #[test]
@@ -1701,8 +1487,8 @@ mod tests {
             (SymmetricGsb::renaming(4, 10).unwrap().to_spec(), 1),
             (SymmetricGsb::wsb(4).unwrap().to_spec(), 1),
         ] {
-            let full = SymmetricSearch::new(spec.clone(), r);
-            let fused = SymmetricSearch::from_spec_streaming(spec.clone(), r);
+            let full = full(spec.clone(), r);
+            let fused = fused(spec.clone(), r);
             assert_eq!(full.classes(), fused.classes(), "{spec} r={r}");
             assert_eq!(
                 full.system.class_weight, fused.system.class_weight,
@@ -1732,17 +1518,24 @@ mod tests {
         // renaming(3,6) r=1 is 13 distinct constraints — the front door
         // must skip CDCL setup and report bare one-worker counters.
         let spec = SymmetricGsb::renaming(3, 6).unwrap().to_spec();
-        let search = SymmetricSearch::new(spec, 1);
+        let search = fused(spec, 1);
         assert!(search.facet_count() <= TINY_INSTANCE_FACETS);
-        let (result, stats) = search.solve_with(&CdclConfig::default());
-        assert!(result.is_solvable());
-        assert_eq!(stats.workers, 1);
-        assert_eq!(stats.decisions, 0, "no CDCL engine ran");
+        for mode in [SearchMode::Cdcl, SearchMode::Race, SearchMode::Local] {
+            let (result, stats) = run(&search, SolveRoute::Mode(mode));
+            assert!(result.is_solvable());
+            assert_eq!(stats.workers, 1);
+            assert!(stats.decisions > 0, "backtracker nodes count as decisions");
+            assert_eq!(stats.propagations, 0, "no CDCL engine ran");
+            assert_eq!(stats.local_steps, 0, "no local engine ran");
+        }
+        // Forced CDCL bypasses the route.
+        let (_, stats) = run(&search, SolveRoute::Cdcl);
+        assert!(stats.propagations > 0);
         // Above the threshold the engine still runs and counts work.
         let wsb = SymmetricGsb::wsb(3).unwrap().to_spec();
-        let big = SymmetricSearch::new(wsb, 2);
+        let big = fused(wsb, 2);
         assert!(big.facet_count() > TINY_INSTANCE_FACETS);
-        let (_, stats) = big.solve_with(&CdclConfig::default());
+        let (_, stats) = run(&big, FRONT_DOOR);
         assert!(stats.conflicts > 0);
     }
 
@@ -1753,7 +1546,7 @@ mod tests {
         // reversal candidate guarantees at least one verified symmetry
         // on these quotients.
         for (n, r) in [(3usize, 1usize), (3, 2), (4, 1)] {
-            let (sys, _) = ConstraintSystem::streamed(n, r);
+            let (sys, _) = ConstraintSystem::streamed(n, r, &Ticket::unlimited()).unwrap();
             let count = sys.verified_class_perm_count();
             println!(
                 "mined n={n} r={r}: classes={} perms={count}",
@@ -1765,7 +1558,7 @@ mod tests {
 
     #[test]
     fn class_symmetries_are_verified_permutations() {
-        let search = SymmetricSearch::new(SymmetricGsb::wsb(3).unwrap().to_spec(), 1);
+        let search = full(SymmetricGsb::wsb(3).unwrap().to_spec(), 1);
         for perm in search.class_symmetries() {
             let mut sorted = perm.clone();
             sorted.sort_unstable();
@@ -1783,10 +1576,14 @@ mod tests {
         // Force the scoped-thread portfolio (with learned-clause sharing
         // and cancellation) on the real 81-class instance, independent of
         // host core count.
-        let search = SymmetricSearch::new(SymmetricGsb::wsb(3).unwrap().to_spec(), 2);
+        let search = full(SymmetricGsb::wsb(3).unwrap().to_spec(), 2);
         let instance = search.instance();
-        let (result, stats) =
-            crate::cdcl::solve_portfolio_width(&instance, &CdclConfig::default(), 4);
+        let (result, stats) = crate::cdcl::solve_portfolio_width(
+            &instance,
+            &CdclConfig::default(),
+            4,
+            &Ticket::unlimited(),
+        );
         assert_eq!(result, CdclResult::Unsat);
         assert_eq!(stats.workers, 4);
     }
@@ -1794,8 +1591,8 @@ mod tests {
     #[test]
     fn decision_map_replays_facet_by_facet() {
         let spec = SymmetricGsb::renaming(3, 6).unwrap().to_spec();
-        let search = SymmetricSearch::new(spec.clone(), 1);
-        let result = search.solve();
+        let search = fused(spec.clone(), 1);
+        let (result, _) = run(&search, FRONT_DOOR);
         let map = search
             .decision_map(&result)
             .expect("SAT result with known rounds");
@@ -1811,7 +1608,7 @@ mod tests {
     #[test]
     fn decision_map_check_rejects_tampering() {
         let spec = SymmetricGsb::renaming(3, 6).unwrap().to_spec();
-        let search = SymmetricSearch::new(spec.clone(), 1);
+        let search = fused(spec.clone(), 1);
         let classes = search.classes().len();
         // All-ones violates u = 1 on every facet.
         let forged = DecisionMap::rebuild(3, 1, vec![1; classes]).unwrap();
@@ -1832,7 +1629,7 @@ mod tests {
         ));
         // Wrong process count.
         let other = SymmetricGsb::renaming(2, 3).unwrap().to_spec();
-        let map = search.decision_map(&search.solve()).unwrap();
+        let map = search.decision_map(&run(&search, FRONT_DOOR).0).unwrap();
         assert!(matches!(
             map.check(&other),
             Err(Error::ProcessCountMismatch { .. })
@@ -1842,17 +1639,17 @@ mod tests {
     #[test]
     fn decision_map_unavailable_when_unsat_or_rounds_unknown() {
         let wsb = SymmetricGsb::wsb(3).unwrap().to_spec();
-        let search = SymmetricSearch::new(wsb.clone(), 1);
-        let result = search.solve();
+        let search = fused(wsb.clone(), 1);
+        let (result, _) = run(&search, FRONT_DOOR);
         assert!(!result.is_solvable());
         assert!(search.decision_map(&result).is_none());
         assert_eq!(result.assignment(), None);
-        // Explicit complexes have no recorded round count.
+        // Systems of unknown provenance have no recorded round count.
         let spec = SymmetricGsb::renaming(3, 6).unwrap().to_spec();
-        let complex = protocol_complex(3, 1);
-        let search = SymmetricSearch::over_complex(spec, &complex);
+        let system = Arc::new(ConstraintSystem::from_complex(&protocol_complex(3, 1)));
+        let search = SymmetricSearch::with_system(spec, None, system);
         assert_eq!(search.rounds(), None);
-        let sat = search.solve();
+        let (sat, _) = run(&search, FRONT_DOOR);
         assert!(sat.is_solvable());
         assert!(search.decision_map(&sat).is_none());
     }
@@ -1860,15 +1657,15 @@ mod tests {
     #[test]
     fn search_result_display_is_uniform() {
         let spec = SymmetricGsb::renaming(2, 3).unwrap().to_spec();
-        let sat = SymmetricSearch::new(spec, 1).solve();
+        let (sat, _) = run(&fused(spec, 1), FRONT_DOOR);
         assert!(sat.to_string().contains("solvable"));
         assert!(SearchResult::Unsolvable.to_string().contains("unsolvable"));
     }
 
     #[test]
     fn solver_stats_reflect_work() {
-        let search = SymmetricSearch::new(SymmetricGsb::wsb(3).unwrap().to_spec(), 2);
-        let (result, stats) = search.solve_with(&CdclConfig::default());
+        let search = fused(SymmetricGsb::wsb(3).unwrap().to_spec(), 2);
+        let (result, stats) = run(&search, FRONT_DOOR);
         assert!(!result.is_solvable());
         assert!(stats.conflicts > 0);
         assert!(stats.propagations > 0);

@@ -229,14 +229,15 @@ mod tests {
     fn certificate_agrees_with_the_search() {
         // Where the DPLL search runs, both methods must agree that
         // election is unsolvable.
-        use crate::solvability::SymmetricSearch;
+        use crate::solvability::{SearchMode, SolveRoute, SymmetricSearch};
+        let ticket = gsb_core::govern::Ticket::unlimited();
         for (n, r) in [(2usize, 1usize), (2, 2), (3, 1), (3, 2)] {
             assert!(election_impossibility_certificate(n, r).is_ok());
             let spec = gsb_core::GsbSpec::election(n).unwrap();
-            assert!(
-                !SymmetricSearch::new(spec, r).solve().is_solvable(),
-                "n={n} r={r}"
-            );
+            let search = SymmetricSearch::build(spec, r, &ticket).unwrap();
+            let route = SolveRoute::Mode(SearchMode::Cdcl);
+            let (result, _) = search.solve(&crate::CdclConfig::default(), route, &ticket);
+            assert!(!result.unwrap().is_solvable(), "n={n} r={r}");
         }
     }
 

@@ -1,16 +1,39 @@
 //! Equivalence of the decision-map search engines over a task zoo.
 //!
-//! The CDCL engine ([`SymmetricSearch::solve`]) must agree verdict-for-
-//! verdict with the retained backtracking oracle
-//! ([`SymmetricSearch::solve_reference`]) on every zoo task and on
-//! property-sampled symmetric specs at `r ∈ {0, 1}` — with orbit
-//! learning both on and off, so an unsound symmetry image would surface
-//! as a divergence. SAT answers are additionally re-checked
-//! facet-by-facet inside `solve_with` (a bad map panics there).
+//! The CDCL engine ([`SolveRoute::Cdcl`]) must agree verdict-for-verdict
+//! with the retained backtracking oracle ([`SolveRoute::Reference`]) on
+//! every zoo task and on property-sampled symmetric specs at
+//! `r ∈ {0, 1}` — with orbit learning both on and off, so an unsound
+//! symmetry image would surface as a divergence. SAT answers are
+//! additionally re-checked facet-by-facet inside `solve` (a bad map
+//! panics there).
 
+use std::sync::Arc;
+
+use gsb_core::govern::Ticket;
 use gsb_core::{GsbSpec, SymmetricGsb};
-use gsb_topology::{CdclConfig, DecisionMap, SearchMode, SearchResult, SymmetricSearch};
+use gsb_topology::{
+    shared_protocol_complex, CdclConfig, ConstraintSystem, DecisionMap, SearchMode, SearchResult,
+    SolveRoute, SymmetricSearch,
+};
 use proptest::prelude::*;
+
+/// The materialized reference build of `spec` at `rounds`.
+fn reference_build(spec: &GsbSpec, rounds: usize) -> SymmetricSearch {
+    let system = ConstraintSystem::from_complex(&shared_protocol_complex(spec.n(), rounds));
+    SymmetricSearch::with_system(spec.clone(), Some(rounds), Arc::new(system))
+}
+
+/// Runs `route` under an unlimited ticket (`None` only from local-search
+/// exhaustion).
+fn solve(search: &SymmetricSearch, config: &CdclConfig, route: SolveRoute) -> Option<SearchResult> {
+    search.solve(config, route, &Ticket::unlimited()).0
+}
+
+/// The backtracking oracle's verdict.
+fn oracle(search: &SymmetricSearch) -> SearchResult {
+    solve(search, &CdclConfig::default(), SolveRoute::Reference).expect("the oracle is complete")
+}
 
 /// Every named paper task at this `n` (the catalog already includes the
 /// asymmetric members, e.g. election).
@@ -23,18 +46,18 @@ fn zoo(n: usize) -> Vec<GsbSpec> {
 }
 
 fn engines_agree(spec: &GsbSpec, rounds: usize) {
-    let search = SymmetricSearch::new(spec.clone(), rounds);
-    let reference = search.solve_reference();
+    let search = reference_build(spec, rounds);
+    let reference = oracle(&search);
     for symmetric_learning in [true, false] {
         let config = CdclConfig {
             symmetric_learning,
             ..CdclConfig::default()
         };
-        // `solve_cdcl_with`, not the `solve_with` front door: the
-        // production path routes tiny instances (most of this suite)
-        // straight to the backtracking oracle, which would make the
-        // CDCL-vs-oracle comparison vacuous.
-        let (cdcl, _) = search.solve_cdcl_with(&config);
+        // Forced CDCL, not the front door: the production path routes
+        // tiny instances (most of this suite) straight to the
+        // backtracking oracle, which would make the CDCL-vs-oracle
+        // comparison vacuous.
+        let cdcl = solve(&search, &config, SolveRoute::Cdcl).expect("CDCL is complete");
         assert_eq!(
             cdcl.is_solvable(),
             reference.is_solvable(),
@@ -47,29 +70,22 @@ fn engines_agree(spec: &GsbSpec, rounds: usize) {
     }
 }
 
-/// The decision-strategy toggles and the completion engines against the
-/// oracle: orbit-guided decisions on/off must not change any verdict,
-/// the CDCL-vs-local race is complete and must agree everywhere, and
-/// local search alone may only ever return SAT verdicts the oracle
-/// confirms (exhaustion on a genuinely SAT zoo instance would be a
-/// budget bug — the repair walk cracks these in microseconds).
+/// The search modes against the oracle: forced CDCL and the
+/// CDCL-vs-local race are complete and must agree everywhere, and
+/// local search alone may only
+/// ever return SAT verdicts the oracle confirms (exhaustion on a
+/// genuinely SAT zoo instance would be a budget bug — the repair walk
+/// cracks these in microseconds).
 fn modes_agree(spec: &GsbSpec, rounds: usize) {
-    let search = SymmetricSearch::new(spec.clone(), rounds);
-    let reference = search.solve_reference();
-    for orbit_decisions in [false, true] {
-        let config = CdclConfig {
-            orbit_decisions,
-            ..CdclConfig::default()
-        };
-        let (cdcl, _) = search.solve_cdcl_with(&config);
-        assert_eq!(
-            cdcl.is_solvable(),
-            reference.is_solvable(),
-            "engines diverge on {spec:?} at r = {rounds} \
-             (orbit_decisions = {orbit_decisions})"
-        );
-    }
+    let search = reference_build(spec, rounds);
+    let reference = oracle(&search);
     let config = CdclConfig::default();
+    let cdcl = solve(&search, &config, SolveRoute::Cdcl).expect("CDCL is complete");
+    assert_eq!(
+        cdcl.is_solvable(),
+        reference.is_solvable(),
+        "engines diverge on {spec:?} at r = {rounds}"
+    );
     let (race, _) = search.solve_mode_with(&config, SearchMode::Race);
     let race = race.expect("the race's CDCL lane is complete");
     assert_eq!(
@@ -95,10 +111,10 @@ fn modes_agree(spec: &GsbSpec, rounds: usize) {
 /// CDCL engine with the lift of the task's own `r−1` decision map (when
 /// one exists) cannot change the `r`-round verdict.
 fn warm_start_agrees(spec: &GsbSpec, rounds: usize) {
-    let search = SymmetricSearch::new(spec.clone(), rounds);
-    let reference = search.solve_reference();
-    let parent = SymmetricSearch::new(spec.clone(), rounds - 1);
-    let SearchResult::Solvable { assignment } = parent.solve_reference() else {
+    let search = reference_build(spec, rounds);
+    let reference = oracle(&search);
+    let parent = reference_build(spec, rounds - 1);
+    let SearchResult::Solvable { assignment } = oracle(&parent) else {
         return; // no r−1 map to lift
     };
     let map = DecisionMap::rebuild(spec.n(), rounds - 1, assignment)
@@ -107,7 +123,7 @@ fn warm_start_agrees(spec: &GsbSpec, rounds: usize) {
         warm_start: Some(std::sync::Arc::new(search.lift_warm_start(&map))),
         ..CdclConfig::default()
     };
-    let (warm, _) = search.solve_cdcl_with(&config);
+    let warm = solve(&search, &config, SolveRoute::Cdcl).expect("CDCL is complete");
     assert_eq!(
         warm.is_solvable(),
         reference.is_solvable(),

@@ -1,6 +1,6 @@
 //! The orbit-quotient streaming pipeline against the full
 //! materialized-complex path — the equivalence suite behind the fused
-//! `SymmetricSearch::from_spec_streaming` front door.
+//! `SymmetricSearch::build` front door.
 //!
 //! The orbit pipeline stamps one lex-leader representative per
 //! `S_n`-orbit of facets and recovers exact counts by orbit–stabilizer;
@@ -10,8 +10,34 @@
 //! (`solvability::tests`); this suite covers counts, views, verdicts,
 //! and witness replay over the zoo.
 
+use std::sync::Arc;
+
+use gsb_core::govern::Ticket;
 use gsb_core::{GsbSpec, SymmetricGsb};
-use gsb_topology::{protocol_complex_with_stats, ConstraintSystem, OrbitFrontier, SymmetricSearch};
+use gsb_topology::{
+    protocol_complex_with_stats, shared_protocol_complex, CdclConfig, ConstraintSystem,
+    OrbitFrontier, SearchMode, SearchResult, SymmetricSearch,
+};
+
+/// The materialized reference build and the fused build of one search.
+fn both_builds(spec: &GsbSpec, rounds: usize) -> (SymmetricSearch, SymmetricSearch) {
+    let system = ConstraintSystem::from_complex(&shared_protocol_complex(spec.n(), rounds));
+    let full = SymmetricSearch::with_system(spec.clone(), Some(rounds), Arc::new(system));
+    let fused = SymmetricSearch::build(spec.clone(), rounds, &Ticket::unlimited())
+        .expect("unlimited ticket");
+    (full, fused)
+}
+
+/// The front door's plain-CDCL verdict.
+fn solve(search: &SymmetricSearch) -> SearchResult {
+    let (result, _) = search.solve_mode_with(&CdclConfig::default(), SearchMode::Cdcl);
+    result.expect("CDCL is complete")
+}
+
+/// The fused build's system and orbit counters under an unlimited ticket.
+fn streamed(n: usize, rounds: usize) -> (ConstraintSystem, gsb_topology::OrbitBuildStats) {
+    ConstraintSystem::streamed(n, rounds, &Ticket::unlimited()).expect("unlimited ticket")
+}
 
 /// The equivalence zoo: `(spec, rounds)` pairs spanning SAT and UNSAT,
 /// symmetric and asymmetric specs, `n ≤ 4`.
@@ -35,8 +61,7 @@ fn zoo() -> Vec<(GsbSpec, usize)> {
 #[test]
 fn fused_prep_matches_full_prep_over_the_zoo() {
     for (spec, rounds) in zoo() {
-        let full = SymmetricSearch::new(spec.clone(), rounds);
-        let fused = SymmetricSearch::from_spec_streaming(spec.clone(), rounds);
+        let (full, fused) = both_builds(&spec, rounds);
         // Same classes — as materialized views, in the same canonical
         // order — and the same deduplicated constraint family size.
         assert_eq!(full.classes(), fused.classes(), "{spec} r={rounds}");
@@ -48,10 +73,9 @@ fn fused_prep_matches_full_prep_over_the_zoo() {
 #[test]
 fn fused_and_full_verdicts_agree_over_the_zoo() {
     for (spec, rounds) in zoo() {
-        let full = SymmetricSearch::new(spec.clone(), rounds);
-        let fused = SymmetricSearch::from_spec_streaming(spec.clone(), rounds);
-        let full_result = full.solve();
-        let fused_result = fused.solve();
+        let (full, fused) = both_builds(&spec, rounds);
+        let full_result = solve(&full);
+        let fused_result = solve(&fused);
         assert_eq!(
             full_result.is_solvable(),
             fused_result.is_solvable(),
@@ -74,7 +98,7 @@ fn orbit_counters_match_full_build_counters() {
     // the full pipeline's literal counts.
     for (n, r) in [(2usize, 2usize), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1)] {
         let (_, full) = protocol_complex_with_stats(n, r);
-        let (_, orbit) = ConstraintSystem::streamed(n, r);
+        let (_, orbit) = streamed(n, r);
         assert_eq!(orbit.facets, full.facets, "facets at ({n},{r})");
         assert_eq!(orbit.vertices, full.vertices, "vertices at ({n},{r})");
         assert_eq!(orbit.classes, full.classes, "classes at ({n},{r})");
@@ -91,14 +115,14 @@ fn non_trivial_stabilizers_are_counted_exactly() {
     // schedule is fixed by the whole group, the two-block schedules by
     // a transposition. Any stabilizer slip breaks the 13.
     let mut frontier = OrbitFrontier::new(3);
-    frontier.advance();
-    let stats = frontier.quotient_stats();
+    frontier.advance(&Ticket::unlimited()).unwrap();
+    let stats = frontier.quotient_stats(&Ticket::unlimited()).unwrap();
     assert_eq!(stats.orbit_rows, 4);
     assert_eq!(stats.facets, 13);
     // Two rounds deep the counts must still be exact (13² = 169 facets
     // from 11 representatives — stabilizers persist across rounds).
-    frontier.advance();
-    let stats = frontier.quotient_stats();
+    frontier.advance(&Ticket::unlimited()).unwrap();
+    let stats = frontier.quotient_stats(&Ticket::unlimited()).unwrap();
     assert_eq!(stats.facets, 169);
     assert!(stats.orbit_rows < 169 / 3, "quotient actually collapses");
 }
@@ -106,7 +130,7 @@ fn non_trivial_stabilizers_are_counted_exactly() {
 #[test]
 fn zero_round_orbit_frontier_is_the_fixed_simplex() {
     for n in 1..=4usize {
-        let (system, stats) = ConstraintSystem::streamed(n, 0);
+        let (system, stats) = streamed(n, 0);
         assert_eq!(stats.facets, 1);
         assert_eq!(stats.orbit_rows, 1);
         assert_eq!(stats.classes, 1, "all initial views are isomorphic");
@@ -119,7 +143,7 @@ fn zero_round_orbit_frontier_is_the_fixed_simplex() {
 fn orbit_rows_shrink_by_up_to_the_group_order() {
     // The point of the whole pipeline: χ²(Δ³)'s 5,625 facets are held
     // as ≤ 300 representatives (n! = 24 collapse, minus stabilizers).
-    let (_, stats) = ConstraintSystem::streamed(4, 2);
+    let (_, stats) = streamed(4, 2);
     assert_eq!(stats.facets, 5_625);
     assert!(
         stats.orbit_rows * 18 <= stats.facets,

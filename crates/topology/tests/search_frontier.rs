@@ -12,13 +12,25 @@
 //!   has 865 classes and 5625 facet constraints; one round provably
 //!   needs 10 names, two rounds reach the wait-free optimum of 7.
 
+use gsb_core::govern::Ticket;
 use gsb_core::{GsbSpec, SymmetricGsb};
-use gsb_topology::{election_impossibility_certificate, SearchMode, SearchResult, SymmetricSearch};
+use gsb_topology::{
+    election_impossibility_certificate, CdclConfig, SearchMode, SearchResult, SymmetricSearch,
+};
 
-/// Engine-path shorthand (the free function of the same name is
-/// deprecated in favor of the engine crate).
+/// The fused orbit-quotient build under an unlimited ticket.
+fn build(spec: GsbSpec, rounds: usize) -> SymmetricSearch {
+    SymmetricSearch::build(spec, rounds, &Ticket::unlimited()).expect("unlimited ticket")
+}
+
+/// The front door's plain-CDCL verdict.
+fn solve(search: &SymmetricSearch) -> SearchResult {
+    let (result, _) = search.solve_mode_with(&CdclConfig::default(), SearchMode::Cdcl);
+    result.expect("CDCL is complete")
+}
+
 fn solvable_in_rounds(spec: &GsbSpec, rounds: usize) -> SearchResult {
-    SymmetricSearch::new(spec.clone(), rounds).solve()
+    solve(&build(spec.clone(), rounds))
 }
 
 #[test]
@@ -56,8 +68,8 @@ fn loose_renaming_n4_solved_in_two_rounds() {
     // Previously infeasible: a symmetric decision map for
     // (2n−1)-renaming (7 names) on χ²(Δ³) — 865 classes, 5625 facets.
     let seven = SymmetricGsb::loose_renaming(4).unwrap().to_spec();
-    let search = SymmetricSearch::new(seven, 2);
-    match search.solve() {
+    let search = build(seven, 2);
+    match solve(&search) {
         SearchResult::Solvable { assignment } => {
             // `solve` re-checks every facet before returning; sanity-pin
             // the shape here too.
@@ -75,14 +87,14 @@ fn renaming_n5_needs_fifteen_names_in_one_round() {
     // processes into n(n+1)/2 = 15 names (rank-in-view), and not into
     // the wait-free optimum of 2n−1 = 9.
     let fifteen = SymmetricGsb::renaming(5, 15).unwrap().to_spec();
-    let search = SymmetricSearch::new(fifteen.clone(), 1);
-    let result = search.solve();
+    let search = build(fifteen.clone(), 1);
+    let result = solve(&search);
     assert!(result.is_solvable());
     // The witness replays facet-by-facet on a fresh complex.
     let map = search.decision_map(&result).expect("SAT with known rounds");
     map.check(&fifteen).expect("genuine witness must replay");
     let nine = SymmetricGsb::loose_renaming(5).unwrap().to_spec();
-    assert!(!SymmetricSearch::new(nine, 1).solve().is_solvable());
+    assert!(!solvable_in_rounds(&nine, 1).is_solvable());
 }
 
 #[test]
@@ -106,8 +118,8 @@ fn loose_renaming_n5_solved_in_two_rounds() {
     // symmetric decision map on χ²(Δ⁴) — one round provably needs
     // n(n+1)/2 = 15 names (see above), two reach the wait-free optimum.
     let nine = SymmetricGsb::loose_renaming(5).unwrap().to_spec();
-    let search = SymmetricSearch::from_spec_streaming(nine.clone(), 2);
-    let result = search.solve();
+    let search = build(nine.clone(), 2);
+    let result = solve(&search);
     match &result {
         SearchResult::Solvable { assignment } => {
             assert_eq!(assignment.len(), 10_945);
@@ -130,9 +142,8 @@ fn loose_renaming_n5_r2_race_record() {
     // repair engine race on χ²(Δ⁴), first finisher wins, and either
     // winner's witness is the same replayable decision map.
     let nine = SymmetricGsb::loose_renaming(5).unwrap().to_spec();
-    let search = SymmetricSearch::from_spec_streaming(nine.clone(), 2);
-    let (result, stats) =
-        search.solve_mode_with(&gsb_topology::CdclConfig::default(), SearchMode::Race);
+    let search = build(nine.clone(), 2);
+    let (result, stats) = search.solve_mode_with(&CdclConfig::default(), SearchMode::Race);
     let result = result.expect("the race's CDCL lane is complete");
     match &result {
         SearchResult::Solvable { assignment } => {
@@ -162,11 +173,10 @@ fn wsb_n4_r2_unsat_certificate() {
     // symmetric decision map; contrast loose_renaming(4), SAT on the
     // same complex).
     let wsb = SymmetricGsb::wsb(4).unwrap().to_spec();
-    let search = SymmetricSearch::from_spec_streaming(wsb, 2);
-    let (result, _) =
-        search.solve_mode_with(&gsb_topology::CdclConfig::default(), SearchMode::Cdcl);
+    let search = build(wsb, 2);
+    let (result, _) = search.solve_mode_with(&CdclConfig::default(), SearchMode::Cdcl);
     assert!(
-        !result.expect("ungoverned CDCL is complete").is_solvable(),
+        !result.expect("CDCL is complete").is_solvable(),
         "wsb(4) must have no 2-round symmetric decision map"
     );
 }
@@ -179,18 +189,18 @@ fn wsb_n4_r2_unsat_certificate() {
 #[test]
 fn lifted_map_is_a_complete_witness_one_round_deeper() {
     let spec = SymmetricGsb::renaming(3, 6).unwrap().to_spec();
-    let r1 = SymmetricSearch::new(spec.clone(), 1);
-    let result = r1.solve();
+    let r1 = build(spec.clone(), 1);
+    let result = solve(&r1);
     let map = r1
         .decision_map(&result)
         .expect("renaming(3,6) solves at r = 1");
-    let r2 = SymmetricSearch::new(spec, 2);
+    let r2 = build(spec, 2);
     let seed = r2.lift_warm_start(&map);
     assert_eq!(seed.len(), r2.classes().len());
     assert!(seed.iter().all(|&v| v != 0), "the lift covers every class");
-    let config = gsb_topology::CdclConfig {
+    let config = CdclConfig {
         warm_start: Some(std::sync::Arc::new(seed.clone())),
-        ..gsb_topology::CdclConfig::default()
+        ..CdclConfig::default()
     };
     let (lifted, stats) = r2.solve_mode_with(&config, SearchMode::Local);
     let lifted = lifted.expect("a lifted SAT map is SAT");
@@ -219,20 +229,20 @@ fn loose_renaming_n5_solved_in_three_rounds_by_lifted_map() {
     // recounts every deduplicated facet's value multiset from scratch,
     // finds zero violations, and returns the map without a single move.
     let nine = SymmetricGsb::loose_renaming(5).unwrap().to_spec();
-    let r2 = SymmetricSearch::from_spec_streaming(nine.clone(), 2);
-    let config = gsb_topology::CdclConfig::default();
+    let r2 = build(nine.clone(), 2);
+    let config = CdclConfig::default();
     let (r2_result, r2_stats) = r2.solve_mode_with(&config, SearchMode::Local);
     let r2_result = r2_result.expect("local search cracks the r = 2 record in seconds");
     assert!(r2_stats.local_won);
     let map = r2.decision_map(&r2_result).expect("SAT with known rounds");
-    let r3 = SymmetricSearch::from_spec_streaming(nine, 3);
+    let r3 = build(nine, 3);
     let seed = r3.lift_warm_start(&map);
     assert_eq!(seed.len(), r3.classes().len());
     assert!(seed.iter().all(|&v| v != 0), "the lift covers every class");
     assert!(seed.iter().all(|&v| (1..=9).contains(&v)));
-    let lifted_config = gsb_topology::CdclConfig {
+    let lifted_config = CdclConfig {
         warm_start: Some(std::sync::Arc::new(seed.clone())),
-        ..gsb_topology::CdclConfig::default()
+        ..CdclConfig::default()
     };
     let (r3_result, r3_stats) = r3.solve_mode_with(&lifted_config, SearchMode::Local);
     let r3_result = r3_result.expect("a lifted SAT map is SAT");

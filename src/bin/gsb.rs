@@ -571,7 +571,9 @@ fn complex(args: &Args) -> Result<(), String> {
 /// into a solver-ready constraint system.
 fn complex_orbits(n: usize, rounds: usize, json: bool) -> Result<(), String> {
     let start = std::time::Instant::now();
-    let (system, stats) = gsb_universe::topology::ConstraintSystem::streamed(n, rounds);
+    let ticket = gsb_universe::core::Ticket::unlimited();
+    let (system, stats) = gsb_universe::topology::ConstraintSystem::streamed(n, rounds, &ticket)
+        .map_err(|stopped| stopped.to_string())?;
     let wall = start.elapsed();
     if json {
         let report = Json::Obj(vec![

@@ -91,18 +91,3 @@ fn unified_error_wraps_the_subsystem_crates() {
     let missing = Query::atlas(0).run().unwrap_err();
     assert!(!missing.to_string().is_empty());
 }
-
-#[test]
-fn deprecated_free_function_still_routes() {
-    // The old topology entry point still works (deprecated), and agrees
-    // with the engine path.
-    #[allow(deprecated)]
-    let old = gsb_universe::topology::solvable_in_rounds(
-        &SymmetricGsb::renaming(2, 3).unwrap().to_spec(),
-        1,
-    );
-    let new = Query::solvable_in_rounds(SymmetricGsb::renaming(2, 3).unwrap().to_spec(), 1)
-        .run()
-        .unwrap();
-    assert_eq!(old.is_solvable(), new.evidence.decision_map().is_some());
-}

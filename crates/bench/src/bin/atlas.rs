@@ -1,26 +1,19 @@
 //! The **solvability atlas**: classifies every feasible symmetric GSB
-//! task (Theorems 9–11, Corollaries 2–5), prints the gcd-of-binomials
-//! table behind Theorem 10, and records the engine-vs-naive performance
-//! trajectory in `BENCH_atlas.json` (see `DESIGN.md` §4).
+//! task (Theorems 9–11, Corollaries 2–5) and prints the gcd-of-binomials
+//! table behind Theorem 10. Print-only; the engine-vs-naive timing lives
+//! in the `record` bin's `BENCH_atlas.json` (see `DESIGN.md` §4).
 //!
 //! ```text
-//! cargo run -p gsb-bench --bin atlas [-- max_n [--skip-bench]]
+//! cargo run -p gsb-bench --bin atlas [-- max_n]
 //! ```
-//!
-//! `--skip-bench` prints the classification tables only, skipping the
-//! engine-vs-baseline timing trials and the `BENCH_atlas.json` record.
 
-use gsb_bench::{atlas, atlas_report, write_bench_json};
+use gsb_bench::atlas;
 use gsb_core::solvability::{binomial_gcd, is_prime_power};
 use gsb_core::Solvability;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let skip_bench = args.iter().any(|a| a == "--skip-bench");
-    let max_n: usize = args
-        .iter()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
+    let max_n: usize = std::env::args()
+        .nth(1)
         .map_or(8, |s| s.parse().expect("max_n"));
 
     println!("gcd{{C(n,i) : 1 ≤ i ≤ ⌊n/2⌋}} — the Theorem 10 criterion\n");
@@ -99,24 +92,4 @@ fn main() {
         .filter(|r| r.verdict == Solvability::Open)
         .count();
     println!("\n{open} tasks remain open — the frontier of the paper's §7 questions.");
-
-    if skip_bench {
-        return;
-    }
-    println!("\nPerformance record (engine vs. retained naive baseline)…");
-    let report = atlas_report(max_n);
-    let path = std::path::Path::new("BENCH_atlas.json");
-    match write_bench_json(&report, path) {
-        Ok(()) => println!(
-            "  atlas({max_n}): engine {:.3} ms vs naive {:.3} ms — {:.2}× \
-             (enumeration n=3: {} → {} nodes); written to {}",
-            report.engine_wall.as_secs_f64() * 1e3,
-            report.naive_wall.as_secs_f64() * 1e3,
-            report.atlas_speedup(),
-            report.enumeration.naive_nodes,
-            report.enumeration.memoized_nodes,
-            path.display()
-        ),
-        Err(e) => eprintln!("  could not write {}: {e}", path.display()),
-    }
 }

@@ -1,13 +1,21 @@
-//! # gsb-bench — benchmark harness and paper-style reports
+//! # gsb-bench — paper-style reports and the committed bench records
 //!
-//! Criterion benches (one per reproduced table/figure/experiment, see
-//! `DESIGN.md` §4) and report binaries that print the paper's artifacts:
+//! Report binaries that print the paper's artifacts:
 //!
 //! * `cargo run -p gsb-bench --bin table1` — Table 1 (kernel table).
 //! * `cargo run -p gsb-bench --bin figure1` — Figure 1 (canonical order).
 //! * `cargo run -p gsb-bench --bin figure2` — Theorem 12 validation sweep.
 //! * `cargo run -p gsb-bench --bin atlas` — solvability atlas (Theorems
-//!   9–11 across parameter sweeps) + the `BENCH_atlas.json` perf record.
+//!   9–11 across parameter sweeps).
+//!
+//! and one record binary, `cargo run --release -p gsb-bench --bin
+//! record [-- --quick]`, which measures the atlas, decision-map search
+//! and construction suites, checks every gate, and (without `--quick`)
+//! writes `BENCH_atlas.json`, `BENCH_search.json` and
+//! `BENCH_construct.json`. Every wall column follows one timing rule
+//! ([`sample`]: one warm-up, then the median and IQR of [`TRIALS`] timed
+//! runs), and every record goes through one writer ([`record`] +
+//! [`write_record`]).
 //!
 //! ## The two atlas engines
 //!
@@ -18,11 +26,9 @@
 //!
 //! [`atlas_naive`] is the seed's serial path, retained as the benchmark
 //! baseline: one task at a time, kernel sets recomputed from scratch for
-//! every row, anchoring by definitional kernel-set comparison. The
-//! `naive-atlas` feature rebinds [`atlas`] to it, so
-//! `--features naive-atlas` benchmarks the pre-optimization behaviour
-//! under the production entry point. Both engines produce identical rows
-//! (asserted by tests and by `atlas_report`).
+//! every row, anchoring by definitional kernel-set comparison. Both
+//! engines produce identical rows (asserted by tests and by
+//! [`atlas_report`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +40,7 @@ use gsb_core::govern::{Limits, Ticket};
 use gsb_core::kernel::{KernelSet, KernelVector};
 use gsb_core::order::feasible_family;
 use gsb_core::{Anchoring, Solvability, SymmetricGsb};
+use gsb_engine::Json;
 use gsb_memory::{
     enumerate_decisions_memoized, enumerate_decisions_naive, Action, Executor, Observation,
     Protocol, Symmetry,
@@ -65,23 +72,9 @@ pub struct AtlasRow {
 }
 
 /// Classifies every feasible `⟨n, m, −, −⟩` task for `n ∈ 2..=max_n`,
-/// `m ∈ 1..=n`, with the parallel memoized engine (or the naive serial
-/// baseline when the `naive-atlas` feature is on — see the crate docs).
+/// `m ∈ 1..=n`, with the parallel memoized engine.
 #[must_use]
 pub fn atlas(max_n: usize) -> Vec<AtlasRow> {
-    #[cfg(feature = "naive-atlas")]
-    {
-        atlas_naive(max_n)
-    }
-    #[cfg(not(feature = "naive-atlas"))]
-    {
-        atlas_engine(max_n)
-    }
-}
-
-/// The parallel memoized atlas engine (the default behind [`atlas`]).
-#[must_use]
-pub fn atlas_engine(max_n: usize) -> Vec<AtlasRow> {
     let families: Vec<(usize, usize)> = (2..=max_n)
         .flat_map(|n| (1..=n).map(move |m| (n, m)))
         .collect();
@@ -262,7 +255,7 @@ fn family_rows(n: usize, m: usize) -> Vec<AtlasRow> {
 /// The retained **naive serial baseline**: the seed's one-task-at-a-time
 /// pipeline — kernel sets recomputed from scratch per row, anchoring by
 /// definitional kernel-set comparison, no sharing across synonyms, no
-/// parallelism. Produces exactly the same rows as [`atlas_engine`].
+/// parallelism. Produces exactly the same rows as [`atlas`].
 ///
 /// One shared component is deliberately *not* de-optimized: both paths
 /// call the same `classify()`, whose Theorem-10 gcd lookup reads the
@@ -369,6 +362,155 @@ pub fn seen_count_executor(n: usize) -> Executor {
     Executor::new(protocols, vec![])
 }
 
+/// Timed trials behind every wall column, after one untimed warm-up.
+pub const TRIALS: usize = 7;
+
+/// A warm-up slower than this is kept as the measurement's single
+/// sample: minutes of search dwarf scheduler noise, and eight such runs
+/// would not fit a record run.
+pub const HEAVY: Duration = Duration::from_secs(20);
+
+/// One wall-time measurement under the [`sample`] rule.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Wall {
+    /// Median of the timed trials.
+    pub median: Duration,
+    /// Interquartile range `q3 − q1` of the timed trials (nearest-rank
+    /// quartiles); `None` for a heavyweight single sample.
+    pub iqr: Option<Duration>,
+}
+
+impl Wall {
+    /// Ratio of medians `self / faster` (≥ 1 means `faster` wins).
+    #[must_use]
+    pub fn ratio(self, faster: Wall) -> f64 {
+        self.median.as_secs_f64() / faster.median.as_secs_f64().max(f64::EPSILON)
+    }
+}
+
+/// The one timing rule of every record: one untimed warm-up (first-touch
+/// allocator, page-cache and memo-table effects), then [`TRIALS`] timed
+/// runs summarized as median + IQR. A warm-up slower than [`HEAVY`]
+/// becomes the single sample. Returns the last run's output.
+pub fn sample<T>(mut run: impl FnMut() -> T) -> (Wall, T) {
+    let start = Instant::now();
+    let mut out = run();
+    let warm_up = start.elapsed();
+    if warm_up > HEAVY {
+        let wall = Wall {
+            median: warm_up,
+            iqr: None,
+        };
+        return (wall, out);
+    }
+    let mut trials = Vec::with_capacity(TRIALS);
+    for _ in 0..TRIALS {
+        let start = Instant::now();
+        let next = run();
+        trials.push(start.elapsed());
+        out = next; // drop the previous output outside the timed region
+    }
+    (summarize(trials), out)
+}
+
+/// Median and nearest-rank IQR of a set of timed trials.
+fn summarize(mut trials: Vec<Duration>) -> Wall {
+    trials.sort_unstable();
+    let rank = |q: f64| trials[((q * trials.len() as f64).ceil() as usize).max(1) - 1];
+    Wall {
+        median: rank(0.5),
+        iqr: Some(rank(0.75) - rank(0.25)),
+    }
+}
+
+/// Key-ordered JSON object builder for the record writers.
+#[derive(Default)]
+struct Obj(Vec<(String, Json)>);
+
+impl Obj {
+    fn put(mut self, key: &str, value: Json) -> Obj {
+        self.0.push((key.to_string(), value));
+        self
+    }
+
+    fn num(self, key: &str, value: f64) -> Obj {
+        self.put(key, Json::Num(value))
+    }
+
+    /// A value rounded to `places` decimals (`null` when absent).
+    fn round(self, key: &str, value: Option<f64>, places: i32) -> Obj {
+        let scale = 10f64.powi(places);
+        self.put(
+            key,
+            value.map_or(Json::Null, |x| Json::Num((x * scale).round() / scale)),
+        )
+    }
+
+    /// A wall column: `{key}_ms` (the median) and its sibling
+    /// `{key}_iqr_ms`, both `null` when the measurement was skipped.
+    fn wall(self, key: &str, wall: impl Into<Option<Wall>>) -> Obj {
+        let wall = wall.into();
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        self.round(&format!("{key}_ms"), wall.map(|w| ms(w.median)), 3)
+            .round(
+                &format!("{key}_iqr_ms"),
+                wall.and_then(|w| w.iqr).map(ms),
+                3,
+            )
+    }
+
+    fn done(self) -> Json {
+        Json::Obj(self.0)
+    }
+}
+
+/// The checkout's git revision, or `unknown` outside a repository (the
+/// ceiling keeps git from finding a repository above the working
+/// directory).
+fn git_rev() -> String {
+    let cwd = std::env::current_dir().unwrap_or_default();
+    let ceiling = cwd.parent().unwrap_or(&cwd).to_path_buf();
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .env("GIT_CEILING_DIRECTORIES", ceiling)
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Wraps a report body in the header every record shares: `kind`
+/// (`gsb-bench-{name}`), `git_rev`, `threads` and `mode`.
+#[must_use]
+pub fn record(name: &str, quick: bool, body: Json) -> Json {
+    let mut fields = Obj::default()
+        .put("kind", Json::Str(format!("gsb-bench-{name}")))
+        .put("git_rev", Json::Str(git_rev()))
+        .num("threads", rayon::current_num_threads() as f64)
+        .put(
+            "mode",
+            Json::Str(if quick { "quick" } else { "full" }.into()),
+        )
+        .0;
+    if let Json::Obj(pairs) = body {
+        fields.extend(pairs);
+    }
+    Json::Obj(fields)
+}
+
+/// Writes a [`record`] as `BENCH_{name}.json` in the working directory.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_record(name: &str, record: &Json) -> std::io::Result<std::path::PathBuf> {
+    let path = std::path::PathBuf::from(format!("BENCH_{name}.json"));
+    std::fs::write(&path, record.render())?;
+    Ok(path)
+}
+
 /// Node-count and wall-time comparison of the enumeration engines on the
 /// `n`-process [`SeenCountProtocol`] system.
 #[derive(Debug, Clone)]
@@ -382,9 +524,9 @@ pub struct EnumerationComparison {
     /// Nodes visited by the memoized symmetry-reduced engine.
     pub memoized_nodes: usize,
     /// Wall time of the naive reference DFS.
-    pub naive_wall: Duration,
+    pub naive_wall: Wall,
     /// Wall time of the memoized engine.
-    pub memoized_wall: Duration,
+    pub memoized_wall: Wall,
 }
 
 /// Runs both enumeration engines on the `n`-process benchmark system and
@@ -396,15 +538,12 @@ pub struct EnumerationComparison {
 #[must_use]
 pub fn compare_enumeration_engines(n: usize) -> EnumerationComparison {
     let exec = seen_count_executor(n);
-    let start = Instant::now();
-    let (naive_set, naive_stats) =
-        enumerate_decisions_naive(&exec, 1_000_000).expect("bounded protocol");
-    let naive_wall = start.elapsed();
-    let start = Instant::now();
-    let (memo_set, memo_stats) =
+    let (naive_wall, (naive_set, naive_stats)) =
+        sample(|| enumerate_decisions_naive(&exec, 1_000_000).expect("bounded protocol"));
+    let (memoized_wall, (memo_set, memo_stats)) = sample(|| {
         enumerate_decisions_memoized(&exec, 1_000_000, Symmetry::Exchangeable)
-            .expect("bounded protocol");
-    let memoized_wall = start.elapsed();
+            .expect("bounded protocol")
+    });
     assert_eq!(naive_set, memo_set, "engines must agree on the run set");
     EnumerationComparison {
         n,
@@ -416,7 +555,7 @@ pub fn compare_enumeration_engines(n: usize) -> EnumerationComparison {
     }
 }
 
-/// The machine-readable performance record emitted as `BENCH_atlas.json`.
+/// The atlas performance record (`BENCH_atlas.json`).
 #[derive(Debug, Clone)]
 pub struct AtlasReport {
     /// Largest `n` swept.
@@ -424,105 +563,85 @@ pub struct AtlasReport {
     /// Total rows classified.
     pub rows: usize,
     /// Wall time of the parallel memoized engine.
-    pub engine_wall: Duration,
+    pub engine_wall: Wall,
     /// Wall time of the naive serial baseline (same rows).
-    pub naive_wall: Duration,
-    /// Worker threads available to rayon.
-    pub threads: usize,
+    pub naive_wall: Wall,
     /// Enumeration engine comparison (fixed `n = 3` system).
     pub enumeration: EnumerationComparison,
 }
 
 impl AtlasReport {
-    /// Naive-over-engine wall-time ratio (≥ 1 means the engine wins).
+    /// Naive-over-engine ratio of medians (≥ 1 means the engine wins).
     #[must_use]
     pub fn atlas_speedup(&self) -> f64 {
-        self.naive_wall.as_secs_f64() / self.engine_wall.as_secs_f64().max(f64::EPSILON)
+        self.naive_wall.ratio(self.engine_wall)
     }
 
-    /// Serializes the report as JSON (hand-rolled; the offline build has
-    /// no serde).
+    /// The record body (see [`record`] for the shared header).
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub fn body(&self) -> Json {
         let e = &self.enumeration;
-        format!(
-            "{{\n  \"max_n\": {},\n  \"rows\": {},\n  \"threads\": {},\n  \
-             \"atlas\": {{\n    \"engine_wall_ms\": {:.3},\n    \"naive_wall_ms\": {:.3},\n    \
-             \"speedup\": {:.2}\n  }},\n  \
-             \"enumeration\": {{\n    \"n\": {},\n    \"runs\": {},\n    \
-             \"naive_nodes\": {},\n    \"memoized_nodes\": {},\n    \
-             \"node_reduction\": {:.2},\n    \"naive_wall_ms\": {:.3},\n    \
-             \"memoized_wall_ms\": {:.3}\n  }}\n}}\n",
-            self.max_n,
-            self.rows,
-            self.threads,
-            self.engine_wall.as_secs_f64() * 1e3,
-            self.naive_wall.as_secs_f64() * 1e3,
-            self.atlas_speedup(),
-            e.n,
-            e.runs,
-            e.naive_nodes,
-            e.memoized_nodes,
-            e.naive_nodes as f64 / e.memoized_nodes as f64,
-            e.naive_wall.as_secs_f64() * 1e3,
-            e.memoized_wall.as_secs_f64() * 1e3,
-        )
+        Obj::default()
+            .num("max_n", self.max_n as f64)
+            .num("rows", self.rows as f64)
+            .put(
+                "atlas",
+                Obj::default()
+                    .wall("engine_wall", self.engine_wall)
+                    .wall("naive_wall", self.naive_wall)
+                    .round("speedup", Some(self.atlas_speedup()), 2)
+                    .done(),
+            )
+            .put(
+                "enumeration",
+                Obj::default()
+                    .num("n", e.n as f64)
+                    .num("runs", e.runs as f64)
+                    .num("naive_nodes", e.naive_nodes as f64)
+                    .num("memoized_nodes", e.memoized_nodes as f64)
+                    .round(
+                        "node_reduction",
+                        Some(e.naive_nodes as f64 / e.memoized_nodes as f64),
+                        2,
+                    )
+                    .wall("naive_wall", e.naive_wall)
+                    .wall("memoized_wall", e.memoized_wall)
+                    .done(),
+            )
+            .done()
     }
 }
 
-/// Times both atlas engines (verifying they agree row-for-row), runs the
-/// enumeration comparison, and assembles the perf record.
+/// Times both atlas engines under the [`sample`] rule (verifying they
+/// agree row for row), runs the enumeration comparison, and assembles
+/// the record.
 ///
-/// Each engine is timed best-of-5 after a warm-up pass, so the record
-/// reflects steady-state behaviour (the memoized design the optimization
-/// gates on) rather than first-touch cache population or scheduler noise.
-/// The naive baseline recomputes its kernel-set work from scratch on
-/// every call (its only shared cache is `classify()`'s trivial gcd
-/// table — see [`atlas_naive`]), so warm-up effectively only speeds up
-/// the engine side.
+/// The warm-up populates the engine's memo tables, so the record
+/// reflects steady-state behaviour rather than first-touch cache
+/// population. The naive baseline recomputes its kernel-set work from
+/// scratch on every call (its only shared cache is `classify()`'s
+/// trivial gcd table — see [`atlas_naive`]), so warm-up effectively only
+/// speeds up the engine side.
 ///
 /// # Panics
 ///
 /// Panics if the engines produce different rows.
 #[must_use]
 pub fn atlas_report(max_n: usize) -> AtlasReport {
-    const TRIALS: usize = 5;
-    let engine_rows = atlas_engine(max_n); // warm the memo tables
-    let mut engine_wall = Duration::MAX;
-    let mut naive_wall = Duration::MAX;
-    let mut naive_rows = Vec::new();
-    for _ in 0..TRIALS {
-        let start = Instant::now();
-        let rows = atlas_engine(max_n);
-        engine_wall = engine_wall.min(start.elapsed());
-        std::hint::black_box(rows);
-        let start = Instant::now();
-        naive_rows = atlas_naive(max_n);
-        naive_wall = naive_wall.min(start.elapsed());
-    }
+    let (engine_wall, engine_rows) = sample(|| atlas(max_n));
+    let (naive_wall, naive_rows) = sample(|| atlas_naive(max_n));
     assert_eq!(engine_rows, naive_rows, "atlas engines must agree");
     AtlasReport {
         max_n,
         rows: engine_rows.len(),
         engine_wall,
         naive_wall,
-        threads: rayon::current_num_threads(),
         enumeration: compare_enumeration_engines(3),
     }
 }
 
-/// Writes `BENCH_atlas.json` (see [`AtlasReport::to_json`]) to `path`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_bench_json(report: &AtlasReport, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, report.to_json())
-}
-
-/// One row of the decision-map search performance record
-/// (`BENCH_search.json`): the CDCL engine vs. the retained backtracking
-/// baseline on a named instance.
+/// One row of the decision-map search record (`BENCH_search.json`): the
+/// engine vs. the retained backtracking baseline on a named instance.
 #[derive(Debug, Clone)]
 pub struct SearchBenchRow {
     /// Instance label, e.g. `"wsb(3) r=2"`.
@@ -537,110 +656,73 @@ pub struct SearchBenchRow {
     pub facets: usize,
     /// Whether a decision map exists.
     pub solvable: bool,
-    /// Engine wall time under the default unlimited ticket (median of
-    /// 5 after a warmup pair; heavyweight rows keep their single warmup
-    /// sample).
-    pub cdcl_wall: Duration,
-    /// Wall time of the same query run *governed* — generous deadline
-    /// (watchdog armed) plus never-tripping budgets (same sampling as
-    /// `cdcl_wall`). The gap to `cdcl_wall` is what limits and the
-    /// watchdog cost on top of the ticket every query polls.
-    pub governed_wall: Duration,
+    /// Engine wall time, end to end through `gsb_engine::Query`.
+    pub cdcl_wall: Wall,
     /// Winner's solver counters.
     pub cdcl_stats: gsb_topology::SearchStats,
-    /// Wall time of the backtracking baseline run (zero when the row
-    /// skipped the baseline — mode variants of an already-baselined
+    /// Wall time of the backtracking baseline run (zero median when the
+    /// row skipped the baseline — mode variants of an already-baselined
     /// instance).
-    pub baseline_wall: Duration,
+    pub baseline_wall: Wall,
     /// `true` when the baseline hit its node budget before a verdict —
     /// its wall time is then a *lower bound*, and so is the speedup.
     pub baseline_censored: bool,
 }
 
 impl SearchBenchRow {
-    /// Baseline-over-engine wall ratio (a lower bound when censored), or
-    /// `None` when the row skipped the baseline or the *uncensored*
-    /// baseline simply won — tiny instances where a "0.2×" figure would
-    /// misread as a regression instead of "both sides finish in
-    /// microseconds".
+    /// Baseline-over-engine ratio of medians (a lower bound when
+    /// censored), or `None` when the row skipped the baseline or the
+    /// *uncensored* baseline simply won — tiny instances where a "0.2×"
+    /// figure would misread as a regression instead of "both sides
+    /// finish in microseconds".
     #[must_use]
     pub fn speedup(&self) -> Option<f64> {
-        if self.baseline_wall.is_zero() {
+        if self.baseline_wall.median.is_zero() {
             return None;
         }
-        let ratio =
-            self.baseline_wall.as_secs_f64() / self.cdcl_wall.as_secs_f64().max(f64::EPSILON);
+        let ratio = self.baseline_wall.ratio(self.cdcl_wall);
         (self.baseline_censored || ratio >= 1.0).then_some(ratio)
-    }
-
-    /// Governed-over-unlimited wall overhead as a fraction (`0.01` =
-    /// 1%); negative when scheduler noise made the governed run win.
-    #[must_use]
-    pub fn governed_overhead(&self) -> f64 {
-        self.governed_wall.as_secs_f64() / self.cdcl_wall.as_secs_f64().max(f64::EPSILON) - 1.0
     }
 }
 
-/// The machine-readable record emitted as `BENCH_search.json`.
+/// The decision-map search record (`BENCH_search.json`).
 #[derive(Debug, Clone)]
 pub struct SearchReport {
     /// Per-instance engine comparison.
     pub rows: Vec<SearchBenchRow>,
-    /// Worker threads available to the portfolio.
-    pub threads: usize,
 }
 
 impl SearchReport {
-    /// Serializes the report as JSON (hand-rolled; the offline build has
-    /// no serde).
+    /// The record body (see [`record`] for the shared header).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"threads\": ");
-        out.push_str(&self.threads.to_string());
-        out.push_str(",\n  \"instances\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
+    pub fn body(&self) -> Json {
+        let rows = self.rows.iter().map(|row| {
             let s = &row.cdcl_stats;
-            out.push_str(&format!(
-                "    {{\n      \"instance\": \"{}\",\n      \"mode\": \"{}\",\n      \
-                 \"warm_seeded\": {},\n      \
-                 \"classes\": {},\n      \
-                 \"facets\": {},\n      \"solvable\": {},\n      \
-                 \"cdcl_wall_ms\": {:.3},\n      \"governed_wall_ms\": {:.3},\n      \
-                 \"governed_overhead_pct\": {:.2},\n      \
-                 \"baseline_wall_ms\": {:.3},\n      \
-                 \"baseline_censored\": {},\n      \"speedup\": {},\n      \
-                 \"conflicts\": {},\n      \"decisions\": {},\n      \
-                 \"propagations\": {},\n      \"learned\": {},\n      \
-                 \"symmetric_images\": {},\n      \"restarts\": {},\n      \
-                 \"local_steps\": {},\n      \"local_restarts\": {},\n      \
-                 \"local_won\": {}\n    }}{}\n",
-                row.instance,
-                row.mode,
-                row.warm_seeded,
-                row.classes,
-                row.facets,
-                row.solvable,
-                row.cdcl_wall.as_secs_f64() * 1e3,
-                row.governed_wall.as_secs_f64() * 1e3,
-                row.governed_overhead() * 100.0,
-                row.baseline_wall.as_secs_f64() * 1e3,
-                row.baseline_censored,
-                row.speedup()
-                    .map_or("null".to_string(), |ratio| format!("{ratio:.1}")),
-                s.conflicts,
-                s.decisions,
-                s.propagations,
-                s.learned,
-                s.symmetric_images,
-                s.restarts,
-                s.local_steps,
-                s.local_restarts,
-                s.local_won,
-                if i + 1 == self.rows.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+            Obj::default()
+                .put("instance", Json::Str(row.instance.clone()))
+                .put("mode", Json::Str(row.mode.clone()))
+                .put("warm_seeded", Json::Bool(row.warm_seeded))
+                .num("classes", row.classes as f64)
+                .num("facets", row.facets as f64)
+                .put("solvable", Json::Bool(row.solvable))
+                .wall("cdcl_wall", row.cdcl_wall)
+                .wall("baseline_wall", row.baseline_wall)
+                .put("baseline_censored", Json::Bool(row.baseline_censored))
+                .round("speedup", row.speedup(), 1)
+                .num("conflicts", s.conflicts as f64)
+                .num("decisions", s.decisions as f64)
+                .num("propagations", s.propagations as f64)
+                .num("learned", s.learned as f64)
+                .num("symmetric_images", s.symmetric_images as f64)
+                .num("restarts", s.restarts as f64)
+                .num("local_steps", s.local_steps as f64)
+                .num("local_restarts", s.local_restarts as f64)
+                .put("local_won", Json::Bool(s.local_won))
+                .done()
+        });
+        Obj::default()
+            .put("instances", Json::Arr(rows.collect()))
+            .done()
     }
 }
 
@@ -654,9 +736,7 @@ pub struct SearchCase {
     pub spec: gsb_core::GsbSpec,
     /// Round bound.
     pub rounds: usize,
-    /// Backtracking-baseline node budget in the default mode.
-    pub default_budget: u64,
-    /// Backtracking-baseline node budget under `--full`.
+    /// Backtracking-baseline node budget of the full record run.
     pub full_budget: u64,
     /// How the engine attacks the row (plain CDCL, the CDCL-vs-local
     /// completion race, or local search alone).
@@ -672,18 +752,11 @@ pub struct SearchCase {
 
 impl SearchCase {
     /// A plain-CDCL case with a baseline run — the historical suite row.
-    fn plain(
-        label: &str,
-        spec: gsb_core::GsbSpec,
-        rounds: usize,
-        default_budget: u64,
-        full_budget: u64,
-    ) -> SearchCase {
+    fn plain(label: &str, spec: gsb_core::GsbSpec, rounds: usize, full_budget: u64) -> SearchCase {
         SearchCase {
             label: label.into(),
             spec,
             rounds,
-            default_budget,
             full_budget,
             mode: SearchMode::Cdcl,
             warm_from: None,
@@ -703,7 +776,6 @@ impl SearchCase {
             label: label.into(),
             spec,
             rounds,
-            default_budget: 0,
             full_budget: 0,
             mode,
             warm_from: None,
@@ -712,13 +784,12 @@ impl SearchCase {
     }
 }
 
-/// The search-bench instance suite: the frontier certificates plus fast
-/// sanity rows. The per-case node budgets bound the backtracking
-/// baseline — the default budgets keep the exponential baseline from
-/// dominating a smoke run (~1 s censored rows); `--full` budgets let
-/// the `wsb(3) r=2` row run to its ~10 s verdict while still bounding
-/// `loose_renaming(4) r=2`, whose plain search would not terminate in
-/// any useful time (the row is then an explicit lower bound).
+/// The search-bench base suite: the frontier certificates plus fast
+/// sanity rows. The per-case full budgets bound the backtracking
+/// baseline: they let the `wsb(3) r=2` row run to its ~10 s verdict
+/// while still bounding `loose_renaming(4) r=2`, whose plain search
+/// would not terminate in any useful time (the row is then an explicit
+/// lower bound).
 #[must_use]
 pub fn search_suite() -> Vec<SearchCase> {
     let loose4 = SymmetricGsb::loose_renaming(4)
@@ -730,13 +801,11 @@ pub fn search_suite() -> Vec<SearchCase> {
             SymmetricGsb::renaming(3, 6).expect("well-formed").to_spec(),
             1,
             u64::MAX,
-            u64::MAX,
         ),
         SearchCase::plain(
             "wsb(3) r=2",
             SymmetricGsb::wsb(3).expect("well-formed").to_spec(),
             2,
-            1_000_000,
             u64::MAX,
         ),
         SearchCase::plain(
@@ -744,17 +813,10 @@ pub fn search_suite() -> Vec<SearchCase> {
             gsb_core::GsbSpec::election(3).expect("well-formed"),
             2,
             u64::MAX,
-            u64::MAX,
         ),
-        SearchCase::plain(
-            "loose_renaming(4) r=2",
-            loose4.clone(),
-            2,
-            1_000_000,
-            100_000_000,
-        ),
+        SearchCase::plain("loose_renaming(4) r=2", loose4.clone(), 2, 100_000_000),
         // The completion-race smoke: the same SAT instance through the
-        // CDCL-vs-local race, cheap enough for every CI run. The search
+        // CDCL-vs-local race, cheap enough for every CI run. The record
         // bin asserts its verdict matches the plain row's.
         SearchCase::variant("loose_renaming(4) r=2 [race]", loose4, 2, SearchMode::Race),
         // The n = 5 frontier, opened by the streaming construction
@@ -768,7 +830,6 @@ pub fn search_suite() -> Vec<SearchCase> {
                 .to_spec(),
             1,
             u64::MAX,
-            u64::MAX,
         ),
         SearchCase::plain(
             "loose_renaming(5) r=1",
@@ -777,13 +838,12 @@ pub fn search_suite() -> Vec<SearchCase> {
                 .to_spec(),
             1,
             u64::MAX,
-            u64::MAX,
         ),
     ]
 }
 
-/// [`search_suite`] plus the heavyweight `--full`-only rows — the
-/// frontier records and the mechanism splits that justify them:
+/// [`search_suite`] plus the heavyweight full-run rows — the frontier
+/// records and the mechanism splits that justify them:
 ///
 /// * `wsb(3) r = 3` — the index-lemma UNSAT over `χ³(Δ²)`'s 1,086
 ///   classes (~136k conflicts, seconds of CDCL).
@@ -810,18 +870,11 @@ pub fn search_suite_full() -> Vec<SearchCase> {
         .to_spec();
     let renaming36 = SymmetricGsb::renaming(3, 6).expect("well-formed").to_spec();
     let mut suite = search_suite();
-    suite.push(SearchCase::plain(
-        "wsb(3) r=3",
-        wsb3.clone(),
-        3,
-        1_000_000,
-        1_000_000,
-    ));
+    suite.push(SearchCase::plain("wsb(3) r=3", wsb3, 3, 1_000_000));
     suite.push(SearchCase::plain(
         "loose_renaming(5) r=2",
         loose5.clone(),
         2,
-        1_000_000,
         1_000_000,
     ));
     suite.push(SearchCase::variant(
@@ -832,7 +885,7 @@ pub fn search_suite_full() -> Vec<SearchCase> {
     ));
     suite.push(SearchCase::variant(
         "loose_renaming(5) r=2 [local]",
-        loose5.clone(),
+        loose5,
         2,
         SearchMode::Local,
     ));
@@ -862,69 +915,44 @@ pub fn reference_baseline(search: &SymmetricSearch, max_nodes: u64) -> Option<Se
         .0
 }
 
-/// How much baseline work [`search_report_budgeted`] may spend per row.
+/// Which suite [`search_report`] runs and how much baseline work it may
+/// spend per row.
 #[derive(Debug, Clone, Copy)]
 pub enum BaselineBudget {
-    /// The suite's per-row default budgets (~1 s censored rows).
-    Default,
-    /// The suite's per-row full budgets (the `wsb(3) r=2` baseline runs
-    /// to its ~10 s verdict; `loose_renaming(4) r=2` stays bounded).
+    /// [`search_suite_full`] with each row's full budget (the
+    /// `wsb(3) r=2` baseline runs to its ~10 s verdict;
+    /// `loose_renaming(4) r=2` stays bounded).
     Full,
-    /// One explicit node cap for every row (CI smoke, tests).
+    /// [`search_suite`] with one node cap for every row (CI smoke,
+    /// tests).
     Capped(u64),
-}
-
-/// Benchmarks the suite with [`BaselineBudget::Full`] or
-/// [`BaselineBudget::Default`]; see [`search_report_budgeted`].
-#[must_use]
-pub fn search_report(full_baseline: bool) -> SearchReport {
-    search_report_budgeted(if full_baseline {
-        BaselineBudget::Full
-    } else {
-        BaselineBudget::Default
-    })
-}
-
-/// Upper median of a timing sample (5 timed trials → the 3rd-fastest;
-/// a single heavyweight sample → itself).
-fn median_wall(samples: &mut [Duration]) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// Benchmarks the suite: the engine (in each case's search mode) vs.
 /// the budgeted backtracking baseline, cross-checking verdicts where
-/// the baseline finishes.
+/// the baseline finishes. Both sides are timed under the [`sample`]
+/// rule.
 ///
 /// The engine side goes through `gsb_engine::Query` — what a production
 /// caller pays end-to-end, including the quotient build — with the
 /// engine cache and evidence checking switched **off** inside the timed
-/// trials so each trial times one real solve; one untimed query with
-/// full evidence checking then replays every SAT witness facet by facet.
-///
-/// Timing discipline: one warmup pair (unlimited + governed,
-/// discarded — it absorbs first-touch allocator and page-cache
-/// effects), then five timed interleaved pairs reported as **medians**.
-/// The old min-of-5 made `governed_overhead_pct` a race between two
-/// minima of a noisy distribution and flapped sign run to run; the
-/// median pair is what the drift gate in the search bin compares.
-/// Heavyweight frontier rows (warmup pair over 20 s, i.e. minutes of
-/// search) keep the warmup pair as their single sample.
+/// trials so each trial times one real solve; the last trial's verdict
+/// then has every SAT witness replayed facet by facet, untimed.
 ///
 /// # Panics
 ///
 /// Panics if the engines disagree on an uncensored row, or if any
 /// evidence fails its re-check (either would be a soundness bug).
 #[must_use]
-pub fn search_report_budgeted(budget_mode: BaselineBudget) -> SearchReport {
+pub fn search_report(budget: BaselineBudget) -> SearchReport {
     use gsb_engine::{EngineOpts, Query};
-    let suite = match budget_mode {
+    let suite = match budget {
         BaselineBudget::Full => search_suite_full(),
-        BaselineBudget::Default | BaselineBudget::Capped(_) => search_suite(),
+        BaselineBudget::Capped(_) => search_suite(),
     };
     let mut rows = Vec::new();
     for case in suite {
-        let mut timing_opts = EngineOpts {
+        let mut opts = EngineOpts {
             use_cache: false,
             check_evidence: false,
             mode: case.mode,
@@ -947,77 +975,25 @@ pub fn search_report_budgeted(budget_mode: BaselineBudget) -> SearchReport {
             let seed = SymmetricSearch::build(case.spec.clone(), case.rounds, &Ticket::unlimited())
                 .expect("unlimited ticket")
                 .lift_warm_start(&map);
-            timing_opts.cdcl.warm_start = Some(std::sync::Arc::new(seed));
+            opts.cdcl.warm_start = Some(std::sync::Arc::new(seed));
         }
-        // The governed twin: same query, generous deadline (watchdog
-        // armed) plus never-tripping budgets — the wall gap to
-        // `cdcl_wall`, which runs under the default unlimited ticket, is
-        // what limits and the watchdog cost. Trials interleave the two
-        // back-to-back so both medians sample the same noise
-        // environment — on a shared box minutes can separate the loops
-        // otherwise.
-        let governed_opts = EngineOpts {
-            deadline: Some(Duration::from_secs(3600)),
-            decision_budget: Some(u64::MAX / 4),
-            conflict_budget: Some(u64::MAX / 4),
-            node_budget: Some(u64::MAX / 4),
-            memory_budget: Some(u64::MAX / 4),
-            ..timing_opts.clone()
-        };
-        let mut cdcl_samples = Vec::new();
-        let mut governed_samples = Vec::new();
-        let mut outcome = None;
-        for trial in 0..6 {
-            let query = Query::solvable_in_rounds(case.spec.clone(), case.rounds)
-                .with_opts(timing_opts.clone());
-            let start = Instant::now();
-            let verdict = query.run().expect("the engine answers the bench suite");
-            let cdcl_t = start.elapsed();
-            outcome = Some(verdict);
-            let query = Query::solvable_in_rounds(case.spec.clone(), case.rounds)
-                .with_opts(governed_opts.clone());
-            let start = Instant::now();
-            let governed = query.run().expect("the governed engine answers the suite");
-            let governed_t = start.elapsed();
-            assert!(
-                !governed.is_indeterminate(),
-                "generous limits must never trip on {}",
-                case.label
-            );
-            if trial == 0 {
-                // Warmup pair: discarded from the medians, except on
-                // heavyweight rows (minutes of search, where noise is
-                // negligible relative to the wall) where it becomes the
-                // single sample.
-                if cdcl_t + governed_t > Duration::from_secs(20) {
-                    cdcl_samples.push(cdcl_t);
-                    governed_samples.push(governed_t);
-                    break;
-                }
-                continue;
-            }
-            cdcl_samples.push(cdcl_t);
-            governed_samples.push(governed_t);
-        }
-        let cdcl_wall = median_wall(&mut cdcl_samples);
-        let governed_wall = median_wall(&mut governed_samples);
-        let verdict = outcome.expect("the timed trials ran");
-        // Untimed verification pass on the held verdict: SAT witnesses
-        // replay facet-by-facet, with no extra solve.
+        let (cdcl_wall, verdict) = sample(|| {
+            Query::solvable_in_rounds(case.spec.clone(), case.rounds)
+                .with_opts(opts.clone())
+                .run()
+                .expect("the engine answers the bench suite")
+        });
         verdict.check().expect("evidence re-verifies");
         let stats = verdict.stats.search.expect("a search ran");
         let solvable = verdict.evidence.decision_map().is_some();
         let search = SymmetricSearch::build(case.spec, case.rounds, &Ticket::unlimited())
             .expect("unlimited ticket");
         let (baseline_wall, baseline_censored) = if case.baseline {
-            let budget = match budget_mode {
-                BaselineBudget::Default => case.default_budget,
+            let nodes = match budget {
                 BaselineBudget::Full => case.full_budget,
                 BaselineBudget::Capped(cap) => cap,
             };
-            let start = Instant::now();
-            let baseline = reference_baseline(&search, budget);
-            let baseline_wall = start.elapsed();
+            let (wall, baseline) = sample(|| reference_baseline(&search, nodes));
             if let Some(baseline) = &baseline {
                 assert_eq!(
                     baseline.is_solvable(),
@@ -1026,12 +1002,12 @@ pub fn search_report_budgeted(budget_mode: BaselineBudget) -> SearchReport {
                     case.label
                 );
             }
-            (baseline_wall, baseline.is_none())
+            (wall, baseline.is_none())
         } else {
             // Mode-variant row of an instance the suite already
             // baselines: a duplicate baseline run would only add
             // minutes. Zero wall marks the skip (`speedup` is null).
-            (Duration::ZERO, true)
+            (Wall::default(), true)
         };
         rows.push(SearchBenchRow {
             instance: case.label,
@@ -1041,31 +1017,17 @@ pub fn search_report_budgeted(budget_mode: BaselineBudget) -> SearchReport {
             facets: search.facet_count(),
             solvable,
             cdcl_wall,
-            governed_wall,
             cdcl_stats: stats,
             baseline_wall,
             baseline_censored,
         });
     }
-    SearchReport {
-        rows,
-        threads: rayon::current_num_threads(),
-    }
+    SearchReport { rows }
 }
 
-/// Writes `BENCH_search.json` (see [`SearchReport::to_json`]) to `path`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_search_json(report: &SearchReport, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, report.to_json())
-}
-
-/// One row of the construction performance record
-/// (`BENCH_construct.json`): the streaming template-stamping subdivision
-/// builder on `χ^r(Δ^{n−1})`, against the retained reference builder
-/// where that is affordable.
+/// One row of the construction record (`BENCH_construct.json`): the
+/// streaming template-stamping subdivision builder on `χ^r(Δ^{n−1})`,
+/// against the retained reference builder where that is affordable.
 #[derive(Debug, Clone)]
 pub struct ConstructRow {
     /// `(n, rounds)` of the subdivision.
@@ -1077,33 +1039,32 @@ pub struct ConstructRow {
     pub stats: gsb_topology::BuildStats,
     /// Streaming build wall time — **includes** the incremental
     /// signature-class tracking, so the finished complex carries its
-    /// quotient (best of 3).
-    pub streaming_wall: Duration,
+    /// quotient.
+    pub streaming_wall: Wall,
     /// Reference (seed) builder wall time, construction only.
-    pub reference_wall: Option<Duration>,
+    pub reference_wall: Option<Wall>,
     /// Reference builder + quotient computation — the like-for-like
     /// end-to-end cost of what the streaming build delivers.
-    pub reference_total_wall: Option<Duration>,
+    pub reference_total_wall: Option<Wall>,
     /// Orbit-quotient counters of the fused instance prep (exact
     /// facet/class counts via orbit–stabilizer, representative rows,
     /// stamped rows).
     pub orbit: gsb_topology::OrbitBuildStats,
     /// Fused orbit-quotient instance prep wall time (streams orbit
     /// representatives straight into the solver's constraint system —
-    /// no complex is materialized; best of 3).
-    pub fused_wall: Duration,
+    /// no complex is materialized).
+    pub fused_wall: Wall,
     /// Full-pipeline instance prep on top of the streamed complex
     /// (`ConstraintSystem::from_complex`) — what the fused path
     /// replaces end to end.
-    pub full_prep_wall: Duration,
+    pub full_prep_wall: Wall,
 }
 
 impl ConstructRow {
     /// Streaming speedup over the reference builder's raw construction.
     #[must_use]
     pub fn build_speedup(&self) -> Option<f64> {
-        self.reference_wall
-            .map(|r| r.as_secs_f64() / self.streaming_wall.as_secs_f64().max(f64::EPSILON))
+        self.reference_wall.map(|r| r.ratio(self.streaming_wall))
     }
 
     /// Streaming speedup over reference construction **plus** quotient —
@@ -1111,7 +1072,7 @@ impl ConstructRow {
     #[must_use]
     pub fn total_speedup(&self) -> Option<f64> {
         self.reference_total_wall
-            .map(|r| r.as_secs_f64() / self.streaming_wall.as_secs_f64().max(f64::EPSILON))
+            .map(|r| r.ratio(self.streaming_wall))
     }
 
     /// Fused-prep speedup over the full construction→instance path
@@ -1119,8 +1080,8 @@ impl ConstructRow {
     /// then hand the solver the byte-identical instance.
     #[must_use]
     pub fn fused_speedup(&self) -> f64 {
-        (self.streaming_wall + self.full_prep_wall).as_secs_f64()
-            / self.fused_wall.as_secs_f64().max(f64::EPSILON)
+        (self.streaming_wall.median + self.full_prep_wall.median).as_secs_f64()
+            / self.fused_wall.median.as_secs_f64().max(f64::EPSILON)
     }
 
     /// Fraction of the full pipeline's stamped rows the orbit pipeline
@@ -1131,70 +1092,48 @@ impl ConstructRow {
     }
 }
 
-/// The machine-readable record emitted as `BENCH_construct.json`.
+/// The construction record (`BENCH_construct.json`).
 #[derive(Debug, Clone)]
 pub struct ConstructReport {
     /// Per-`(n, r)` construction measurements.
     pub rows: Vec<ConstructRow>,
-    /// Worker threads available to the chunked fan-out.
-    pub threads: usize,
 }
 
 impl ConstructReport {
-    /// Serializes the report as JSON (hand-rolled; the offline build has
-    /// no serde).
+    /// The record body (see [`record`] for the shared header).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"threads\": ");
-        out.push_str(&self.threads.to_string());
-        out.push_str(",\n  \"complexes\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let wall = |d: Option<Duration>| {
-                d.map_or("null".to_string(), |d| {
-                    format!("{:.3}", d.as_secs_f64() * 1e3)
-                })
-            };
-            let ratio =
-                |s: Option<f64>| s.map_or("null".to_string(), |value| format!("{value:.1}"));
-            out.push_str(&format!(
-                "    {{\n      \"n\": {},\n      \"rounds\": {},\n      \
-                 \"facets\": {},\n      \"vertices\": {},\n      \"classes\": {},\n      \
-                 \"peak_frontier_rows\": {},\n      \"chunks\": {},\n      \
-                 \"orbit_rows\": {},\n      \"stamped_rows\": {},\n      \
-                 \"streaming_wall_ms\": {:.3},\n      \"reference_wall_ms\": {},\n      \
-                 \"reference_total_wall_ms\": {},\n      \"fused_prep_wall_ms\": {:.3},\n      \
-                 \"full_prep_wall_ms\": {:.3},\n      \"stamp_fraction\": {:.5},\n      \
-                 \"build_speedup\": {},\n      \
-                 \"total_speedup\": {},\n      \"fused_speedup\": {:.1}\n    }}{}\n",
-                row.n,
-                row.rounds,
-                row.stats.facets,
-                row.stats.vertices,
-                row.stats.classes,
-                row.stats.peak_frontier_rows,
-                row.stats.chunks,
-                row.orbit.orbit_rows,
-                row.orbit.stamped_rows,
-                row.streaming_wall.as_secs_f64() * 1e3,
-                wall(row.reference_wall),
-                wall(row.reference_total_wall),
-                row.fused_wall.as_secs_f64() * 1e3,
-                row.full_prep_wall.as_secs_f64() * 1e3,
-                row.stamp_fraction(),
-                ratio(row.build_speedup()),
-                ratio(row.total_speedup()),
-                row.fused_speedup(),
-                if i + 1 == self.rows.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+    pub fn body(&self) -> Json {
+        let rows = self.rows.iter().map(|row| {
+            Obj::default()
+                .num("n", row.n as f64)
+                .num("rounds", row.rounds as f64)
+                .num("facets", row.stats.facets as f64)
+                .num("vertices", row.stats.vertices as f64)
+                .num("classes", row.stats.classes as f64)
+                .num("peak_frontier_rows", row.stats.peak_frontier_rows as f64)
+                .num("chunks", row.stats.chunks as f64)
+                .num("orbit_rows", row.orbit.orbit_rows as f64)
+                .num("stamped_rows", row.orbit.stamped_rows as f64)
+                .wall("streaming_wall", row.streaming_wall)
+                .wall("reference_wall", row.reference_wall)
+                .wall("reference_total_wall", row.reference_total_wall)
+                .wall("fused_prep_wall", row.fused_wall)
+                .wall("full_prep_wall", row.full_prep_wall)
+                .round("stamp_fraction", Some(row.stamp_fraction()), 5)
+                .round("build_speedup", row.build_speedup(), 1)
+                .round("total_speedup", row.total_speedup(), 1)
+                .round("fused_speedup", Some(row.fused_speedup()), 1)
+                .done()
+        });
+        Obj::default()
+            .put("complexes", Json::Arr(rows.collect()))
+            .done()
     }
 }
 
 /// Pinned `(n, r, facets, vertices, classes)` of the construction
-/// frontier — the drift gate the construction bench enforces in CI
-/// (`--quick`) and in full runs. Mirrored by
+/// frontier — the drift gate the construction suite enforces in both
+/// record modes. Mirrored by
 /// `crates/topology/tests/streaming_equivalence.rs`.
 pub const CONSTRUCT_PINNED: &[(usize, usize, usize, usize, usize)] = &[
     (3, 3, 2_197, 1_140, 1_086),
@@ -1209,7 +1148,7 @@ pub const CONSTRUCT_PINNED: &[(usize, usize, usize, usize, usize)] = &[
 /// facet set, and the rows it stamps across all rounds (`χ³(Δ³)`:
 /// 18,429 of 421,875 — under 1/20 of the full pipeline's stampings,
 /// exact thanks to stabilizer-orbit template skipping). Drift-gated by
-/// the construction bench in both modes.
+/// the construction suite in both modes.
 pub const ORBIT_PINNED: &[(usize, usize, usize, usize)] = &[
     (3, 3, 380, 417),
     (4, 2, 281, 289),
@@ -1219,8 +1158,8 @@ pub const ORBIT_PINNED: &[(usize, usize, usize, usize)] = &[
 ];
 
 /// The construction-bench suite: `(n, rounds, run reference builder)`.
-/// `quick` drops `χ³(Δ³)` (the ~1 s flagship row, still covered by the
-/// full run that produces the committed record) and skips the slower
+/// `quick` drops `χ³(Δ³)` (the flagship row, still covered by the full
+/// run that produces the committed record) and skips the slower
 /// reference builds.
 #[must_use]
 pub fn construct_suite(quick: bool) -> Vec<(usize, usize, bool)> {
@@ -1237,105 +1176,114 @@ pub fn construct_suite(quick: bool) -> Vec<(usize, usize, bool)> {
     }
 }
 
-/// Benchmarks the streaming subdivision pipeline: best-of-3 streaming
-/// builds (each delivering the complex *with* its signature quotient)
-/// vs. the retained reference builder (timed both bare and with its
-/// quotient computation), with every row's facet/vertex/class counts
-/// checked against [`CONSTRUCT_PINNED`].
+/// Checks one fused build's orbit shape against the pins: the
+/// orbit–stabilizer counters equal the full `(facets, vertices,
+/// classes)`, the system has one variable per class, and the orbit rows
+/// match [`ORBIT_PINNED`].
+fn check_orbit_shape(
+    n: usize,
+    rounds: usize,
+    full: (usize, usize, usize),
+    orbit: &gsb_topology::OrbitBuildStats,
+    classes: usize,
+) {
+    assert_eq!(
+        (orbit.facets, orbit.vertices, orbit.classes),
+        full,
+        "orbit-quotient counters drifted from the full build at χ^{rounds}(Δ^{})",
+        n - 1
+    );
+    assert_eq!(classes, full.2);
+    if let Some(&(_, _, orbit_rows, stamped_rows)) = ORBIT_PINNED
+        .iter()
+        .find(|&&(pn, pr, ..)| (pn, pr) == (n, rounds))
+    {
+        assert_eq!(
+            (orbit.orbit_rows, orbit.stamped_rows),
+            (orbit_rows, stamped_rows),
+            "orbit-quotient drift at χ^{rounds}(Δ^{})",
+            n - 1
+        );
+    }
+    if (n, rounds) == (4, 3) {
+        // The χ³(Δ³) acceptance lever: the orbit pipeline must stamp at
+        // most 1/20 of the 421,875 full-complex rows.
+        assert!(
+            orbit.stamped_rows as f64 <= orbit.facets as f64 / 20.0,
+            "χ³(Δ³) stamped {} of {} rows (> 1/20)",
+            orbit.stamped_rows,
+            orbit.facets
+        );
+    }
+}
+
+/// Benchmarks the streaming subdivision pipeline under the [`sample`]
+/// rule: streaming builds (each delivering the complex *with* its
+/// signature quotient), the complex-side and fused instance preps, and
+/// the retained reference builder (timed bare and with its quotient),
+/// with every row's counts checked against [`CONSTRUCT_PINNED`] and
+/// [`ORBIT_PINNED`].
 ///
 /// # Panics
 ///
 /// Panics if any measured row drifts from the pinned counts (that would
-/// mean the subdivision pipeline changed the complexes it builds).
+/// mean the subdivision pipeline changed the complexes it builds) or if
+/// the reference and streaming builders disagree.
 #[must_use]
 pub fn construct_report(quick: bool) -> ConstructReport {
     use gsb_topology::{protocol_complex_reference, protocol_complex_with_stats, ConstraintSystem};
     let mut rows = Vec::new();
     for (n, rounds, run_reference) in construct_suite(quick) {
-        let mut streaming_wall = Duration::MAX;
-        let mut full_prep_wall = Duration::MAX;
-        let mut stats = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let (complex, build_stats) = protocol_complex_with_stats(n, rounds);
-            streaming_wall = streaming_wall.min(start.elapsed());
-            // The quotient must be a lookup on the streamed complex; fold
-            // it into the timed region to keep the row honest end-to-end.
-            assert_eq!(
-                complex.signature_quotient().classes.len(),
-                build_stats.classes
-            );
-            // The complex-side instance prep the fused path replaces.
-            let start = Instant::now();
-            let system = ConstraintSystem::from_complex(&complex);
-            full_prep_wall = full_prep_wall.min(start.elapsed());
-            std::hint::black_box(system);
-            stats = Some(build_stats);
-        }
-        let stats = stats.expect("three timed trials ran");
+        let (streaming_wall, (complex, stats)) = sample(|| protocol_complex_with_stats(n, rounds));
+        // The quotient must be a lookup on the streamed complex.
+        assert_eq!(complex.signature_quotient().classes.len(), stats.classes);
+        // The complex-side instance prep the fused path replaces.
+        let (full_prep_wall, _) = sample(|| ConstraintSystem::from_complex(&complex));
+        drop(complex);
         // The fused orbit-quotient instance prep, timed end to end
         // (orbit streaming + constraint expansion + canonical class
         // ordering — everything the solver needs short of the spec).
-        let mut fused_wall = Duration::MAX;
-        let mut orbit = None;
-        let mut fused_system = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let (system, orbit_stats) = ConstraintSystem::streamed(n, rounds, &Ticket::unlimited())
-                .expect("unlimited ticket");
-            fused_wall = fused_wall.min(start.elapsed());
-            orbit = Some(orbit_stats);
-            fused_system = Some(system);
-        }
-        let orbit = orbit.expect("three timed trials ran");
-        let fused_system = fused_system.expect("three timed trials ran");
-        // Orbit-stabilizer accounting must reproduce the full counts.
-        assert_eq!(
-            (orbit.facets, orbit.vertices, orbit.classes),
-            (stats.facets, stats.vertices, stats.classes),
-            "orbit-quotient counters drifted from the full build at χ^{rounds}(Δ^{})",
-            n - 1
-        );
-        assert_eq!(fused_system.class_count(), stats.classes);
+        let (fused_wall, (system, orbit)) = sample(|| {
+            ConstraintSystem::streamed(n, rounds, &Ticket::unlimited()).expect("unlimited ticket")
+        });
+        let full = (stats.facets, stats.vertices, stats.classes);
+        check_orbit_shape(n, rounds, full, &orbit, system.class_count());
         if let Some(&(_, _, facets, vertices, classes)) = CONSTRUCT_PINNED
             .iter()
             .find(|&&(pn, pr, ..)| (pn, pr) == (n, rounds))
         {
             assert_eq!(
-                (stats.facets, stats.vertices, stats.classes),
+                full,
                 (facets, vertices, classes),
                 "construction drift at χ^{rounds}(Δ^{})",
                 n - 1
             );
         }
-        if let Some(&(_, _, orbit_rows, stamped_rows)) = ORBIT_PINNED
-            .iter()
-            .find(|&&(pn, pr, ..)| (pn, pr) == (n, rounds))
-        {
-            assert_eq!(
-                (orbit.orbit_rows, orbit.stamped_rows),
-                (orbit_rows, stamped_rows),
-                "orbit-quotient drift at χ^{rounds}(Δ^{})",
-                n - 1
-            );
-        }
         let (reference_wall, reference_total_wall) = if run_reference {
-            let start = Instant::now();
-            let reference = protocol_complex_reference(n, rounds);
-            let build = start.elapsed();
-            let reference_quotient = reference.signature_quotient();
-            let total = start.elapsed();
-            assert_eq!(reference.facet_count(), stats.facets, "builders disagree");
-            assert_eq!(
-                reference_quotient.classes.len(),
-                stats.classes,
-                "builders disagree on classes"
-            );
+            // The bare build is lapped inside the same trials as the
+            // total, so its median can never exceed the total's.
+            let mut builds = Vec::new();
+            let (total, (facets, classes)) = sample(|| {
+                let start = Instant::now();
+                let reference = protocol_complex_reference(n, rounds);
+                builds.push(start.elapsed());
+                let classes = reference.signature_quotient().classes.len();
+                (reference.facet_count(), classes)
+            });
+            assert_eq!(facets, stats.facets, "builders disagree");
+            assert_eq!(classes, stats.classes, "builders disagree on classes");
+            let build = match total.iqr {
+                Some(_) => summarize(builds.split_off(1)),
+                None => Wall {
+                    median: builds[0],
+                    iqr: None,
+                },
+            };
             (Some(build), Some(total))
         } else {
             (None, None)
         };
-        let row = ConstructRow {
+        rows.push(ConstructRow {
             n,
             rounds,
             stats,
@@ -1345,18 +1293,7 @@ pub fn construct_report(quick: bool) -> ConstructReport {
             orbit,
             fused_wall,
             full_prep_wall,
-        };
-        if (n, rounds) == (4, 3) {
-            // The χ³(Δ³) acceptance lever: the orbit pipeline must stamp
-            // at most 1/20 of the 421,875 full-complex rows.
-            assert!(
-                row.stamp_fraction() <= 1.0 / 20.0,
-                "orbit pipeline stamped {} of {} rows (> 1/20)",
-                row.orbit.stamped_rows,
-                row.stats.facets
-            );
-        }
-        rows.push(row);
+        });
     }
     if quick {
         // The flagship χ³(Δ³) row is too heavy for the quick suite on
@@ -1369,45 +1306,15 @@ pub fn construct_report(quick: bool) -> ConstructReport {
             .iter()
             .find(|&&(pn, pr, ..)| (pn, pr) == (4, 3))
             .expect("χ³(Δ³) is pinned");
-        assert_eq!(
-            (orbit.facets, orbit.vertices, orbit.classes),
+        check_orbit_shape(
+            4,
+            3,
             (facets, vertices, classes),
-            "χ³(Δ³) orbit-quotient counter drift"
-        );
-        assert_eq!(system.class_count(), classes);
-        let &(_, _, orbit_rows, stamped_rows) = ORBIT_PINNED
-            .iter()
-            .find(|&&(pn, pr, ..)| (pn, pr) == (4, 3))
-            .expect("χ³(Δ³) orbit shape is pinned");
-        assert_eq!(
-            (orbit.orbit_rows, orbit.stamped_rows),
-            (orbit_rows, stamped_rows),
-            "χ³(Δ³) orbit shape drift"
-        );
-        assert!(
-            orbit.stamped_rows as f64 <= orbit.facets as f64 / 20.0,
-            "χ³(Δ³) stamped {} of {} rows (> 1/20)",
-            orbit.stamped_rows,
-            orbit.facets
+            &orbit,
+            system.class_count(),
         );
     }
-    ConstructReport {
-        rows,
-        threads: rayon::current_num_threads(),
-    }
-}
-
-/// Writes `BENCH_construct.json` (see [`ConstructReport::to_json`]) to
-/// `path`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_construct_json(
-    report: &ConstructReport,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    std::fs::write(path, report.to_json())
+    ConstructReport { rows }
 }
 
 #[cfg(test)]
@@ -1427,12 +1334,12 @@ mod tests {
 
     #[test]
     fn engine_and_naive_baseline_agree_row_for_row() {
-        assert_eq!(atlas_engine(7), atlas_naive(7));
+        assert_eq!(atlas(7), atlas_naive(7));
     }
 
     #[test]
     fn rows_are_internally_consistent() {
-        for row in atlas_engine(7) {
+        for row in atlas(7) {
             assert!(row.task.is_synonym_of(&row.canonical), "{}", row.task);
             assert_eq!(
                 row.legal_outputs,
@@ -1463,10 +1370,45 @@ mod tests {
     }
 
     #[test]
+    fn sample_reports_median_and_iqr() {
+        let mut calls = 0;
+        let (wall, last) = sample(|| {
+            calls += 1;
+            calls
+        });
+        assert_eq!(
+            (calls, last),
+            (1 + TRIALS, 1 + TRIALS),
+            "one warm-up + trials"
+        );
+        assert!(wall.iqr.is_some());
+        let ms = Duration::from_millis;
+        let wall = summarize([7, 1, 6, 2, 5, 3, 4].map(ms).to_vec());
+        assert_eq!(wall.median, ms(4));
+        assert_eq!(wall.iqr, Some(ms(6) - ms(2)));
+    }
+
+    #[test]
+    fn report_json_shape() {
+        let report = atlas_report(5);
+        assert_eq!(report.rows, atlas(5).len());
+        assert_eq!(
+            (
+                report.enumeration.naive_nodes,
+                report.enumeration.memoized_nodes
+            ),
+            (5248, 145)
+        );
+        let json = record("atlas", true, report.body());
+        assert_eq!(json.get("mode").and_then(Json::as_str), Some("quick"));
+        assert!(json.get("git_rev").and_then(Json::as_str).is_some());
+    }
+
+    #[test]
     fn search_report_rows_and_json_shape() {
         // Tiny baseline cap: the censored rows exercise the lower-bound
-        // path without the multi-second budgets of the default mode.
-        let report = search_report_budgeted(BaselineBudget::Capped(20_000));
+        // path without the multi-second budgets of the full run.
+        let report = search_report(BaselineBudget::Capped(20_000));
         assert_eq!(report.rows.len(), search_suite().len());
         let wsb = report
             .rows
@@ -1490,24 +1432,7 @@ mod tests {
             .expect("race smoke row present");
         assert_eq!(race.mode, "race");
         assert!(race.solvable, "the race reaches the plain row's verdict");
-        assert!(race.baseline_wall.is_zero() && race.speedup().is_none());
-        let json = report.to_json();
-        for key in [
-            "\"threads\"",
-            "\"instance\"",
-            "\"mode\"",
-            "\"warm_seeded\"",
-            "\"cdcl_wall_ms\"",
-            "\"baseline_wall_ms\"",
-            "\"baseline_censored\"",
-            "\"speedup\"",
-            "\"conflicts\"",
-            "\"symmetric_images\"",
-            "\"local_steps\"",
-            "\"local_won\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        assert!(race.baseline_wall.median.is_zero() && race.speedup().is_none());
     }
 
     #[test]
@@ -1529,36 +1454,101 @@ mod tests {
             .find(|r| (r.n, r.rounds) == (5, 2))
             .expect("the n = 5 reach is in the quick suite");
         assert!(n5.reference_wall.is_none(), "quick mode skips slow refs");
-        let json = report.to_json();
-        for key in [
-            "\"threads\"",
-            "\"facets\"",
-            "\"peak_frontier_rows\"",
-            "\"streaming_wall_ms\"",
-            "\"reference_wall_ms\"",
-            "\"build_speedup\"",
-            "\"total_speedup\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        let json = record("construct", true, report.body()).render();
         assert!(
             json.contains("null"),
             "skipped references serialize as null"
         );
     }
 
+    /// Every key path of a JSON document (`a.b`, array elements as
+    /// `a[].b`).
+    fn key_paths(value: &Json, prefix: &str, out: &mut std::collections::BTreeSet<String>) {
+        match value {
+            Json::Obj(pairs) => {
+                for (key, child) in pairs {
+                    let path = format!("{prefix}.{key}");
+                    key_paths(child, &path, out);
+                    out.insert(path);
+                }
+            }
+            Json::Arr(items) => {
+                for item in items {
+                    key_paths(item, &format!("{prefix}[]"), out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The committed records carry exactly the keys the writer emits —
+    /// built here from synthetic rows, with no timing.
     #[test]
-    fn report_json_shape() {
-        let report = atlas_report(5);
-        let json = report.to_json();
-        for key in [
-            "\"max_n\"",
-            "\"rows\"",
-            "\"speedup\"",
-            "\"naive_nodes\"",
-            "\"memoized_nodes\"",
+    fn committed_records_match_the_writer_schema() {
+        let wall = Wall {
+            median: Duration::from_millis(2),
+            iqr: Some(Duration::from_micros(100)),
+        };
+        let atlas = AtlasReport {
+            max_n: 2,
+            rows: 1,
+            engine_wall: wall,
+            naive_wall: wall,
+            enumeration: EnumerationComparison {
+                n: 3,
+                runs: 1,
+                naive_nodes: 2,
+                memoized_nodes: 1,
+                naive_wall: wall,
+                memoized_wall: wall,
+            },
+        };
+        let search = SearchReport {
+            rows: vec![SearchBenchRow {
+                instance: "wsb(3) r=2".into(),
+                mode: "cdcl".into(),
+                warm_seeded: false,
+                classes: 1,
+                facets: 1,
+                solvable: false,
+                cdcl_wall: wall,
+                cdcl_stats: gsb_topology::SearchStats::default(),
+                baseline_wall: wall,
+                baseline_censored: true,
+            }],
+        };
+        let construct = ConstructReport {
+            rows: vec![ConstructRow {
+                n: 3,
+                rounds: 1,
+                stats: gsb_topology::BuildStats::default(),
+                streaming_wall: wall,
+                reference_wall: None,
+                reference_total_wall: None,
+                orbit: gsb_topology::OrbitBuildStats::default(),
+                fused_wall: wall,
+                full_prep_wall: wall,
+            }],
+        };
+        for (name, body) in [
+            ("atlas", atlas.body()),
+            ("search", search.body()),
+            ("construct", construct.body()),
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(format!("BENCH_{name}.json"));
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let committed = Json::parse(&text).expect("committed record parses");
+            let (mut emitted, mut stored) = Default::default();
+            key_paths(&record(name, false, body), "", &mut emitted);
+            key_paths(&committed, "", &mut stored);
+            assert_eq!(emitted, stored, "BENCH_{name}.json drifted from its writer");
+            assert_eq!(
+                committed.get("kind").and_then(Json::as_str),
+                Some(format!("gsb-bench-{name}").as_str())
+            );
         }
     }
 }

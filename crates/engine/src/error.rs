@@ -57,18 +57,6 @@ pub enum Error {
         /// What the re-check found.
         details: String,
     },
-    /// A budgeted engine (the reference backtracker) exhausted its node
-    /// budget before reaching a verdict.
-    ///
-    /// **Legacy surface**: since the governance layer landed, budget and
-    /// deadline exhaustion is reported as an *indeterminate verdict*
-    /// ([`Evidence::Indeterminate`](crate::Evidence::Indeterminate)),
-    /// not an error. The variant is kept so existing matches still
-    /// compile; the engine no longer constructs it.
-    BudgetExhausted {
-        /// The configured node budget.
-        budget: u64,
-    },
     /// A governed computation stopped before reaching a verdict
     /// (cancellation, deadline, budget exhaustion, or an injected
     /// fault). Internal to the dispatcher: [`execute`](crate::Query::run)
@@ -111,9 +99,6 @@ impl fmt::Display for Error {
             }
             Error::EvidenceRejected { details } => {
                 write!(f, "evidence failed re-verification: {details}")
-            }
-            Error::BudgetExhausted { budget } => {
-                write!(f, "reference engine exhausted its {budget}-node budget")
             }
             Error::Interrupted { reason, .. } => {
                 write!(f, "computation stopped: {reason}")
@@ -215,9 +200,6 @@ mod tests {
             details: "classifier says UNSAT, search found a map".into(),
         };
         assert!(e.to_string().contains("disagree"));
-        assert!(Error::BudgetExhausted { budget: 7 }
-            .to_string()
-            .contains('7'));
     }
 
     #[test]

@@ -1139,8 +1139,18 @@ impl Verdict {
     ///
     /// Returns [`Error::Json`] on malformed input.
     pub fn from_json(text: &str) -> Result<Verdict> {
-        let value = Json::parse(text)?;
-        let solvability = match field(&value, "solvability")? {
+        Verdict::from_json_value(&Json::parse(text)?)
+    }
+
+    /// Rebuilds a verdict from an already-parsed JSON value — the inverse
+    /// of [`Verdict::to_json_value`], for callers (the serve client and
+    /// the verdict store) that hold the value inside a larger document.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Json`] on a malformed value.
+    pub fn from_json_value(value: &Json) -> Result<Verdict> {
+        let solvability = match field(value, "solvability")? {
             Json::Null => None,
             Json::Str(s) => Some(Solvability::from_label(s).ok_or_else(|| Error::Json {
                 details: format!("unknown solvability '{s}'"),
@@ -1151,8 +1161,8 @@ impl Verdict {
                 })
             }
         };
-        let evidence = Evidence::from_json_value(field(&value, "evidence")?)?;
-        let prov = field(&value, "provenance")?;
+        let evidence = Evidence::from_json_value(field(value, "evidence")?)?;
+        let prov = field(value, "provenance")?;
         let provenance = Provenance {
             question: Question::from_json_value(field(prov, "question")?)?,
             spec: match field(prov, "spec")? {
@@ -1174,7 +1184,7 @@ impl Verdict {
             justification: str_field(prov, "justification")?.to_string(),
             cache_hit: bool_field(prov, "cache_hit")?,
         };
-        let stats_value = field(&value, "stats")?;
+        let stats_value = field(value, "stats")?;
         let wall_ms = field(stats_value, "wall_ms")?
             .as_f64()
             .ok_or_else(|| Error::Json {

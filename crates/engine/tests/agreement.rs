@@ -80,7 +80,7 @@ fn election_agreement_extends_to_two_rounds() {
 #[test]
 fn budget_exhaustion_is_an_indeterminate_verdict() {
     // Node-budget exhaustion surfaces as an indeterminate verdict, not
-    // as `Error::BudgetExhausted`.
+    // as an error.
     let spec = gsb_core::SymmetricGsb::wsb(3)
         .expect("well-formed")
         .to_spec();

@@ -54,19 +54,32 @@ fn every_evidence_kind_round_trips() {
             "query produced unexpected evidence"
         );
         let json = verdict.to_json();
-        let parsed = Verdict::from_json(&json)
-            .unwrap_or_else(|e| panic!("{expected_kind} failed to parse: {e}\n{json}"));
-        // Everything except wall time is lossless; wall time survives to
-        // f64 precision, which re-rendering pins exactly.
-        assert_eq!(parsed.solvability, verdict.solvability, "{expected_kind}");
-        assert_eq!(parsed.evidence, verdict.evidence, "{expected_kind}");
-        assert_eq!(parsed.provenance, verdict.provenance, "{expected_kind}");
-        assert_eq!(parsed.stats.search, verdict.stats.search, "{expected_kind}");
-        assert_eq!(parsed.to_json(), json, "{expected_kind} not idempotent");
-        // The parsed verdict is still independently checkable.
-        parsed
-            .check()
-            .unwrap_or_else(|e| panic!("{expected_kind} re-check after parse: {e}"));
+        // Both entry points: the text parser, and the value path the
+        // serve client and the verdict store take on an already-parsed
+        // document.
+        for (path, parsed) in [
+            ("text", Verdict::from_json(&json)),
+            ("value", Verdict::from_json_value(&verdict.to_json_value())),
+        ] {
+            let parsed = parsed.unwrap_or_else(|e| {
+                panic!("{expected_kind} ({path}) failed to parse: {e}\n{json}")
+            });
+            // Everything except wall time is lossless; wall time survives
+            // to f64 precision, which re-rendering pins exactly.
+            assert_eq!(parsed.solvability, verdict.solvability, "{expected_kind}");
+            assert_eq!(parsed.evidence, verdict.evidence, "{expected_kind}");
+            assert_eq!(parsed.provenance, verdict.provenance, "{expected_kind}");
+            assert_eq!(parsed.stats.search, verdict.stats.search, "{expected_kind}");
+            assert_eq!(
+                parsed.to_json(),
+                json,
+                "{expected_kind} ({path}) not idempotent"
+            );
+            // The parsed verdict is still independently checkable.
+            parsed
+                .check()
+                .unwrap_or_else(|e| panic!("{expected_kind} ({path}) re-check after parse: {e}"));
+        }
     }
 }
 

@@ -227,7 +227,7 @@ impl Client {
                 let verdict = value
                     .get("verdict")
                     .ok_or_else(|| ClientError::Protocol("verdict payload missing".into()))?;
-                let verdict = Verdict::from_json(&verdict.render_compact())
+                let verdict = Verdict::from_json_value(verdict)
                     .map_err(|e| ClientError::Protocol(e.to_string()))?;
                 Ok(Served { verdict, served_by })
             }

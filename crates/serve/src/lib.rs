@@ -22,7 +22,7 @@
 //! `sync_channel`, one compact JSON object per line in each direction
 //! (see [`proto`]), and cooperative shutdown via an atomic flag. A
 //! blocking [`Client`] wraps the same protocol for the CLI's
-//! `--connect` paths, the integration tests, and `gsb-bench serve`.
+//! `--connect` paths, the integration tests, and the `perfbench/` harness.
 //!
 //! Crash safety and self-healing (PR 10): the store rewrites its
 //! append log into sorted, checksummed **generation files**

@@ -552,9 +552,8 @@ fn parse_entry(line: &str) -> Option<(String, Arc<str>)> {
     let verdict = value.get("verdict")?;
     // Only load entries that still parse as verdicts: a corrupt or
     // stale-schema line must not be served back to clients.
-    let rendered = verdict.render_compact();
-    Verdict::from_json(&rendered).ok()?;
-    Some((key.render_compact(), rendered.into()))
+    Verdict::from_json_value(verdict).ok()?;
+    Some((key.render_compact(), verdict.render_compact().into()))
 }
 
 /// The generation file sibling of `path` for generation `number`

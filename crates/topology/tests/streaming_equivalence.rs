@@ -103,7 +103,7 @@ fn streamed_quotient_is_consistent_per_vertex() {
 /// classes)`. Facet counts are the ordered Bell powers `fubini(n)^r`
 /// (stamping is injective); vertex and class counts were cross-checked
 /// against the reference builder when first recorded. The construction
-/// bench (`gsb-bench --bin construct`) fails on drift against the same
+/// bench (`gsb-bench --bin record`) fails on drift against the same
 /// table via [`gsb_topology::BuildStats`].
 const PINNED: &[(usize, usize, usize, usize, usize)] = &[
     (3, 3, 2_197, 1_140, 1_086),

@@ -82,7 +82,7 @@ fn main() {
             r.cdcl_stats.conflicts,
             ms(r.cdcl_wall),
             ms(r.baseline_wall),
-            r.speedup().map_or("—".to_string(), |x| format!("{x:.0}x")),
+            r.speedup().map_or("—".to_string(), |x| format!("{x:.1}x")),
             if r.baseline_censored { "+" } else { " " },
             if r.solvable { "solvable" } else { "UNSAT" },
         );

@@ -416,7 +416,7 @@ pub fn sample<T>(mut run: impl FnMut() -> T) -> (Wall, T) {
 /// Median and nearest-rank IQR of a set of timed trials.
 fn summarize(mut trials: Vec<Duration>) -> Wall {
     trials.sort_unstable();
-    let rank = |q: f64| trials[((q * trials.len() as f64).ceil() as usize).max(1) - 1];
+    let rank = |q: f64| trials[(q * trials.len() as f64).ceil() as usize - 1];
     Wall {
         median: rank(0.5),
         iqr: Some(rank(0.75) - rank(0.25)),
@@ -484,7 +484,7 @@ fn git_rev() -> String {
 /// Wraps a report body in the header every record shares: `kind`
 /// (`gsb-bench-{name}`), `git_rev`, `threads` and `mode`.
 #[must_use]
-pub fn record(name: &str, quick: bool, body: Json) -> Json {
+pub fn record(name: &str, quick: bool, body: Vec<(String, Json)>) -> Json {
     let mut fields = Obj::default()
         .put("kind", Json::Str(format!("gsb-bench-{name}")))
         .put("git_rev", Json::Str(git_rev()))
@@ -494,9 +494,7 @@ pub fn record(name: &str, quick: bool, body: Json) -> Json {
             Json::Str(if quick { "quick" } else { "full" }.into()),
         )
         .0;
-    if let Json::Obj(pairs) = body {
-        fields.extend(pairs);
-    }
+    fields.extend(body);
     Json::Obj(fields)
 }
 
@@ -579,7 +577,7 @@ impl AtlasReport {
 
     /// The record body (see [`record`] for the shared header).
     #[must_use]
-    pub fn body(&self) -> Json {
+    pub fn body(&self) -> Vec<(String, Json)> {
         let e = &self.enumeration;
         Obj::default()
             .num("max_n", self.max_n as f64)
@@ -608,7 +606,7 @@ impl AtlasReport {
                     .wall("memoized_wall", e.memoized_wall)
                     .done(),
             )
-            .done()
+            .0
     }
 }
 
@@ -695,7 +693,7 @@ pub struct SearchReport {
 impl SearchReport {
     /// The record body (see [`record`] for the shared header).
     #[must_use]
-    pub fn body(&self) -> Json {
+    pub fn body(&self) -> Vec<(String, Json)> {
         let rows = self.rows.iter().map(|row| {
             let s = &row.cdcl_stats;
             Obj::default()
@@ -720,9 +718,7 @@ impl SearchReport {
                 .put("local_won", Json::Bool(s.local_won))
                 .done()
         });
-        Obj::default()
-            .put("instances", Json::Arr(rows.collect()))
-            .done()
+        Obj::default().put("instances", Json::Arr(rows.collect())).0
     }
 }
 
@@ -1102,7 +1098,7 @@ pub struct ConstructReport {
 impl ConstructReport {
     /// The record body (see [`record`] for the shared header).
     #[must_use]
-    pub fn body(&self) -> Json {
+    pub fn body(&self) -> Vec<(String, Json)> {
         let rows = self.rows.iter().map(|row| {
             Obj::default()
                 .num("n", row.n as f64)
@@ -1125,9 +1121,7 @@ impl ConstructReport {
                 .round("fused_speedup", Some(row.fused_speedup()), 1)
                 .done()
         });
-        Obj::default()
-            .put("complexes", Json::Arr(rows.collect()))
-            .done()
+        Obj::default().put("complexes", Json::Arr(rows.collect())).0
     }
 }
 

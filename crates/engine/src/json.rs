@@ -2,9 +2,9 @@
 //! writer **and** a parser, so every report the engine emits can be read
 //! back ([`Verdict::from_json`]) and its evidence re-checked offline.
 //!
-//! This is the same dependency posture as the bench crate's
-//! `BENCH_*.json` emitters (the offline build has no serde); the engine
-//! adds the inverse direction, which the round-trip tests pin.
+//! The offline build has no serde, so this model is the workspace's one
+//! JSON writer and parser: the bench crate writes its `BENCH_*.json`
+//! records through it too. The round-trip tests pin the parse direction.
 //!
 //! Two conventions keep the format lossless:
 //!

@@ -50,5 +50,9 @@ check crates/topology/src/protocol.rs      1          4
 # `for` loops; the move loop polls on a 4096-step stride and every
 # restart's construction charges its decisions.
 check crates/topology/src/local.rs         0          2
+# run.rs: query admission polls once per query, and the atlas polls
+# once per (n, m) family stride. With no other thread tripping tickets,
+# polls are the only way a deadline is seen.
+check crates/engine/src/run.rs             1          2
 
 exit "$status"

@@ -930,10 +930,11 @@ pub enum BaselineBudget {
 /// rule.
 ///
 /// The engine side goes through `gsb_engine::Query` — what a production
-/// caller pays end-to-end, including the quotient build — with the
-/// engine cache and evidence checking switched **off** inside the timed
-/// trials so each trial times one real solve; the last trial's verdict
-/// then has every SAT witness replayed facet by facet, untimed.
+/// caller pays end-to-end, including the quotient build — with each
+/// timed trial on a fresh `EngineCache` and evidence checking switched
+/// **off**, so each trial times one real construction and solve; the
+/// last trial's verdict then has every SAT witness replayed facet by
+/// facet, untimed.
 ///
 /// # Panics
 ///
@@ -941,7 +942,7 @@ pub enum BaselineBudget {
 /// evidence fails its re-check (either would be a soundness bug).
 #[must_use]
 pub fn search_report(budget: BaselineBudget) -> SearchReport {
-    use gsb_engine::{EngineOpts, Query};
+    use gsb_engine::{EngineCache, EngineOpts, Query};
     let suite = match budget {
         BaselineBudget::Full => search_suite_full(),
         BaselineBudget::Capped(_) => search_suite(),
@@ -949,7 +950,6 @@ pub fn search_report(budget: BaselineBudget) -> SearchReport {
     let mut rows = Vec::new();
     for case in suite {
         let mut opts = EngineOpts {
-            use_cache: false,
             check_evidence: false,
             mode: case.mode,
             ..EngineOpts::default()
@@ -976,7 +976,7 @@ pub fn search_report(budget: BaselineBudget) -> SearchReport {
         let (cdcl_wall, verdict) = sample(|| {
             Query::solvable_in_rounds(case.spec.clone(), case.rounds)
                 .with_opts(opts.clone())
-                .run()
+                .run_with(&EngineCache::new())
                 .expect("the engine answers the bench suite")
         });
         verdict.check().expect("evidence re-verifies");

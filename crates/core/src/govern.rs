@@ -5,7 +5,7 @@
 //! backtracking oracle, streaming template stamping, orbit-frontier
 //! expansion, and atlas sweeps. A ticket carries
 //!
-//! * a **cooperative cancellation flag** ([`Ticket::cancel`]),
+//! * **cooperative cancellation** ([`Ticket::cancel`]),
 //! * an optional **wall-clock deadline**,
 //! * optional **decision / conflict / node budgets**, and
 //! * an approximate **memory budget** charged at frontier/arena
@@ -23,7 +23,7 @@
 //! trip, or a panic at a counted poll site, proving that every governed
 //! loop actually stops within one polling interval.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum StopReason {
-    /// The caller (or a watchdog) raised the cooperative cancel flag.
+    /// The caller cancelled the computation ([`Ticket::cancel`]).
     Cancelled,
     /// The wall-clock deadline passed.
     Deadline,
@@ -145,17 +145,10 @@ impl Limits {
     pub fn none() -> Self {
         Self::default()
     }
-
-    /// True when every limit is `None` (the ticket can still be
-    /// cancelled or fault-tripped).
-    pub fn is_unlimited(&self) -> bool {
-        *self == Self::default()
-    }
 }
 
 #[derive(Debug)]
 struct TicketShared {
-    cancel: AtomicBool,
     /// First tripped [`StopReason::code`]; 0 = still running.
     stopped: AtomicU8,
     deadline: Option<Instant>,
@@ -187,7 +180,6 @@ impl Ticket {
     pub fn new(limits: Limits) -> Self {
         Ticket {
             inner: Arc::new(TicketShared {
-                cancel: AtomicBool::new(false),
                 stopped: AtomicU8::new(0),
                 deadline: limits.deadline.map(|d| Instant::now() + d),
                 decision_budget: limits.decisions.unwrap_or(u64::MAX),
@@ -207,14 +199,16 @@ impl Ticket {
         Self::new(Limits::none())
     }
 
-    /// Raise the cooperative cancellation flag. Idempotent; safe from
-    /// any thread.
+    /// Cancel the computation: trips the ticket with
+    /// [`StopReason::Cancelled`] unless it already stopped. Idempotent;
+    /// safe from any thread.
     pub fn cancel(&self) {
-        self.inner.cancel.store(true, Ordering::SeqCst);
+        self.trip(StopReason::Cancelled);
     }
 
-    /// Trip the ticket with an explicit reason (used by the watchdog
-    /// and the fault harness). The first reason recorded wins.
+    /// Trip the ticket with an explicit reason (used by cancellation,
+    /// the budget charges, the deadline check, and the fault harness).
+    /// The first reason recorded wins.
     pub fn trip(&self, reason: StopReason) {
         let _ = self.inner.stopped.compare_exchange(
             0,
@@ -226,11 +220,7 @@ impl Ticket {
 
     /// The reason this ticket stopped, if it has.
     pub fn stop_reason(&self) -> Option<StopReason> {
-        match StopReason::from_code(self.inner.stopped.load(Ordering::SeqCst)) {
-            Some(r) => Some(r),
-            None if self.inner.cancel.load(Ordering::SeqCst) => Some(StopReason::Cancelled),
-            None => None,
-        }
+        StopReason::from_code(self.inner.stopped.load(Ordering::SeqCst))
     }
 
     /// Poll the ticket: returns `Err` once any limit has tripped.
@@ -241,14 +231,8 @@ impl Ticket {
     /// practice.
     pub fn check(&self) -> Result<(), Stopped> {
         fault::poll(self);
-        if let Some(reason) = StopReason::from_code(self.inner.stopped.load(Ordering::SeqCst)) {
+        if let Some(reason) = self.stop_reason() {
             return Err(Stopped { reason });
-        }
-        if self.inner.cancel.load(Ordering::SeqCst) {
-            self.trip(StopReason::Cancelled);
-            return Err(Stopped {
-                reason: StopReason::Cancelled,
-            });
         }
         if let Some(deadline) = self.inner.deadline {
             if Instant::now() >= deadline {
@@ -377,7 +361,7 @@ pub mod fault {
     /// What an armed fault plan does when its countdown expires.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum FaultAction {
-        /// Raise the ticket's cooperative cancel flag.
+        /// Cancel the ticket ([`StopReason::Cancelled`]).
         Cancel,
         /// Trip the ticket with [`StopReason::Fault`].
         TripBudget,
@@ -483,8 +467,10 @@ pub mod fault {
     }
 
     /// splitmix64 — the standard seed scrambler; keeps `arm(seed)`
-    /// deterministic but decorrelated from consecutive seeds.
-    fn splitmix64(mut x: u64) -> u64 {
+    /// deterministic but decorrelated from consecutive seeds (the serve
+    /// client's seeded retry jitter draws from it too).
+    #[must_use]
+    pub fn splitmix64(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -649,6 +635,26 @@ mod tests {
             ..Limits::default()
         });
         assert_eq!(t.check().unwrap_err().reason, StopReason::Deadline);
+        // A deadline that passes between polls is seen by the next poll
+        // on the polling thread itself: nothing trips the ticket in the
+        // meantime, then `check` and every `charge_*` report it.
+        let t = Ticket::new(Limits {
+            deadline: Some(Duration::from_millis(25)),
+            ..Limits::default()
+        });
+        t.check().expect("the deadline is still ahead");
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(t.stop_reason(), None, "no poll has run since it passed");
+        assert_eq!(t.check().unwrap_err().reason, StopReason::Deadline);
+        assert_eq!(t.stop_reason(), Some(StopReason::Deadline));
+        let t = Ticket::new(Limits {
+            deadline: Some(Duration::from_millis(25)),
+            ..Limits::default()
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(t.stop_reason(), None);
+        assert_eq!(t.charge_nodes(1).unwrap_err().reason, StopReason::Deadline);
+        assert_eq!(t.stop_reason(), Some(StopReason::Deadline));
     }
 
     #[test]

@@ -20,8 +20,8 @@ use std::sync::Arc;
 use gsb_core::govern::{Stopped, Ticket};
 use gsb_core::{Classification, GsbSpec, StopReason};
 use gsb_topology::{
-    shared_protocol_complex, CdclConfig, ChromaticComplex, ConstraintSystem, DecisionMap,
-    OrbitFrontier, SearchMode, SearchResult, SearchStats, SolveRoute, SymmetricSearch,
+    CdclConfig, ConstraintSystem, DecisionMap, OrbitFrontier, SearchMode, SearchResult,
+    SearchStats, SolveRoute, SymmetricSearch,
 };
 
 use crate::error::Error;
@@ -39,8 +39,6 @@ pub struct CacheStats {
     pub witnesses: usize,
     /// Cached round-bounded search verdicts.
     pub searches: usize,
-    /// Protocol complexes served through the engine's construction layer.
-    pub complexes: usize,
     /// Cached constraint systems (fused orbit-quotient instance preps).
     pub systems: usize,
     /// Orbit frontiers kept for incremental round extension.
@@ -99,7 +97,6 @@ pub struct EngineCache {
     classifications: Mutex<HashMap<GsbSpec, Classification>>,
     witnesses: Mutex<HashMap<GsbSpec, Option<Vec<usize>>>>,
     searches: Mutex<HashMap<(GsbSpec, usize), SearchEntry>>,
-    complexes: Mutex<HashMap<(usize, usize), Arc<ChromaticComplex>>>,
     /// Fused instance preps per `(n, rounds)` — spec-independent, so
     /// every task searched at the same parameters shares one system.
     systems: Mutex<HashMap<(usize, usize), Arc<ConstraintSystem>>>,
@@ -137,23 +134,7 @@ impl EngineCache {
     /// whether it was served from the cache.
     #[must_use]
     pub fn classification(&self, spec: &GsbSpec) -> (Classification, bool) {
-        if let Some(hit) = self
-            .classifications
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(spec)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (hit.clone(), true);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let computed = spec.classify();
-        self.classifications
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .entry(spec.clone())
-            .or_insert_with(|| computed.clone());
-        (computed, false)
+        self.memo(&self.classifications, spec, || spec.classify())
     }
 
     /// No-communication witness of `spec` (Theorem 9 / its asymmetric
@@ -161,19 +142,25 @@ impl EngineCache {
     /// served from the cache.
     #[must_use]
     pub fn no_comm_witness(&self, spec: &GsbSpec) -> (Option<Vec<usize>>, bool) {
-        if let Some(hit) = self
-            .witnesses
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(spec)
-        {
+        self.memo(&self.witnesses, spec, || spec.no_communication_witness())
+    }
+
+    /// The get-or-compute body of the per-spec memo layers: a hit is
+    /// counted and cloned out; a miss is counted, computed outside the
+    /// lock, and inserted (a racing first insert wins).
+    fn memo<V: Clone>(
+        &self,
+        map: &Mutex<HashMap<GsbSpec, V>>,
+        spec: &GsbSpec,
+        compute: impl FnOnce() -> V,
+    ) -> (V, bool) {
+        if let Some(hit) = map.lock().unwrap_or_else(|p| p.into_inner()).get(spec) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (hit.clone(), true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let computed = spec.no_communication_witness();
-        self.witnesses
-            .lock()
+        let computed = compute();
+        map.lock()
             .unwrap_or_else(|p| p.into_inner())
             .entry(spec.clone())
             .or_insert_with(|| computed.clone());
@@ -188,8 +175,7 @@ impl EngineCache {
     /// witnesses' validity) are configuration-independent, so the entry
     /// produced by the first miss is served to every later
     /// configuration. Callers that need config-faithful *counters*
-    /// (benchmarks) bypass the cache via
-    /// [`EngineOpts::use_cache`](crate::EngineOpts::use_cache).
+    /// (benchmarks) run each query on a fresh cache.
     ///
     /// `warm_start` lifts a cached `rounds − 1` SAT decision map through
     /// the subdivision into the solver's seed when one is already
@@ -302,33 +288,6 @@ impl EngineCache {
         seed.iter().any(|&v| v != 0).then(|| Arc::new(seed))
     }
 
-    /// The streamed protocol complex `χ^rounds(Δ^{n−1})`, served through
-    /// the engine's construction layer: first use per `(n, rounds)` pulls
-    /// the process-wide [`shared_protocol_complex`] build (which carries
-    /// its signature quotient from the streaming pipeline) into this
-    /// cache, so batch fan-outs and repeated queries account construction
-    /// reuse in [`CacheStats`] like every other memo layer.
-    #[must_use]
-    pub fn complex(&self, n: usize, rounds: usize) -> (Arc<ChromaticComplex>, bool) {
-        if let Some(hit) = self
-            .complexes
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&(n, rounds))
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(hit), true);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = shared_protocol_complex(n, rounds);
-        self.complexes
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .entry((n, rounds))
-            .or_insert_with(|| Arc::clone(&built));
-        (built, false)
-    }
-
     /// The fused orbit-quotient constraint system for `(n, rounds)`,
     /// memoized — and **extended incrementally**: if a frontier for `n`
     /// is cached at a shallower round (a frontier sweep asking r = 0,
@@ -363,12 +322,13 @@ impl EngineCache {
 
     /// The constraint-system layer without the shared hit/miss
     /// accounting (a nested call inside [`EngineCache::search`] is one
-    /// logical lookup, whatever the internal layering). Construction
+    /// logical lookup, whatever the internal layering; the unmemoized
+    /// `Reference`/`Both` engines solve over it too). Construction
     /// polls the ticket and charges its memory budget; a trip leaves
     /// any cached frontier logically at its previous round (round
     /// commits are atomic — see [`OrbitFrontier::advance`]), so the
     /// cache stays valid for later queries.
-    fn build_system(
+    pub(crate) fn build_system(
         &self,
         n: usize,
         rounds: usize,
@@ -453,11 +413,6 @@ impl EngineCache {
                 .len(),
             searches: self
                 .searches
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .len(),
-            complexes: self
-                .complexes
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .len(),
@@ -564,17 +519,25 @@ mod tests {
     }
 
     #[test]
-    fn complex_layer_serves_the_streamed_build() {
+    fn every_search_engine_shares_the_cached_system() {
+        use crate::{Query, SearchEngine};
         let cache = EngineCache::new();
-        let (first, hit1) = cache.complex(3, 1);
-        let (second, hit2) = cache.complex(3, 1);
-        assert!(!hit1);
-        assert!(hit2);
-        assert!(std::sync::Arc::ptr_eq(&first, &second));
-        assert_eq!(first.facet_count(), 13);
-        // The streamed build carries its quotient: this is a lookup.
-        assert_eq!(first.signature_quotient().classes.len(), 6);
-        assert_eq!(cache.stats().complexes, 1);
+        let spec = SymmetricGsb::wsb(3).unwrap().to_spec();
+        for engine in [
+            SearchEngine::Reference,
+            SearchEngine::Both,
+            SearchEngine::Cdcl,
+        ] {
+            let mut query = Query::solvable_in_rounds(spec.clone(), 1);
+            query.opts_mut().search = engine;
+            let verdict = query.run_with(&cache).expect("clean run");
+            assert_eq!(verdict.is_solvable(), Some(false), "{engine:?}");
+            assert_eq!(
+                cache.stats().systems,
+                1,
+                "{engine:?} solves over the one cached (3, 1) system"
+            );
+        }
     }
 
     #[test]

@@ -1036,7 +1036,6 @@ impl crate::cache::CacheStats {
             ),
             ("witnesses".into(), Json::Num(self.witnesses as f64)),
             ("searches".into(), Json::Num(self.searches as f64)),
-            ("complexes".into(), Json::Num(self.complexes as f64)),
             ("systems".into(), Json::Num(self.systems as f64)),
             ("frontiers".into(), Json::Num(self.frontiers as f64)),
             ("extensions".into(), Json::Num(self.extensions as f64)),
@@ -1056,7 +1055,6 @@ impl crate::cache::CacheStats {
             classifications: usize_field(value, "classifications")?,
             witnesses: usize_field(value, "witnesses")?,
             searches: usize_field(value, "searches")?,
-            complexes: usize_field(value, "complexes")?,
             systems: usize_field(value, "systems")?,
             frontiers: usize_field(value, "frontiers")?,
             extensions: u64_field(value, "extensions")?,
@@ -1338,7 +1336,6 @@ mod tests {
             classifications: 2,
             witnesses: 1,
             searches: 4,
-            complexes: 1,
             systems: 2,
             frontiers: 1,
             extensions: 5,

@@ -116,9 +116,9 @@ pub struct EngineOpts {
     /// Engine used for round-bounded searches (default: CDCL).
     pub search: SearchEngine,
     /// Wall-clock deadline for the whole query. Construction and solve
-    /// loops poll it cooperatively, and a watchdog thread backstops
-    /// solves that poll too rarely. Exhaustion yields an indeterminate
-    /// verdict ([`Evidence::Indeterminate`](crate::Evidence)).
+    /// loops poll it cooperatively, so it is noticed within one polling
+    /// stride. Exhaustion yields an indeterminate verdict
+    /// ([`Evidence::Indeterminate`](crate::Evidence)).
     pub deadline: Option<std::time::Duration>,
     /// CDCL decision budget across all portfolio members.
     pub decision_budget: Option<u64>,
@@ -146,9 +146,6 @@ pub struct EngineOpts {
     /// shared-memory simulator (one run per adversarial identity subset,
     /// capped). Default `false`.
     pub simulate_witness: bool,
-    /// Serve and populate the [`EngineCache`]. Benchmarks that time the
-    /// underlying engines set this to `false`. Default `true`.
-    pub use_cache: bool,
     /// Configuration handed to the conflict-driven engine.
     pub cdcl: CdclConfig,
     /// How the CDCL engine attacks a round-bounded search: plain CDCL,
@@ -176,7 +173,6 @@ impl Default for EngineOpts {
             agreement_rounds: None,
             check_evidence: true,
             simulate_witness: false,
-            use_cache: true,
             cdcl: CdclConfig::default(),
             mode: SearchMode::default(),
             warm_start: true,
@@ -361,7 +357,6 @@ mod tests {
         let opts = EngineOpts::default();
         assert_eq!(opts.search, SearchEngine::Cdcl);
         assert!(opts.check_evidence);
-        assert!(opts.use_cache);
         assert!(!opts.simulate_witness);
         assert_eq!(opts.agreement_rounds, None);
     }

@@ -29,8 +29,7 @@ const MAX_SIMULATED_RUNS: usize = 64;
 /// Executes `query` against `cache`.
 pub(crate) fn execute(query: &Query, cache: &EngineCache) -> Result<Verdict> {
     let start = Instant::now();
-    // Every query holds a ticket: unlimited unless `opts` sets limits,
-    // and registered with the watchdog only when it carries a deadline.
+    // Every query holds a ticket: unlimited unless `opts` sets limits.
     let governor = Governor::new(query.opts());
     let ticket = governor.ticket();
     // Admission: every question observes a tripped ticket at least
@@ -42,7 +41,7 @@ pub(crate) fn execute(query: &Query, cache: &EngineCache) -> Result<Verdict> {
         Question::SolvableInRounds { rounds } => {
             run_rounds(require_spec(query)?, *rounds, query.opts(), cache, ticket)
         }
-        Question::NoCommWitness => run_no_comm(require_spec(query)?, query.opts(), cache),
+        Question::NoCommWitness => run_no_comm(require_spec(query)?, cache),
         Question::Certificate { rounds } => {
             run_certificate(require_spec(query)?, *rounds, query.opts(), cache, ticket)
         }
@@ -101,37 +100,13 @@ fn indeterminate_verdict(
     }
 }
 
-fn classification_of(
-    spec: &GsbSpec,
-    opts: &EngineOpts,
-    cache: &EngineCache,
-) -> (Classification, bool) {
-    if opts.use_cache {
-        cache.classification(spec)
-    } else {
-        (spec.classify(), false)
-    }
-}
-
-fn witness_of(
-    spec: &GsbSpec,
-    opts: &EngineOpts,
-    cache: &EngineCache,
-) -> (Option<Vec<usize>>, bool) {
-    if opts.use_cache {
-        cache.no_comm_witness(spec)
-    } else {
-        (spec.no_communication_witness(), false)
-    }
-}
-
 /// Runs the round-bounded search with the engine(s) selected in `opts`,
-/// enforcing engine-vs-engine agreement when both run: a system from
-/// the cache (through its verdict memo) or from a fresh build, then one
-/// [`SymmetricSearch::solve`] per engine. The ticket is threaded
-/// through construction and solve; a tripped ticket surfaces as
-/// [`Error::Interrupted`] with partial counters, which [`execute`]
-/// converts to an indeterminate verdict.
+/// enforcing engine-vs-engine agreement when both run. CDCL goes
+/// through the cache's verdict memo; `Reference` and `Both` solve over
+/// the cache's shared constraint system and are not memoized. The
+/// ticket is threaded through construction and solve; a tripped ticket
+/// surfaces as [`Error::Interrupted`] with partial counters, which
+/// [`execute`] converts to an indeterminate verdict.
 fn search_at(
     spec: &GsbSpec,
     rounds: usize,
@@ -139,42 +114,36 @@ fn search_at(
     cache: &EngineCache,
     ticket: &Ticket,
 ) -> Result<(SearchEntry, bool, Vec<String>)> {
-    if opts.search == SearchEngine::Cdcl && opts.use_cache {
+    if opts.search == SearchEngine::Cdcl {
         let (entry, hit) =
             cache.search(spec, rounds, &opts.cdcl, opts.mode, opts.warm_start, ticket)?;
         return Ok((entry, hit, vec!["cdcl".into()]));
     }
-    let search = SymmetricSearch::build(spec.clone(), rounds, ticket)?;
+    let (system, _) = cache.build_system(spec.n(), rounds, ticket)?;
+    let search = SymmetricSearch::with_system(spec.clone(), Some(rounds), system);
     let solve = |route| solve_entry(&search, &opts.cdcl, route, ticket);
-    let (entry, engines) = match opts.search {
-        SearchEngine::Cdcl => (solve(SolveRoute::Mode(opts.mode))?, vec!["cdcl"]),
-        SearchEngine::Reference => (solve(SolveRoute::Reference)?, vec!["reference"]),
-        SearchEngine::Both => {
-            // Forced CDCL, bypassing the cache and the tiny-instance
-            // route: the whole point of `Both` is a genuine
-            // cdcl-vs-reference diff, and the production front door
-            // routes small instances to the same backtracker as the
-            // reference arm — which would make this check vacuous
-            // exactly where a CDCL setup bug would first appear.
-            let entry = solve(SolveRoute::Cdcl)?;
-            let (reference, _, _) = solve(SolveRoute::Reference)?;
-            if entry.0.is_solvable() != reference.is_solvable() {
-                return Err(Error::Disagreement {
-                    question: format!("solvable-in-rounds({rounds})"),
-                    details: format!(
-                        "on {spec}: cdcl says '{}', reference says '{}'",
-                        entry.0, reference
-                    ),
-                });
-            }
-            (entry, vec!["cdcl", "reference"])
-        }
-    };
-    Ok((
-        entry,
-        false,
-        engines.into_iter().map(String::from).collect(),
-    ))
+    if opts.search == SearchEngine::Reference {
+        let entry = solve(SolveRoute::Reference)?;
+        return Ok((entry, false, vec!["reference".into()]));
+    }
+    // `Both`: forced CDCL, bypassing the verdict memo and the
+    // tiny-instance route: the whole point of `Both` is a genuine
+    // cdcl-vs-reference diff, and the production front door routes
+    // small instances to the same backtracker as the reference arm —
+    // which would make this check vacuous exactly where a CDCL setup
+    // bug would first appear.
+    let entry = solve(SolveRoute::Cdcl)?;
+    let (reference, _, _) = solve(SolveRoute::Reference)?;
+    if entry.0.is_solvable() != reference.is_solvable() {
+        return Err(Error::Disagreement {
+            question: format!("solvable-in-rounds({rounds})"),
+            details: format!(
+                "on {spec}: cdcl says '{}', reference says '{}'",
+                entry.0, reference
+            ),
+        });
+    }
+    Ok((entry, false, vec!["cdcl".into(), "reference".into()]))
 }
 
 /// `Question::Classify`: the closed-form classifier, with
@@ -185,14 +154,14 @@ fn run_classify(
     cache: &EngineCache,
     ticket: &Ticket,
 ) -> Result<Verdict> {
-    let (classification, cache_hit) = classification_of(spec, opts, cache);
+    let (classification, cache_hit) = cache.classification(spec);
     let mut engines = vec!["classifier".to_string()];
     if let Some(max_rounds) = opts.agreement_rounds {
         agreement_sweep(spec, &classification, max_rounds, opts, cache, ticket)?;
         engines.push("cdcl".into());
         engines.push("reference".into());
     }
-    let evidence = classify_evidence(spec, &classification, opts, cache)?;
+    let evidence = classify_evidence(spec, &classification, cache)?;
     Ok(Verdict {
         solvability: Some(classification.solvability),
         evidence,
@@ -211,7 +180,6 @@ fn run_classify(
 fn classify_evidence(
     spec: &GsbSpec,
     classification: &Classification,
-    opts: &EngineOpts,
     cache: &EngineCache,
 ) -> Result<Evidence> {
     match classification.solvability {
@@ -220,7 +188,7 @@ fn classify_evidence(
             upper_sum: spec.upper_bounds().iter().sum(),
         }),
         Solvability::SolvableWithoutCommunication => {
-            let (witness, _) = witness_of(spec, opts, cache);
+            let (witness, _) = cache.no_comm_witness(spec);
             let witness = witness.ok_or_else(|| Error::EvidenceRejected {
                 details: format!(
                     "classifier ruled {spec} solvable without communication but no witness exists"
@@ -292,7 +260,7 @@ fn run_rounds(
     cache: &EngineCache,
     ticket: &Ticket,
 ) -> Result<Verdict> {
-    let (classification, _) = classification_of(spec, opts, cache);
+    let (classification, _) = cache.classification(spec);
     let ((result, map, stats), cache_hit, mut engines) =
         search_at(spec, rounds, opts, cache, ticket)?;
     engines.push("classifier".into());
@@ -355,8 +323,8 @@ fn run_rounds(
 
 /// `Question::NoCommWitness`: Theorem 9 and its asymmetric
 /// generalization.
-fn run_no_comm(spec: &GsbSpec, opts: &EngineOpts, cache: &EngineCache) -> Result<Verdict> {
-    let (witness, cache_hit) = witness_of(spec, opts, cache);
+fn run_no_comm(spec: &GsbSpec, cache: &EngineCache) -> Result<Verdict> {
+    let (witness, cache_hit) = cache.no_comm_witness(spec);
     let (solvability, evidence, justification, engines) = match witness {
         Some(witness) => (
             Solvability::SolvableWithoutCommunication,
@@ -369,7 +337,7 @@ fn run_no_comm(spec: &GsbSpec, opts: &EngineOpts, cache: &EngineCache) -> Result
             vec!["theorem9".to_string()],
         ),
         None => {
-            let (classification, _) = classification_of(spec, opts, cache);
+            let (classification, _) = cache.classification(spec);
             (
                 classification.solvability,
                 Evidence::NoCommImpossible,
@@ -405,7 +373,7 @@ fn run_certificate(
     ticket: &Ticket,
 ) -> Result<Verdict> {
     // 1. A no-communication witness is the cheapest positive certificate.
-    let (witness, cache_hit) = witness_of(spec, opts, cache);
+    let (witness, cache_hit) = cache.no_comm_witness(spec);
     if let Some(witness) = witness {
         return Ok(Verdict {
             solvability: Some(Solvability::SolvableWithoutCommunication),
@@ -425,14 +393,9 @@ fn run_certificate(
     let n = spec.n();
     if n >= 2 && *spec == GsbSpec::election(n)? {
         election_impossibility_certificate(n, rounds).map_err(gsb_topology::Error::from)?;
-        // The streamed complex, through the engine's construction layer
-        // (accounted in the cache stats) — the certificate above used
-        // the same shared build.
-        let facets = if opts.use_cache {
-            cache.complex(n, rounds).0.facet_count()
-        } else {
-            shared_protocol_complex(n, rounds).facet_count()
-        };
+        // The process-wide streamed build the certificate above just
+        // memoized.
+        let facets = shared_protocol_complex(n, rounds).facet_count();
         return Ok(Verdict {
             solvability: Some(Solvability::NotWaitFreeSolvable),
             evidence: Evidence::ElectionCertificate { rounds, facets },

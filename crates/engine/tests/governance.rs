@@ -44,8 +44,8 @@ fn stop_reason_of(verdict: &Verdict) -> StopReason {
 
 /// A long-running solve under a short deadline stops within a polling
 /// interval instead of hanging: wsb(3) at three rounds is far beyond
-/// the deadline, and the watchdog backstops any stride the CDCL
-/// portfolio runs between polls.
+/// the deadline, and every construction and CDCL poll reads the
+/// deadline itself.
 #[test]
 fn deadline_stops_a_long_cdcl_solve() {
     let _g = lock();
@@ -191,7 +191,6 @@ fn seeded_fault_cancellation_is_deterministic() {
             let guard = fault::arm_action(12, FaultAction::TripBudget);
             let mut query = Query::solvable_in_rounds(wsb(3), 2);
             query.opts_mut().conflict_budget = Some(u64::MAX / 4);
-            query.opts_mut().use_cache = false;
             let verdict = query
                 .run_with(&EngineCache::new())
                 .expect("an injected trip is a verdict");
@@ -211,7 +210,6 @@ fn seeded_fault_cancels_the_reference_backtracker() {
     let mut query = Query::solvable_in_rounds(wsb(3), 1);
     query.opts_mut().search = SearchEngine::Reference;
     query.opts_mut().node_budget = Some(u64::MAX / 4);
-    query.opts_mut().use_cache = false;
     let verdict = query
         .run_with(&EngineCache::new())
         .expect("an injected cancellation is a verdict");
@@ -248,9 +246,7 @@ fn seeded_fault_cancels_orbit_frontier_expansion() {
 fn armed_cancel_reaches_a_query_with_default_opts() {
     let _g = lock();
     let guard = fault::arm_action(1, FaultAction::Cancel);
-    let mut query = Query::solvable_in_rounds(wsb(3), 2);
-    query.opts_mut().use_cache = false;
-    let verdict = query
+    let verdict = Query::solvable_in_rounds(wsb(3), 2)
         .run_with(&EngineCache::new())
         .expect("an injected cancellation is a verdict");
     drop(guard);
@@ -272,7 +268,6 @@ fn poisoned_batch_query_leaves_siblings_intact() {
     // the siblings' two polls, so the injected panic lands in slot 1
     // whatever the scheduling.
     poisoned.opts_mut().conflict_budget = Some(u64::MAX / 4);
-    poisoned.opts_mut().use_cache = false;
     let batch: Batch = [Query::classify(wsb(4)), poisoned, Query::classify(wsb(5))]
         .into_iter()
         .collect();

@@ -179,7 +179,6 @@ fn local_search_witness_replays_through_evidence_check() {
     let spec = SymmetricGsb::loose_renaming(4).unwrap().to_spec();
     let mut query = Query::solvable_in_rounds(spec, 2);
     query.opts_mut().mode = gsb_topology::SearchMode::Local;
-    query.opts_mut().use_cache = false;
     let verdict = query
         .run_with(&EngineCache::new())
         .expect("local search cracks the n=4 SAT instance");

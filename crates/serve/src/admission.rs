@@ -110,9 +110,6 @@ impl AdmissionPolicy {
         opts.conflict_budget = Some(clamp(opts.conflict_budget, self.conflict_cap));
         opts.node_budget = Some(clamp(opts.node_budget, self.node_cap));
         opts.memory_budget = Some(clamp(opts.memory_budget, self.memory_cap));
-        // The shared cache is the whole point of a long-running server;
-        // clients don't get to bypass it.
-        opts.use_cache = true;
         Ok(())
     }
 }
@@ -154,7 +151,6 @@ mod tests {
         policy.admit(&mut query).unwrap();
         assert_eq!(query.opts().conflict_budget, Some(policy.conflict_cap));
         assert_eq!(query.opts().deadline, Some(policy.deadline_cap));
-        assert!(query.opts().use_cache);
         // A modest ask is honored as-is.
         let spec = named_task("wsb", 4, None).unwrap();
         let mut modest = Query::new(spec, Question::Classify);

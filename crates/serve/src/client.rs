@@ -14,6 +14,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use gsb_core::govern::fault::splitmix64;
 use gsb_engine::{Json, Query, Verdict};
 
 use crate::proto::render_query_attempt;
@@ -466,15 +467,6 @@ impl SelfHealingClient {
         }
         Ok(self.client.as_mut().expect("connection just established"))
     }
-}
-
-/// splitmix64 — the same seed scrambler the fault plans use, so a
-/// seeded retry schedule is reproducible run over run.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Maps the server's typed refusals onto [`ClientError`] variants.

@@ -207,18 +207,25 @@ enum Reason {
     Explained(u32),
 }
 
-/// xorshift64* — deterministic, dependency-free randomness.
+/// xorshift64* — deterministic, dependency-free randomness (shared
+/// with the local-search engine).
 #[derive(Debug)]
-struct XorShift(u64);
+pub(crate) struct XorShift(pub(crate) u64);
 
 impl XorShift {
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;
         x ^= x << 25;
         x ^= x >> 27;
         self.0 = x;
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// A draw in `0..bound` (`bound > 0`).
+    pub(crate) fn below(&mut self, bound: usize) -> usize {
+        debug_assert!(bound > 0);
+        (self.next() % bound as u64) as usize
     }
 }
 
@@ -1173,7 +1180,7 @@ impl<'a> Solver<'a> {
             && (self.rng.next() % 100) < u64::from(self.cfg.random_decision_pct)
             && self.class_vars > 0
         {
-            let start = (self.rng.next() % self.class_vars as u64) as usize;
+            let start = self.rng.below(self.class_vars);
             for i in 0..self.class_vars {
                 let v = (start + i) % self.class_vars;
                 if self.value[v] == UNDEF {
@@ -1682,8 +1689,8 @@ mod tests {
             degree[c + 1] += 1;
         }
         for _ in 0..classes {
-            let a = (rng.next() % classes as u64) as usize;
-            let b = (rng.next() % classes as u64) as usize;
+            let a = rng.below(classes);
+            let b = rng.below(classes);
             let (a, b) = (a.min(b), a.max(b));
             let edge = vec![(a as u32, 1), (b as u32, 1)];
             if b > a + 1 && degree[a] < 3 && degree[b] < 3 && !facets.contains(&edge) {
@@ -1694,7 +1701,7 @@ mod tests {
         }
         let mut precedence_order: Vec<u32> = (0..classes as u32).collect();
         for i in (1..classes).rev() {
-            precedence_order.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+            precedence_order.swap(i, rng.below(i + 1));
         }
         Instance {
             classes,

@@ -21,7 +21,7 @@
 //! budgets, and fault injection cover this engine exactly like the
 //! conflict-driven one.
 
-use crate::cdcl::{solve_charged, CdclConfig, CdclResult, Instance, SearchStats};
+use crate::cdcl::{solve_charged, CdclConfig, CdclResult, Instance, SearchStats, XorShift};
 use gsb_core::govern::{Stopped, Ticket};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -61,24 +61,6 @@ pub(crate) struct LocalOutcome {
     pub restarts: u64,
     /// Set when a governance ticket tripped mid-run.
     pub stopped: Option<Stopped>,
-}
-
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        debug_assert!(bound > 0);
-        (self.next() % bound as u64) as usize
-    }
 }
 
 /// Min-conflicts state over one instance: the current assignment, the

@@ -111,7 +111,7 @@ OPTIONS:
                  representative per facet orbit, exact counts by
                  orbit–stabilizer, no complex materialized (complex)
   --json         emit the machine-readable verdict report
-  --deadline-ms MS      wall-clock deadline (watchdog-backed)
+  --deadline-ms MS      wall-clock deadline (checked at every poll)
   --decision-budget D   CDCL decision budget across the portfolio
   --conflict-budget C   CDCL conflict budget across the portfolio
   --node-budget K       reference-backtracker node budget
@@ -991,8 +991,7 @@ fn cache_stats(args: &Args) -> Result<(), String> {
         num("searches")
     );
     println!(
-        "  topology: {} complexes, {} systems, {} frontiers ({} incremental extensions)",
-        num("complexes"),
+        "  topology: {} systems, {} frontiers ({} incremental extensions)",
         num("systems"),
         num("frontiers"),
         num("extensions")

@@ -67,6 +67,11 @@ pub(crate) struct LocalOutcome {
 /// per-`(facet, value)` multiplicity-weighted counts, each facet's
 /// cached violation, and the violated-facet worklist with its position
 /// index for O(1) insert/remove.
+///
+/// A move of class `c` from `cur` to `vi` changes only two counts per
+/// facet of `c`, so both scoring and applying a move are one walk of
+/// `c`'s facets that looks up each changed count's window term in
+/// `rise`, never re-summing a facet's `m` values.
 struct Repair<'a> {
     inst: &'a Instance,
     /// CSR of facet memberships per class: `(facet, multiplicity)`.
@@ -82,16 +87,27 @@ struct Repair<'a> {
     violated: Vec<u32>,
     /// `position[f]` = index of `f` in `violated`, `u32::MAX` if absent.
     position: Vec<u32>,
+    /// Counts per facet range over `0..=width` (the widest facet's
+    /// total multiplicity); `rise` rows are `width + 1` long.
+    width: usize,
+    /// Violation change when one facet's count of value `vi` rises by
+    /// `mult` from `count`, at `(mult·m + vi)·(width + 1) + count`
+    /// (0 where `count + mult` exceeds `width`).
+    rise: Vec<i64>,
 }
 
 impl<'a> Repair<'a> {
     fn new(inst: &'a Instance) -> Repair<'a> {
         let m = inst.values;
         let mut off = vec![0u32; inst.classes + 1];
+        let mut width = 0usize;
         for facet in &inst.facets {
-            for &(c, _) in facet {
+            let mut total = 0usize;
+            for &(c, mult) in facet {
                 off[c as usize + 1] += 1;
+                total += mult as usize;
             }
+            width = width.max(total);
         }
         for i in 1..off.len() {
             off[i] += off[i - 1];
@@ -104,6 +120,19 @@ impl<'a> Repair<'a> {
                 cursor[c as usize] += 1;
             }
         }
+        let window = |vi: usize, count: usize| -> i64 {
+            let count = count as i64;
+            (count - i64::from(inst.upper[vi])).max(0) + (i64::from(inst.lower[vi]) - count).max(0)
+        };
+        let mut rise = vec![0i64; (width + 1) * m * (width + 1)];
+        for mult in 1..=width {
+            for vi in 0..m {
+                for count in 0..=width - mult {
+                    rise[(mult * m + vi) * (width + 1) + count] =
+                        window(vi, count + mult) - window(vi, count);
+                }
+            }
+        }
         Repair {
             inst,
             class_facets_off: off,
@@ -113,7 +142,15 @@ impl<'a> Repair<'a> {
             violation: vec![0; inst.facets.len()],
             violated: Vec::new(),
             position: vec![u32::MAX; inst.facets.len()],
+            width,
+            rise,
         }
+    }
+
+    /// The `m` rows of `rise` for one multiplicity.
+    fn rise_rows(&self, mult: u32) -> &[i64] {
+        let len = self.inst.values * (self.width + 1);
+        &self.rise[mult as usize * len..(mult as usize + 1) * len]
     }
 
     /// Window violation of one facet from its current counts.
@@ -148,17 +185,25 @@ impl<'a> Repair<'a> {
     /// weight-descending `precedence_order`, picking for each class the
     /// value with the smallest *over-window* penalty across its facets
     /// (deficits can still be repaired by later classes, overflows
-    /// cannot), breaking ties by the RNG so restarts diversify.
-    fn construct(&mut self, warm: Option<&[u32]>, rng: &mut XorShift) {
-        let m = self.inst.values;
+    /// cannot), breaking ties by the RNG so restarts diversify. One walk
+    /// of a class's facets scores every value into `penalty` (`m` slots).
+    fn construct(&mut self, warm: Option<&[u32]>, rng: &mut XorShift, penalty: &mut [u64]) {
+        let inst = self.inst;
+        let m = inst.values;
         self.counts.iter_mut().for_each(|c| *c = 0);
-        let order: Vec<u32> = if self.inst.precedence_order.len() == self.inst.classes {
-            self.inst.precedence_order.clone()
+        let identity: Vec<u32>;
+        let order: &[u32] = if inst.precedence_order.len() == inst.classes {
+            &inst.precedence_order
         } else {
-            (0..self.inst.classes as u32).collect()
+            identity = (0..inst.classes as u32).collect();
+            &identity
         };
-        for &c in &order {
+        for &c in order {
             let c = c as usize;
+            let (s, e) = (
+                self.class_facets_off[c] as usize,
+                self.class_facets_off[c + 1] as usize,
+            );
             // A warm seed pins the class's first-restart value outright;
             // later restarts fall through to the greedy pick.
             let seeded = warm
@@ -168,81 +213,73 @@ impl<'a> Repair<'a> {
             let vi = if let Some(vi) = seeded {
                 vi
             } else {
+                penalty.iter_mut().for_each(|p| *p = 0);
+                for &(f, mult) in &self.class_facets[s..e] {
+                    let row = &self.counts[f as usize * m..(f as usize + 1) * m];
+                    for ((p, &count), &u) in penalty.iter_mut().zip(row).zip(&inst.upper) {
+                        *p += u64::from((count + mult).saturating_sub(u));
+                    }
+                }
                 let mut best = 0usize;
                 let mut best_penalty = u64::MAX;
                 let rotate = rng.below(m);
                 for probe in 0..m {
                     let cand = (probe + rotate) % m;
-                    let mut penalty = 0u64;
-                    let (s, e) = (
-                        self.class_facets_off[c] as usize,
-                        self.class_facets_off[c + 1] as usize,
-                    );
-                    for &(f, mult) in &self.class_facets[s..e] {
-                        let count = self.counts[f as usize * m + cand] + mult;
-                        penalty += u64::from(count.saturating_sub(self.inst.upper[cand]));
-                    }
-                    if penalty < best_penalty {
-                        best_penalty = penalty;
+                    if penalty[cand] < best_penalty {
+                        best_penalty = penalty[cand];
                         best = cand;
                     }
                 }
                 best
             };
             self.assign[c] = vi;
-            let (s, e) = (
-                self.class_facets_off[c] as usize,
-                self.class_facets_off[c + 1] as usize,
-            );
-            for i in s..e {
-                let (f, mult) = self.class_facets[i];
+            for &(f, mult) in &self.class_facets[s..e] {
                 self.counts[f as usize * m + vi] += mult;
             }
         }
         self.violated.clear();
         self.position.iter_mut().for_each(|p| *p = u32::MAX);
-        for f in 0..self.inst.facets.len() {
+        for f in 0..inst.facets.len() {
             self.violation[f] = 0;
             let v = self.facet_violation(f);
             self.set_violation(f, v);
         }
     }
 
-    /// Total-violation delta of moving class `c` to value `vi`, without
-    /// applying the move.
-    fn move_delta(&self, c: usize, vi: usize) -> i64 {
+    /// Total-violation delta of moving class `c` to each value, without
+    /// applying the move: `deltas[vi]` for every `vi ≠ assign[c]`, and 0
+    /// at the current value. One walk of the class's facets reads each
+    /// counts row once: the "leave the current value" change is shared
+    /// by every candidate, each value's "enter" change goes to its slot.
+    fn move_deltas(&self, c: usize, deltas: &mut [i64]) {
         let m = self.inst.values;
         let cur = self.assign[c];
-        if cur == vi {
-            return 0;
-        }
-        let mut delta = 0i64;
+        let w1 = self.width + 1;
+        deltas.iter_mut().for_each(|d| *d = 0);
+        let mut leave = 0i64;
         let (s, e) = (
             self.class_facets_off[c] as usize,
             self.class_facets_off[c + 1] as usize,
         );
         for &(f, mult) in &self.class_facets[s..e] {
-            let f = f as usize;
-            let before = i64::from(self.violation[f]);
-            let old_cur = self.counts[f * m + cur];
-            let old_new = self.counts[f * m + vi];
-            let new_cur = old_cur - mult;
-            let new_new = old_new + mult;
-            let part = |count: u32, vx: usize| -> i64 {
-                i64::from(count.saturating_sub(self.inst.upper[vx]))
-                    + i64::from(self.inst.lower[vx].saturating_sub(count))
-            };
-            let after = before - part(old_cur, cur) - part(old_new, vi)
-                + part(new_cur, cur)
-                + part(new_new, vi);
-            delta += after - before;
+            let row = &self.counts[f as usize * m..(f as usize + 1) * m];
+            let rise = self.rise_rows(mult);
+            leave -= rise[cur * w1 + (row[cur] - mult) as usize];
+            for ((d, &count), steps) in deltas.iter_mut().zip(row).zip(rise.chunks_exact(w1)) {
+                *d += steps[count as usize];
+            }
         }
-        delta
+        for d in deltas.iter_mut() {
+            *d += leave;
+        }
+        deltas[cur] = 0;
     }
 
-    /// Apply the move and refresh the touched facets' cached violations.
+    /// Apply the move and refresh the touched facets' cached violations
+    /// from the two changed counts' window terms.
     fn apply_move(&mut self, c: usize, vi: usize) {
         let m = self.inst.values;
+        let w1 = self.width + 1;
         let cur = self.assign[c];
         if cur == vi {
             return;
@@ -255,9 +292,15 @@ impl<'a> Repair<'a> {
         for i in s..e {
             let (f, mult) = self.class_facets[i];
             let f = f as usize;
-            self.counts[f * m + cur] -= mult;
-            self.counts[f * m + vi] += mult;
-            let v = self.facet_violation(f);
+            let rise = self.rise_rows(mult);
+            let left = self.counts[f * m + cur] - mult;
+            let entered = self.counts[f * m + vi];
+            let v = i64::from(self.violation[f]) - rise[cur * w1 + left as usize]
+                + rise[vi * w1 + entered as usize];
+            self.counts[f * m + cur] = left;
+            self.counts[f * m + vi] = entered + mult;
+            let v = u32::try_from(v).expect("facet violation is non-negative");
+            debug_assert_eq!(v, self.facet_violation(f));
             self.set_violation(f, v);
         }
     }
@@ -287,10 +330,17 @@ pub(crate) fn solve_local(
     }
     let mut repair = Repair::new(inst);
     let mut rng = XorShift(cfg.seed | 1);
+    // Per-value scratch: construction penalties and move deltas.
+    let mut penalty = vec![0u64; m];
+    let mut deltas = vec![0i64; m];
     let mut poll_countdown = POLL_STRIDE;
     'restarts: for restart in 0..cfg.restarts.max(1) {
         out.restarts += 1;
-        repair.construct((restart == 0).then_some(warm).flatten(), &mut rng);
+        repair.construct(
+            (restart == 0).then_some(warm).flatten(),
+            &mut rng,
+            &mut penalty,
+        );
         // ticket.check poll site (local-search restart construction)
         if let Err(stop) = ticket.charge_decisions(inst.classes as u64) {
             out.stopped = Some(stop);
@@ -351,16 +401,13 @@ pub(crate) fn solve_local(
                 rng.below(m)
             } else {
                 let rotate = rng.below(m);
+                repair.move_deltas(c, &mut deltas);
                 let mut best = repair.assign[c];
                 let mut best_delta = i64::MAX;
                 for probe in 0..m {
                     let cand = (probe + rotate) % m;
-                    if cand == repair.assign[c] {
-                        continue;
-                    }
-                    let d = repair.move_delta(c, cand);
-                    if d < best_delta {
-                        best_delta = d;
+                    if cand != repair.assign[c] && deltas[cand] < best_delta {
+                        best_delta = deltas[cand];
                         best = cand;
                     }
                 }
@@ -452,6 +499,134 @@ mod tests {
             value_symmetric: true,
             precedence_order: vec![0, 1, 2],
             class_perms: Vec::new(),
+        }
+    }
+
+    /// A seeded random instance that exercises every window term: lower
+    /// windows up to 2, facets of mixed widths whose repeated classes
+    /// give multiplicities above 1, and 1 to 15 values.
+    fn random_instance(rng: &mut XorShift) -> Instance {
+        let classes = 1 + rng.below(10);
+        let values = 1 + rng.below(15);
+        let lower: Vec<u32> = (0..values).map(|_| rng.below(3) as u32).collect();
+        let upper: Vec<u32> = lower.iter().map(|&l| l + rng.below(3) as u32).collect();
+        let facets: Vec<Vec<(u32, u32)>> = (0..1 + rng.below(12))
+            .map(|_| {
+                let mut members: Vec<u32> = (0..1 + rng.below(6))
+                    .map(|_| rng.below(classes) as u32)
+                    .collect();
+                members.sort_unstable();
+                let mut runs: Vec<(u32, u32)> = Vec::new();
+                for c in members {
+                    match runs.last_mut() {
+                        Some((class, mult)) if *class == c => *mult += 1,
+                        _ => runs.push((c, 1)),
+                    }
+                }
+                runs
+            })
+            .collect();
+        Instance {
+            classes,
+            values,
+            lower,
+            upper,
+            facets,
+            class_weight: vec![1; classes],
+            value_symmetric: false,
+            precedence_order: (0..classes as u32).collect(),
+            class_perms: Vec::new(),
+        }
+    }
+
+    /// Per-facet window violations of `assign`, recounted from scratch.
+    fn brute_violations(inst: &Instance, assign: &[usize]) -> Vec<u32> {
+        inst.facets
+            .iter()
+            .map(|facet| {
+                let mut counts = vec![0u32; inst.values];
+                for &(c, mult) in facet {
+                    counts[assign[c as usize]] += mult;
+                }
+                (0..inst.values)
+                    .map(|vi| {
+                        counts[vi].saturating_sub(inst.upper[vi])
+                            + inst.lower[vi].saturating_sub(counts[vi])
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
+    fn brute_total(inst: &Instance, assign: &[usize]) -> i64 {
+        brute_violations(inst, assign)
+            .iter()
+            .map(|&v| i64::from(v))
+            .sum()
+    }
+
+    /// The cached counts, violations, worklist and positions equal a
+    /// full recompute from the assignment.
+    fn assert_state_recomputes(repair: &Repair) {
+        let inst = repair.inst;
+        let m = inst.values;
+        let mut counts = vec![0u32; inst.facets.len() * m];
+        for (f, facet) in inst.facets.iter().enumerate() {
+            for &(c, mult) in facet {
+                counts[f * m + repair.assign[c as usize]] += mult;
+            }
+        }
+        assert_eq!(repair.counts, counts);
+        let violation = brute_violations(inst, &repair.assign);
+        assert_eq!(repair.violation, violation);
+        let mut violated = repair.violated.clone();
+        violated.sort_unstable();
+        let expected: Vec<u32> = (0..inst.facets.len() as u32)
+            .filter(|&f| violation[f as usize] > 0)
+            .collect();
+        assert_eq!(violated, expected);
+        for (f, &pos) in repair.position.iter().enumerate() {
+            if violation[f] > 0 {
+                assert_eq!(repair.violated[pos as usize], f as u32);
+            } else {
+                assert_eq!(pos, u32::MAX);
+            }
+        }
+    }
+
+    /// The incremental repair state against brute force, on seeded
+    /// random instances: after every move, `move_deltas` equals the
+    /// recounted change in total violation for every (class, value),
+    /// and the cached state equals a full recompute. The checks are
+    /// plain asserts, so they hold in release builds too.
+    #[test]
+    fn repair_state_matches_brute_force() {
+        for seed in 1..=300u64 {
+            let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let inst = random_instance(&mut rng);
+            let m = inst.values;
+            let mut repair = Repair::new(&inst);
+            let mut penalty = vec![0u64; m];
+            let mut deltas = vec![0i64; m];
+            repair.construct(None, &mut rng, &mut penalty);
+            assert_state_recomputes(&repair);
+            for _ in 0..24 {
+                let total = brute_total(&inst, &repair.assign);
+                for c in 0..inst.classes {
+                    repair.move_deltas(c, &mut deltas);
+                    for (vi, &delta) in deltas.iter().enumerate() {
+                        let mut moved = repair.assign.clone();
+                        moved[c] = vi;
+                        assert_eq!(
+                            delta,
+                            brute_total(&inst, &moved) - total,
+                            "seed {seed}: class {c} to value {vi}"
+                        );
+                    }
+                }
+                repair.apply_move(rng.below(inst.classes), rng.below(m));
+                assert_state_recomputes(&repair);
+            }
         }
     }
 

@@ -715,6 +715,14 @@ fn index_constraints(
 
 /// Keeps a candidate class permutation only if it is a genuine
 /// non-identity bijection under which the facet family is invariant.
+///
+/// The family is stored lex-sorted and deduplicated, and a bijection on
+/// classes maps distinct multisets to distinct multisets. So the family
+/// is invariant exactly when its images, each sorted and packed
+/// big-endian ([`pack_multiset`]), sort into the family's own packed
+/// rows: one `u128` sort and one merge-compare per candidate, with no
+/// per-candidate hash set. Any image outside the family breaks the
+/// equality, so a surviving candidate maps every row into the family.
 fn verify_class_perm(
     candidate: Option<Vec<u32>>,
     facet_classes: &[u32],
@@ -728,23 +736,40 @@ fn verify_class_perm(
     let mut targets: Vec<u32> = perm.clone();
     targets.sort_unstable();
     targets.dedup();
-    if targets.len() != classes || perm.iter().enumerate().all(|(i, &p)| p == i as u32) {
+    if targets.len() != classes
+        || targets.last().is_some_and(|&t| t as usize >= classes)
+        || perm.iter().enumerate().all(|(i, &p)| p == i as u32)
+    {
         return Vec::new();
     }
     // Facet family invariance.
     let width = width.max(1);
-    let facet_set: HashSet<&[u32]> = facet_classes.chunks_exact(width).collect();
+    let bits = multiset_bits(width);
+    assert!(
+        (classes as u128) <= (1u128 << bits),
+        "class count exceeds the {bits}-bit constraint packing at width {width}"
+    );
     let mut image: Vec<u32> = vec![0; width];
-    for facet in facet_classes.chunks_exact(width) {
-        for (slot, &c) in image.iter_mut().zip(facet) {
-            *slot = perm[c as usize];
-        }
-        image.sort_unstable();
-        if !facet_set.contains(image.as_slice()) {
-            return Vec::new();
-        }
+    let mut images: Vec<u128> = facet_classes
+        .chunks_exact(width)
+        .map(|facet| {
+            for (slot, &c) in image.iter_mut().zip(facet) {
+                *slot = perm[c as usize];
+            }
+            image.sort_unstable();
+            pack_multiset(&image, bits)
+        })
+        .collect();
+    images.sort_unstable();
+    let invariant = images
+        .iter()
+        .zip(facet_classes.chunks_exact(width))
+        .all(|(&img, facet)| img == pack_multiset(facet, bits));
+    if invariant {
+        vec![perm]
+    } else {
+        Vec::new()
     }
-    vec![perm]
 }
 
 /// Distinct-constraint count at or below which the front door of
@@ -1553,6 +1578,54 @@ mod tests {
                 sys.class_count()
             );
             assert!(count >= 1, "reversal must verify at n={n} r={r}");
+        }
+    }
+
+    /// `verify_class_perm` keeps a genuine symmetry and rejects forged
+    /// bijections, non-bijections, out-of-range maps and the identity.
+    #[test]
+    fn class_perm_verification_is_sound() {
+        let (sys, _) = ConstraintSystem::streamed(3, 2, &Ticket::unlimited()).unwrap();
+        let verify = |perm: Vec<u32>| {
+            !verify_class_perm(Some(perm), &sys.facet_classes, sys.width, sys.class_count)
+                .is_empty()
+        };
+        // The order reversal of view signatures is a symmetry.
+        let classes = sys.classes();
+        let index: HashMap<&View, u32> = classes
+            .iter()
+            .enumerate()
+            .map(|(i, sig)| (sig, i as u32))
+            .collect();
+        let reversal: Vec<u32> = classes
+            .iter()
+            .map(|sig| index[&sig.reversed_signature()])
+            .collect();
+        assert!(verify(reversal));
+        // Automorphisms preserve occurrence counts, so swapping two
+        // classes of different weight is a bijection but no symmetry.
+        let (a, b) = (0..sys.class_count)
+            .flat_map(|a| (a + 1..sys.class_count).map(move |b| (a, b)))
+            .find(|&(a, b)| sys.class_weight[a] != sys.class_weight[b])
+            .expect("classes of different weight");
+        let mut forged: Vec<u32> = (0..sys.class_count as u32).collect();
+        forged.swap(a, b);
+        assert!(!verify(forged));
+        // Two classes onto one: not a bijection.
+        let mut merged: Vec<u32> = (0..sys.class_count as u32).collect();
+        merged[1] = 0;
+        assert!(!verify(merged));
+        // Distinct targets, one outside the class range: the family
+        // {0,1}, {0,2} never mentions class 3, so only the range check
+        // stands between this map and acceptance.
+        assert!(verify_class_perm(Some(vec![0, 2, 1, 7]), &[0, 1, 0, 2], 2, 4).is_empty());
+        assert!(!verify_class_perm(Some(vec![0, 2, 1, 3]), &[0, 1, 0, 2], 2, 4).is_empty());
+        // The identity is useless to orbit learning.
+        assert!(!verify((0..sys.class_count as u32).collect()));
+        // The survivors on the streamed systems: the reversal alone.
+        for (n, r) in [(3usize, 1usize), (3, 2), (4, 1), (4, 2)] {
+            let (sys, _) = ConstraintSystem::streamed(n, r, &Ticket::unlimited()).unwrap();
+            assert_eq!(sys.verified_class_perm_count(), 1, "n={n} r={r}");
         }
     }
 

@@ -44,8 +44,12 @@ check() {
 # loop; its third marker is the solver setup-memory charge in
 # solve_charged.
 check crates/topology/src/cdcl.rs         11          3
-check crates/topology/src/solvability.rs   2          1
-check crates/topology/src/protocol.rs      1          4
+# solvability.rs: the backtracker's per-node charge, and the constraint
+# index's memory charge when the orbit path builds a system.
+check crates/topology/src/solvability.rs   2          2
+# protocol.rs: round rows, expansion group elements and emission rows
+# poll on strides.
+check crates/topology/src/protocol.rs      1          3
 # local.rs: the repair engine's restart/move loops are all bounded
 # `for` loops; the move loop polls on a 4096-step stride and every
 # restart's construction charges its decisions.

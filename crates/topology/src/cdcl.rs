@@ -43,41 +43,39 @@
 //! [`solvability`](crate::solvability) as the reference oracle; the
 //! equivalence of the two engines is property-tested over a task zoo.
 
+use crate::solvability::ConstraintIndex;
 use gsb_core::govern::Ticket;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// The quotiented decision-map instance handed to the CDCL engine.
+/// The quotiented decision-map instance handed to the CDCL and local
+/// engines: one spec's value windows over a borrowed constraint index.
 ///
-/// Built by [`SymmetricSearch`](crate::solvability::SymmetricSearch);
-/// all constraint soundness obligations (facet windows, symmetry
-/// verification, precedence applicability) are discharged there.
-/// `PartialEq` backs the orbit-vs-full byte-identity equivalence test.
+/// Built by [`SymmetricSearch`](crate::solvability::SymmetricSearch)
+/// from its cached [`ConstraintSystem`](crate::ConstraintSystem), whose
+/// index and verified symmetries it borrows — building an instance
+/// copies no constraint. All soundness obligations (facet windows,
+/// symmetry verification, precedence applicability) are discharged
+/// there. `PartialEq` backs the orbit-vs-full identity test.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Instance {
-    /// Number of symmetry classes (`k`).
-    pub classes: usize,
+pub(crate) struct Instance<'a> {
     /// Number of output values (`m`).
     pub values: usize,
     /// Per-value lower window bound, indexed by `v − 1`.
     pub lower: Vec<u32>,
     /// Per-value upper window bound, indexed by `v − 1`.
     pub upper: Vec<u32>,
-    /// Facet constraints as `(class, multiplicity)` runs (classes
-    /// strictly increasing within a facet; multiplicities sum to `n`).
-    pub facets: Vec<Vec<(u32, u32)>>,
-    /// Facet-occurrence weight per class (VSIDS seeding).
-    pub class_weight: Vec<usize>,
     /// Whether all values are interchangeable (`spec.is_symmetric()`):
     /// gates value-precedence breaking and value-transposition images.
     pub value_symmetric: bool,
-    /// Class order used for value-precedence breaking (weight-descending,
-    /// mirroring the reference engine's branching order).
-    pub precedence_order: Vec<u32>,
+    /// The facet constraints over `k` classes with their per-class
+    /// `(facet, multiplicity)` index, occurrence weights (VSIDS
+    /// seeding) and weight-descending precedence order.
+    pub index: &'a ConstraintIndex,
     /// Verified class permutations (beyond identity) under which the
     /// facet family is invariant — the view-signature symmetries.
-    pub class_perms: Vec<Vec<u32>>,
+    pub class_perms: &'a [Vec<u32>],
 }
 
 /// Tuning knobs of one CDCL solver; the portfolio diversifies these.
@@ -346,7 +344,7 @@ impl SharedPool {
 }
 
 struct Solver<'a> {
-    inst: &'a Instance,
+    inst: &'a Instance<'a>,
     cfg: CdclConfig,
     /// Number of `x_{c,v}` variables (`k · m`, numbered `c · m + v − 1`);
     /// the value-precedence ladder's auxiliaries are numbered after them.
@@ -371,12 +369,9 @@ struct Solver<'a> {
     explanations: Vec<Vec<Lit>>,
     expl_lim: Vec<usize>,
     /// Per-`(facet, value)` weight assigned to the value / forbidden it.
+    /// Every facet's total weight is the index's `width`.
     true_w: Vec<u32>,
     false_w: Vec<u32>,
-    /// Facets containing each class, with the class's multiplicity.
-    class_facets: Vec<Vec<(u32, u32)>>,
-    /// Total weight (`n`) of each facet.
-    facet_total: Vec<u32>,
     /// Largest class multiplicity of each facet: no implication fires
     /// while a counter stays this far inside its window.
     facet_max_mult: Vec<u32>,
@@ -412,25 +407,20 @@ impl<'a> Solver<'a> {
         var as usize >= self.class_vars
     }
 
-    fn new(inst: &'a Instance, cfg: CdclConfig) -> Solver<'a> {
+    fn new(inst: &'a Instance<'a>, cfg: CdclConfig) -> Solver<'a> {
+        let index = inst.index;
         let m = inst.values;
-        let class_vars = inst.classes * m;
+        let classes = index.classes();
+        let class_vars = classes * m;
         let nvars = class_vars + ladder_vars(inst);
-        let mut class_facets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); inst.classes];
-        let mut facet_total = vec![0u32; inst.facets.len()];
-        let mut facet_max_mult = vec![0u32; inst.facets.len()];
-        for (f, facet) in inst.facets.iter().enumerate() {
-            for &(c, mult) in facet {
-                class_facets[c as usize].push((f as u32, mult));
-                facet_total[f] += mult;
-                facet_max_mult[f] = facet_max_mult[f].max(mult);
-            }
-        }
+        let facet_max_mult: Vec<u32> = (0..index.facet_count())
+            .map(|f| index.runs(f).map(|(_, mult)| mult).max().unwrap_or(0))
+            .collect();
         let mut rng = XorShift(cfg.seed | 1);
-        let max_weight = inst.class_weight.iter().copied().max().unwrap_or(1).max(1);
+        let max_weight = index.class_weight.iter().copied().max().unwrap_or(1).max(1);
         let mut activity = vec![0.0f64; nvars];
-        for c in 0..inst.classes {
-            let base = inst.class_weight[c] as f64 / max_weight as f64;
+        for c in 0..classes {
+            let base = index.class_weight[c] as f64 / max_weight as f64;
             for vi in 0..m {
                 let jitter = if cfg.activity_jitter {
                     1.0 + (rng.next() % 1000) as f64 / 10_000.0
@@ -448,7 +438,7 @@ impl<'a> Solver<'a> {
         let mut saved_phase = vec![cfg.default_phase; nvars];
         let mut warm_seeded = 0u64;
         if let Some(seed) = cfg.warm_start.as_deref() {
-            if seed.len() == inst.classes {
+            if seed.len() == classes {
                 for (c, &val) in seed.iter().enumerate() {
                     if (1..=m as u32).contains(&val) {
                         warm_seeded += 1;
@@ -484,10 +474,8 @@ impl<'a> Solver<'a> {
             qhead: 0,
             explanations: Vec::new(),
             expl_lim: Vec::new(),
-            true_w: vec![0; inst.facets.len() * m],
-            false_w: vec![0; inst.facets.len() * m],
-            class_facets,
-            facet_total,
+            true_w: vec![0; index.facet_count() * m],
+            false_w: vec![0; index.facet_count() * m],
             facet_max_mult,
             seen: vec![false; nvars],
             rng,
@@ -507,10 +495,8 @@ impl<'a> Solver<'a> {
         // A facet whose lower window exceeds its total weight can never
         // be satisfied, and — with `m = 1` — never produces the false
         // literals the counter propagators watch; refute it up front.
-        if let Some(&min_total) = solver.facet_total.iter().min() {
-            if solver.inst.lower.iter().any(|&l| l > min_total) {
-                solver.root_conflict = true;
-            }
+        if index.facet_count() > 0 && inst.lower.iter().any(|&l| l as usize > index.width) {
+            solver.root_conflict = true;
         }
         solver.install_domain_constraints();
         solver
@@ -520,7 +506,7 @@ impl<'a> Solver<'a> {
     /// breaking for interchangeable values (tainted: `symmetric = false`).
     fn install_domain_constraints(&mut self) {
         let m = self.inst.values;
-        for c in 0..self.inst.classes as u32 {
+        for c in 0..self.inst.index.classes() as u32 {
             let alo: Vec<Lit> = (0..m)
                 .map(|vi| Lit::new(self.var_of(c, vi), true))
                 .collect();
@@ -549,7 +535,7 @@ impl<'a> Solver<'a> {
             // 2·k·(m−1) clauses of at most three literals on which unit
             // propagation derives exactly what the quadratic family
             // ¬x(c_t, v) ∨ ⋁_{s<t} x(c_s, v−1) derived.
-            let order = self.inst.precedence_order.clone();
+            let order: &'a [u32] = &self.inst.index.precedence_order;
             for (t, &c) in order.iter().enumerate() {
                 for wi in 0..m - 1 {
                     if t + 1 < order.len() {
@@ -667,7 +653,7 @@ impl<'a> Solver<'a> {
                 } else {
                     &mut self.false_w
                 };
-                for &(f, mult) in &self.class_facets[c] {
+                for &(f, mult) in self.inst.index.class_facets(c) {
                     w[f as usize * m + vi] += mult;
                 }
                 true
@@ -733,7 +719,7 @@ impl<'a> Solver<'a> {
             } else {
                 &mut self.false_w
             };
-            for &(f, mult) in &self.class_facets[c] {
+            for &(f, mult) in self.inst.index.class_facets(c) {
                 w[f as usize * m + vi] -= mult;
             }
             self.saved_phase[var] = lit.is_positive();
@@ -777,11 +763,11 @@ impl<'a> Solver<'a> {
         if self.is_aux(lit.var()) {
             return None;
         }
+        let index: &'a ConstraintIndex = self.inst.index;
         let m = self.inst.values;
         let var = lit.var() as usize;
         let (c, vi) = (var / m, var % m);
-        for k in 0..self.class_facets[c].len() {
-            let (f, _) = self.class_facets[c][k];
+        for &(f, _) in index.class_facets(c) {
             let fi = f as usize;
             let idx = fi * m + vi;
             let max_mult = self.facet_max_mult[fi];
@@ -795,8 +781,7 @@ impl<'a> Solver<'a> {
                 if self.true_w[idx] > u {
                     return Some((self.upper_reason(fi, vi, None), true));
                 }
-                for j in 0..self.inst.facets[fi].len() {
-                    let (c2, mult2) = self.inst.facets[fi][j];
+                for (c2, mult2) in index.runs(fi) {
                     let v2 = Lit::new(self.var_of(c2, vi), false);
                     if self.lit_value(v2) == UNDEF && self.true_w[idx] + mult2 > u {
                         let expl = self.upper_reason(fi, vi, Some(v2));
@@ -808,15 +793,15 @@ impl<'a> Solver<'a> {
             } else {
                 // Σ mult(c')·x_{c',v} ≥ l_v ⇔ forbidden weight ≤ n − l_v:
                 // a deficit forces the value on the remaining classes.
-                let slack = self.facet_total[fi] - self.inst.lower[vi].min(self.facet_total[fi]);
+                let width = index.width as u32;
+                let slack = width - self.inst.lower[vi].min(width);
                 if self.false_w[idx] + max_mult <= slack {
                     continue;
                 }
                 if self.false_w[idx] > slack {
                     return Some((self.lower_reason(fi, vi, None), true));
                 }
-                for j in 0..self.inst.facets[fi].len() {
-                    let (c2, mult2) = self.inst.facets[fi][j];
+                for (c2, mult2) in index.runs(fi) {
                     let v2 = Lit::new(self.var_of(c2, vi), true);
                     if self.lit_value(v2) == UNDEF && self.false_w[idx] + mult2 > slack {
                         let expl = self.lower_reason(fi, vi, Some(v2));
@@ -836,7 +821,7 @@ impl<'a> Solver<'a> {
     fn upper_reason(&self, f: usize, vi: usize, implied: Option<Lit>) -> Vec<Lit> {
         let mut lits = Vec::new();
         lits.extend(implied);
-        for &(c2, _) in &self.inst.facets[f] {
+        for (c2, _) in self.inst.index.runs(f) {
             let x = Lit::new(self.var_of(c2, vi), true);
             if self.lit_value(x) == TRUE {
                 lits.push(x.negated());
@@ -849,7 +834,7 @@ impl<'a> Solver<'a> {
     fn lower_reason(&self, f: usize, vi: usize, implied: Option<Lit>) -> Vec<Lit> {
         let mut lits = Vec::new();
         lits.extend(implied);
-        for &(c2, _) in &self.inst.facets[f] {
+        for (c2, _) in self.inst.index.runs(f) {
             let x = Lit::new(self.var_of(c2, vi), true);
             if self.lit_value(x) == FALSE {
                 lits.push(x);
@@ -1198,8 +1183,9 @@ impl<'a> Solver<'a> {
     }
 
     /// Bytes allocated at setup: clause literals, watch lists, the
-    /// per-`(facet, value)` counters, the class→facet index and the
-    /// symmetry variable maps.
+    /// per-`(facet, value)` counters and the symmetry variable maps.
+    /// The class→facet index is the constraint system's, charged when
+    /// the system is built.
     fn setup_bytes(&self) -> u64 {
         use std::mem::size_of;
         let clauses: usize = self
@@ -1213,22 +1199,17 @@ impl<'a> Solver<'a> {
             .map(|w| size_of::<Vec<u32>>() + w.capacity() * size_of::<u32>())
             .sum();
         let counters = (self.true_w.capacity() + self.false_w.capacity()) * size_of::<u32>();
-        let class_facets: usize = self
-            .class_facets
-            .iter()
-            .map(|f| size_of::<Vec<(u32, u32)>>() + f.capacity() * size_of::<(u32, u32)>())
-            .sum();
         let var_maps: usize = self
             .var_maps
             .iter()
             .map(|map| map.capacity() * size_of::<u32>())
             .sum();
-        (clauses + watches + counters + class_facets + var_maps) as u64
+        (clauses + watches + counters + var_maps) as u64
     }
 
     fn extract_assignment(&self) -> Vec<usize> {
         let m = self.inst.values;
-        (0..self.inst.classes)
+        (0..self.inst.index.classes())
             .map(|c| {
                 (0..m)
                     .find(|&vi| self.value[c * m + vi] == TRUE)
@@ -1326,7 +1307,7 @@ impl<'a> Solver<'a> {
 /// every precedence position but the last and every value but the last.
 fn ladder_vars(inst: &Instance) -> usize {
     if inst.value_symmetric && inst.values >= 2 {
-        inst.precedence_order.len().saturating_sub(1) * (inst.values - 1)
+        inst.index.precedence_order.len().saturating_sub(1) * (inst.values - 1)
     } else {
         0
     }
@@ -1337,9 +1318,10 @@ fn ladder_vars(inst: &Instance) -> usize {
 /// their products — identity excluded. Ladder auxiliaries (variables
 /// `k · m..nvars`) map to themselves.
 fn build_var_maps(inst: &Instance, m: usize, nvars: usize) -> Vec<Vec<u32>> {
-    let identity_class: Vec<u32> = (0..inst.classes as u32).collect();
+    let classes = inst.index.classes();
+    let identity_class: Vec<u32> = (0..classes as u32).collect();
     let mut class_choices: Vec<&[u32]> = vec![&identity_class];
-    for perm in &inst.class_perms {
+    for perm in inst.class_perms {
         class_choices.push(perm);
     }
     let mut value_choices: Vec<Vec<usize>> = vec![(0..m).collect()];
@@ -1351,17 +1333,17 @@ fn build_var_maps(inst: &Instance, m: usize, nvars: usize) -> Vec<Vec<u32>> {
         }
     }
     let mut maps = Vec::new();
-    for (ci, classes) in class_choices.iter().enumerate() {
+    for (ci, perm) in class_choices.iter().enumerate() {
         for (vj, values) in value_choices.iter().enumerate() {
             if ci == 0 && vj == 0 {
                 continue; // identity
             }
-            let map: Vec<u32> = (0..inst.classes * m)
+            let map: Vec<u32> = (0..classes * m)
                 .map(|var| {
                     let (c, vi) = (var / m, var % m);
-                    classes[c] * m as u32 + values[vi] as u32
+                    perm[c] * m as u32 + values[vi] as u32
                 })
-                .chain((inst.classes * m) as u32..nvars as u32)
+                .chain((classes * m) as u32..nvars as u32)
                 .collect();
             maps.push(map);
         }
@@ -1517,7 +1499,7 @@ pub(crate) fn solve_portfolio_width(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1526,33 +1508,37 @@ mod tests {
         assert_eq!(prefix, vec![1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]);
     }
 
-    fn nae_triangle() -> Instance {
-        // Three classes, two values, every pair must not be constant:
-        // the 3-cycle NAE instance — satisfiable (2-colorable cycle is
-        // not, but pairs only need a non-constant pair... this one is
-        // UNSAT for odd cycles with "both values present" per edge).
+    /// The index of hand-written facets (sorted class lists, all
+    /// `width` long) over `classes` classes.
+    pub(crate) fn index_of(classes: usize, width: usize, facets: &[&[u32]]) -> ConstraintIndex {
+        ConstraintIndex::new(facets.concat(), width, classes)
+    }
+
+    /// Two interchangeable values, each exactly once per facet: on pair
+    /// facets, a proper 2-colouring of the graph they form.
+    fn one_of_each(index: &ConstraintIndex) -> Instance<'_> {
         Instance {
-            classes: 3,
             values: 2,
             lower: vec![1, 1],
             upper: vec![1, 1],
-            facets: vec![
-                vec![(0, 1), (1, 1)],
-                vec![(1, 1), (2, 1)],
-                vec![(0, 1), (2, 1)],
-            ],
-            class_weight: vec![2, 2, 2],
             value_symmetric: true,
-            precedence_order: vec![0, 1, 2],
-            class_perms: vec![],
+            index,
+            class_perms: &[],
         }
+    }
+
+    /// The 3-cycle: each edge needs both values, which an odd cycle
+    /// cannot give.
+    fn nae_triangle() -> ConstraintIndex {
+        index_of(3, 2, &[&[0, 1], &[1, 2], &[0, 2]])
     }
 
     #[test]
     fn odd_nae_cycle_is_unsat() {
         // Each edge needs one 1 and one 2: a proper 2-coloring of an odd
         // cycle, which does not exist.
-        let inst = nae_triangle();
+        let index = nae_triangle();
+        let inst = one_of_each(&index);
         let (result, stats) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
         assert_eq!(result, CdclResult::Unsat);
         assert!(stats.conflicts >= 1);
@@ -1560,17 +1546,8 @@ mod tests {
 
     #[test]
     fn even_nae_path_is_sat() {
-        let inst = Instance {
-            classes: 2,
-            values: 2,
-            lower: vec![1, 1],
-            upper: vec![1, 1],
-            facets: vec![vec![(0, 1), (1, 1)]],
-            class_weight: vec![1, 1],
-            value_symmetric: true,
-            precedence_order: vec![0, 1],
-            class_perms: vec![],
-        };
+        let index = index_of(2, 2, &[&[0, 1]]);
+        let inst = one_of_each(&index);
         let (result, _) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
         match result {
             CdclResult::Sat(assignment) => {
@@ -1585,16 +1562,14 @@ mod tests {
     fn multiplicity_windows_respected() {
         // One facet [c, c, c] with window exactly-3 of one value: the
         // single class must take a value with u ≥ 3 — here only value 1.
+        let index = index_of(1, 3, &[&[0, 0, 0]]);
         let inst = Instance {
-            classes: 1,
             values: 2,
             lower: vec![0, 0],
             upper: vec![3, 2],
-            facets: vec![vec![(0, 3)]],
-            class_weight: vec![1],
             value_symmetric: false,
-            precedence_order: vec![0],
-            class_perms: vec![],
+            index: &index,
+            class_perms: &[],
         };
         let (result, _) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
         assert_eq!(result, CdclResult::Sat(vec![1]));
@@ -1604,8 +1579,12 @@ mod tests {
     fn symmetric_images_stay_sound_on_unsat_instances() {
         // The triangle with its rotation as a class symmetry: orbit
         // learning must not change the verdict.
-        let mut inst = nae_triangle();
-        inst.class_perms = vec![vec![1, 2, 0], vec![2, 0, 1]];
+        let index = nae_triangle();
+        let rotations = [vec![1, 2, 0], vec![2, 0, 1]];
+        let inst = Instance {
+            class_perms: &rotations,
+            ..one_of_each(&index)
+        };
         let (result, _) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
         assert_eq!(result, CdclResult::Unsat);
     }
@@ -1617,21 +1596,11 @@ mod tests {
         // facts, and any orbit image of a clause that silently resolved
         // against them would wrongly exclude the remaining solutions.
         // Aggressive restarts force image absorption early.
+        let index = index_of(4, 2, &[&[0, 1], &[1, 2], &[2, 3], &[0, 3]]);
+        let symmetries = [vec![2, 3, 0, 1], vec![1, 0, 3, 2]];
         let inst = Instance {
-            classes: 4,
-            values: 2,
-            lower: vec![1, 1],
-            upper: vec![1, 1],
-            facets: vec![
-                vec![(0, 1), (1, 1)],
-                vec![(1, 1), (2, 1)],
-                vec![(2, 1), (3, 1)],
-                vec![(0, 1), (3, 1)],
-            ],
-            class_weight: vec![2, 2, 2, 2],
-            value_symmetric: true,
-            precedence_order: vec![0, 1, 2, 3],
-            class_perms: vec![vec![2, 3, 0, 1], vec![1, 0, 3, 2]],
+            class_perms: &symmetries,
+            ..one_of_each(&index)
         };
         for restart_base in [1, 64] {
             let config = CdclConfig {
@@ -1654,36 +1623,27 @@ mod tests {
     fn portfolio_width_three_agrees_on_both_verdicts() {
         // Exercise the scoped-thread path (first-finisher-wins, shared
         // pool, cancellation) even on a 1-core host.
-        let unsat = nae_triangle();
+        let triangle = nae_triangle();
+        let unsat = one_of_each(&triangle);
         let (result, stats) =
             solve_portfolio_width(&unsat, &CdclConfig::default(), 3, &Ticket::unlimited());
         assert_eq!(result, CdclResult::Unsat);
         assert_eq!(stats.workers, 3);
-        let sat = Instance {
-            classes: 2,
-            values: 2,
-            lower: vec![1, 1],
-            upper: vec![1, 1],
-            facets: vec![vec![(0, 1), (1, 1)]],
-            class_weight: vec![1, 1],
-            value_symmetric: true,
-            precedence_order: vec![0, 1],
-            class_perms: vec![],
-        };
+        let edge = index_of(2, 2, &[&[0, 1]]);
+        let sat = one_of_each(&edge);
         let (result, _) =
             solve_portfolio_width(&sat, &CdclConfig::default(), 3, &Ticket::unlimited());
         assert!(matches!(result, CdclResult::Sat(_)));
     }
 
-    /// A graph-colouring instance with interchangeable values: one pair
-    /// facet per edge, each value at most once per edge. Every class has
-    /// at most three neighbours, so four values always suffice.
-    fn colouring(classes: usize, values: usize, seed: u64) -> Instance {
+    /// The index of a random graph for colouring: one pair facet per
+    /// edge, a shuffled precedence order. Every class has at most three
+    /// neighbours, so four values always suffice.
+    fn colouring(classes: usize, seed: u64) -> ConstraintIndex {
         let mut rng = XorShift(seed | 1);
         let mut degree = vec![0usize; classes];
-        let mut facets: Vec<Vec<(u32, u32)>> = (0..classes - 1)
-            .map(|c| vec![(c as u32, 1), (c as u32 + 1, 1)])
-            .collect();
+        let mut facets: Vec<[u32; 2]> =
+            (0..classes - 1).map(|c| [c as u32, c as u32 + 1]).collect();
         for c in 0..classes - 1 {
             degree[c] += 1;
             degree[c + 1] += 1;
@@ -1692,27 +1652,29 @@ mod tests {
             let a = rng.below(classes);
             let b = rng.below(classes);
             let (a, b) = (a.min(b), a.max(b));
-            let edge = vec![(a as u32, 1), (b as u32, 1)];
+            let edge = [a as u32, b as u32];
             if b > a + 1 && degree[a] < 3 && degree[b] < 3 && !facets.contains(&edge) {
                 degree[a] += 1;
                 degree[b] += 1;
                 facets.push(edge);
             }
         }
-        let mut precedence_order: Vec<u32> = (0..classes as u32).collect();
+        let mut index = ConstraintIndex::new(facets.concat(), 2, classes);
         for i in (1..classes).rev() {
-            precedence_order.swap(i, rng.below(i + 1));
+            index.precedence_order.swap(i, rng.below(i + 1));
         }
+        index
+    }
+
+    /// Each of `values` interchangeable values at most once per facet.
+    fn at_most_once(index: &ConstraintIndex, values: usize) -> Instance<'_> {
         Instance {
-            classes,
             values,
             lower: vec![0; values],
             upper: vec![1; values],
-            facets,
-            class_weight: degree,
             value_symmetric: true,
-            precedence_order,
-            class_perms: vec![],
+            index,
+            class_perms: &[],
         }
     }
 
@@ -1720,7 +1682,7 @@ mod tests {
     /// order (value `v` only after `v − 1`).
     fn respects_precedence(inst: &Instance, assignment: &[usize]) -> bool {
         let mut highest = 0;
-        for &c in &inst.precedence_order {
+        for &c in &inst.index.precedence_order {
             let v = assignment[c as usize];
             if v > highest + 1 {
                 return false;
@@ -1739,13 +1701,14 @@ mod tests {
         // the solver to a relabelling.
         for seed in 1..=12u64 {
             let values = 3 + (seed % 2) as usize;
-            let inst = colouring(24, values, seed);
-            let mut colour = vec![0usize; inst.classes];
-            for c in 0..inst.classes {
-                let used: Vec<usize> = inst
-                    .facets
+            let index = colouring(24, seed);
+            let inst = at_most_once(&index, values);
+            let edges: Vec<&[u32]> = index.facet_classes.chunks_exact(2).collect();
+            let mut colour = vec![0usize; index.classes()];
+            for c in 0..index.classes() {
+                let used: Vec<usize> = edges
                     .iter()
-                    .filter_map(|f| match (f[0].0 as usize, f[1].0 as usize) {
+                    .filter_map(|f| match (f[0] as usize, f[1] as usize) {
                         (a, b) if b == c && a < c => Some(colour[a]),
                         (a, b) if a == c && b < c => Some(colour[b]),
                         _ => None,
@@ -1753,7 +1716,7 @@ mod tests {
                     .collect();
                 colour[c] = (1..=4).find(|v| !used.contains(v)).expect("degree <= 3");
             }
-            let first = colour[inst.precedence_order[0] as usize];
+            let first = colour[index.precedence_order[0] as usize];
             let relabelled: Vec<u32> = colour
                 .iter()
                 .map(|&v| match v {
@@ -1778,13 +1741,13 @@ mod tests {
                 };
                 match solve_portfolio_width(&inst, &config, 1, &Ticket::unlimited()).0 {
                     CdclResult::Sat(assignment) => {
-                        for f in &inst.facets {
-                            assert_ne!(assignment[f[0].0 as usize], assignment[f[1].0 as usize]);
+                        for f in &edges {
+                            assert_ne!(assignment[f[0] as usize], assignment[f[1] as usize]);
                         }
                         assert!(
                             respects_precedence(&inst, &assignment),
                             "seed {seed}: {assignment:?} breaks precedence along {:?}",
-                            inst.precedence_order
+                            index.precedence_order
                         );
                     }
                     other => panic!("seed {seed}: expected SAT, got {other:?}"),
@@ -1798,19 +1761,10 @@ mod tests {
         // k = 2,000 classes, m = 9 values: the quadratic precedence
         // family alone held (m − 1)·k(k + 1)/2 ≈ 16M literals here.
         let (k, m) = (2000usize, 9usize);
-        let inst = Instance {
-            classes: k,
-            values: m,
-            lower: vec![0; m],
-            upper: vec![1; m],
-            facets: (0..k as u32 - 1)
-                .map(|c| vec![(c, 1), (c + 1, 1)])
-                .collect(),
-            class_weight: vec![1; k],
-            value_symmetric: true,
-            precedence_order: (0..k as u32).rev().collect(),
-            class_perms: vec![],
-        };
+        let path: Vec<u32> = (0..k as u32 - 1).flat_map(|c| [c, c + 1]).collect();
+        let mut index = ConstraintIndex::new(path, 2, k);
+        index.precedence_order = (0..k as u32).rev().collect();
+        let inst = at_most_once(&index, m);
         let solver = Solver::new(&inst, CdclConfig::default());
         let literals: usize =
             solver.clauses.iter().map(|c| c.lits.len()).sum::<usize>() + solver.trail.len();

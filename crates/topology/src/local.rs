@@ -70,13 +70,11 @@ pub(crate) struct LocalOutcome {
 ///
 /// A move of class `c` from `cur` to `vi` changes only two counts per
 /// facet of `c`, so both scoring and applying a move are one walk of
-/// `c`'s facets that looks up each changed count's window term in
-/// `rise`, never re-summing a facet's `m` values.
+/// `c`'s `(facet, multiplicity)` memberships in the instance's index
+/// that looks up each changed count's window term in `rise`, never
+/// re-summing a facet's `m` values.
 struct Repair<'a> {
-    inst: &'a Instance,
-    /// CSR of facet memberships per class: `(facet, multiplicity)`.
-    class_facets_off: Vec<u32>,
-    class_facets: Vec<(u32, u32)>,
+    inst: &'a Instance<'a>,
     /// Current value index (`0..m`) per class.
     assign: Vec<usize>,
     /// Assigned multiplicity per `(facet, value)`, indexed `f·m + vi`.
@@ -87,39 +85,18 @@ struct Repair<'a> {
     violated: Vec<u32>,
     /// `position[f]` = index of `f` in `violated`, `u32::MAX` if absent.
     position: Vec<u32>,
-    /// Counts per facet range over `0..=width` (the widest facet's
-    /// total multiplicity); `rise` rows are `width + 1` long.
-    width: usize,
     /// Violation change when one facet's count of value `vi` rises by
     /// `mult` from `count`, at `(mult·m + vi)·(width + 1) + count`
-    /// (0 where `count + mult` exceeds `width`).
+    /// (0 where `count + mult` exceeds `width`). Counts per facet range
+    /// over `0..=width`, the index's constraint width.
     rise: Vec<i64>,
 }
 
 impl<'a> Repair<'a> {
-    fn new(inst: &'a Instance) -> Repair<'a> {
+    fn new(inst: &'a Instance<'a>) -> Repair<'a> {
         let m = inst.values;
-        let mut off = vec![0u32; inst.classes + 1];
-        let mut width = 0usize;
-        for facet in &inst.facets {
-            let mut total = 0usize;
-            for &(c, mult) in facet {
-                off[c as usize + 1] += 1;
-                total += mult as usize;
-            }
-            width = width.max(total);
-        }
-        for i in 1..off.len() {
-            off[i] += off[i - 1];
-        }
-        let mut cursor = off.clone();
-        let mut class_facets = vec![(0u32, 0u32); *off.last().unwrap_or(&0) as usize];
-        for (f, facet) in inst.facets.iter().enumerate() {
-            for &(c, mult) in facet {
-                class_facets[cursor[c as usize] as usize] = (f as u32, mult);
-                cursor[c as usize] += 1;
-            }
-        }
+        let width = inst.index.width;
+        let facets = inst.index.facet_count();
         let window = |vi: usize, count: usize| -> i64 {
             let count = count as i64;
             (count - i64::from(inst.upper[vi])).max(0) + (i64::from(inst.lower[vi]) - count).max(0)
@@ -135,21 +112,23 @@ impl<'a> Repair<'a> {
         }
         Repair {
             inst,
-            class_facets_off: off,
-            class_facets,
-            assign: vec![0; inst.classes],
-            counts: vec![0; inst.facets.len() * m],
-            violation: vec![0; inst.facets.len()],
+            assign: vec![0; inst.index.classes()],
+            counts: vec![0; facets * m],
+            violation: vec![0; facets],
             violated: Vec::new(),
-            position: vec![u32::MAX; inst.facets.len()],
-            width,
+            position: vec![u32::MAX; facets],
             rise,
         }
     }
 
+    /// `rise` row length: one slot per count in `0..=width`.
+    fn row_len(&self) -> usize {
+        self.inst.index.width + 1
+    }
+
     /// The `m` rows of `rise` for one multiplicity.
     fn rise_rows(&self, mult: u32) -> &[i64] {
-        let len = self.inst.values * (self.width + 1);
+        let len = self.inst.values * self.row_len();
         &self.rise[mult as usize * len..(mult as usize + 1) * len]
     }
 
@@ -189,21 +168,11 @@ impl<'a> Repair<'a> {
     /// of a class's facets scores every value into `penalty` (`m` slots).
     fn construct(&mut self, warm: Option<&[u32]>, rng: &mut XorShift, penalty: &mut [u64]) {
         let inst = self.inst;
+        let index = inst.index;
         let m = inst.values;
         self.counts.iter_mut().for_each(|c| *c = 0);
-        let identity: Vec<u32>;
-        let order: &[u32] = if inst.precedence_order.len() == inst.classes {
-            &inst.precedence_order
-        } else {
-            identity = (0..inst.classes as u32).collect();
-            &identity
-        };
-        for &c in order {
+        for &c in &index.precedence_order {
             let c = c as usize;
-            let (s, e) = (
-                self.class_facets_off[c] as usize,
-                self.class_facets_off[c + 1] as usize,
-            );
             // A warm seed pins the class's first-restart value outright;
             // later restarts fall through to the greedy pick.
             let seeded = warm
@@ -214,7 +183,7 @@ impl<'a> Repair<'a> {
                 vi
             } else {
                 penalty.iter_mut().for_each(|p| *p = 0);
-                for &(f, mult) in &self.class_facets[s..e] {
+                for &(f, mult) in index.class_facets(c) {
                     let row = &self.counts[f as usize * m..(f as usize + 1) * m];
                     for ((p, &count), &u) in penalty.iter_mut().zip(row).zip(&inst.upper) {
                         *p += u64::from((count + mult).saturating_sub(u));
@@ -233,13 +202,13 @@ impl<'a> Repair<'a> {
                 best
             };
             self.assign[c] = vi;
-            for &(f, mult) in &self.class_facets[s..e] {
+            for &(f, mult) in index.class_facets(c) {
                 self.counts[f as usize * m + vi] += mult;
             }
         }
         self.violated.clear();
         self.position.iter_mut().for_each(|p| *p = u32::MAX);
-        for f in 0..inst.facets.len() {
+        for f in 0..index.facet_count() {
             self.violation[f] = 0;
             let v = self.facet_violation(f);
             self.set_violation(f, v);
@@ -254,14 +223,10 @@ impl<'a> Repair<'a> {
     fn move_deltas(&self, c: usize, deltas: &mut [i64]) {
         let m = self.inst.values;
         let cur = self.assign[c];
-        let w1 = self.width + 1;
+        let w1 = self.row_len();
         deltas.iter_mut().for_each(|d| *d = 0);
         let mut leave = 0i64;
-        let (s, e) = (
-            self.class_facets_off[c] as usize,
-            self.class_facets_off[c + 1] as usize,
-        );
-        for &(f, mult) in &self.class_facets[s..e] {
+        for &(f, mult) in self.inst.index.class_facets(c) {
             let row = &self.counts[f as usize * m..(f as usize + 1) * m];
             let rise = self.rise_rows(mult);
             leave -= rise[cur * w1 + (row[cur] - mult) as usize];
@@ -279,18 +244,13 @@ impl<'a> Repair<'a> {
     /// from the two changed counts' window terms.
     fn apply_move(&mut self, c: usize, vi: usize) {
         let m = self.inst.values;
-        let w1 = self.width + 1;
+        let w1 = self.row_len();
         let cur = self.assign[c];
         if cur == vi {
             return;
         }
         self.assign[c] = vi;
-        let (s, e) = (
-            self.class_facets_off[c] as usize,
-            self.class_facets_off[c + 1] as usize,
-        );
-        for i in s..e {
-            let (f, mult) = self.class_facets[i];
+        for &(f, mult) in self.inst.index.class_facets(c) {
             let f = f as usize;
             let rise = self.rise_rows(mult);
             let left = self.counts[f * m + cur] - mult;
@@ -324,8 +284,9 @@ pub(crate) fn solve_local(
         restarts: 0,
         stopped: None,
     };
-    if inst.classes == 0 || m == 0 {
-        out.assignment = (m > 0 || inst.facets.is_empty()).then(Vec::new);
+    let index = inst.index;
+    if index.classes() == 0 || m == 0 {
+        out.assignment = (m > 0 || index.facet_count() == 0).then(Vec::new);
         return out;
     }
     let mut repair = Repair::new(inst);
@@ -342,7 +303,7 @@ pub(crate) fn solve_local(
             &mut penalty,
         );
         // ticket.check poll site (local-search restart construction)
-        if let Err(stop) = ticket.charge_decisions(inst.classes as u64) {
+        if let Err(stop) = ticket.charge_decisions(index.classes() as u64) {
             out.stopped = Some(stop);
             break 'restarts;
         }
@@ -366,7 +327,6 @@ pub(crate) fn solve_local(
             }
             out.steps += 1;
             let f = repair.violated[rng.below(repair.violated.len())] as usize;
-            let facet = &inst.facets[f];
             // Move only a class that contributes to the facet's
             // violation: one whose current value overflows its window
             // here. Reassigning any other class cannot shrink the
@@ -376,27 +336,29 @@ pub(crate) fn solve_local(
             // violation has no overflowing class; any class can then
             // donate its multiplicity, so fall back to a uniform pick.
             // One-pass reservoir sampling keeps the choice uniform over
-            // offenders and deterministic under the seeded RNG.
-            let pick = {
+            // offenders and deterministic under the seeded RNG. Both
+            // picks range over the facet's distinct classes, not its
+            // `width` members.
+            let c = {
                 let mut offenders = 0usize;
-                let mut chosen = 0usize;
-                for (i, &(c, _)) in facet.iter().enumerate() {
+                let mut distinct = 0usize;
+                let mut chosen = 0u32;
+                for (c, _) in index.runs(f) {
+                    distinct += 1;
                     let vi = repair.assign[c as usize];
                     if repair.counts[f * m + vi] > inst.upper[vi] {
                         offenders += 1;
                         if rng.below(offenders) == 0 {
-                            chosen = i;
+                            chosen = c;
                         }
                     }
                 }
-                if offenders > 0 {
-                    chosen
-                } else {
-                    rng.below(facet.len())
+                if offenders == 0 {
+                    let pick = rng.below(distinct);
+                    chosen = index.runs(f).nth(pick).expect("pick is a run").0;
                 }
+                chosen as usize
             };
-            let (c, _) = facet[pick];
-            let c = c as usize;
             let vi = if rng.below(100) < cfg.walk_pct as usize {
                 rng.below(m)
             } else {
@@ -439,7 +401,7 @@ pub(crate) fn solve_race(
     let warm: Option<Vec<u32>> = cdcl_cfg
         .warm_start
         .as_deref()
-        .filter(|w| w.len() == inst.classes)
+        .filter(|w| w.len() == inst.index.classes())
         .cloned();
     let cancel = AtomicBool::new(false);
     let local_out: std::sync::Mutex<Option<LocalOutcome>> = std::sync::Mutex::new(None);
@@ -480,72 +442,54 @@ pub(crate) fn solve_race(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cdcl::tests::index_of;
+    use crate::solvability::ConstraintIndex;
 
-    /// A toy 3-class instance: one facet per class pair, every value
-    /// window `[0, 1]` over two values — a proper 2-coloring-style
-    /// constraint that local search solves instantly.
-    fn pair_instance() -> Instance {
+    /// Three classes, one facet per class pair: a proper
+    /// 2-coloring-style constraint over a triangle.
+    fn triangle() -> ConstraintIndex {
+        index_of(3, 2, &[&[0, 1], &[0, 2], &[1, 2]])
+    }
+
+    /// Every value window `[0, 1]` over two values.
+    fn pair_instance(index: &ConstraintIndex) -> Instance<'_> {
         Instance {
-            classes: 3,
             values: 2,
             lower: vec![0, 0],
             upper: vec![1, 1],
-            facets: vec![
-                vec![(0, 1), (1, 1)],
-                vec![(0, 1), (2, 1)],
-                vec![(1, 1), (2, 1)],
-            ],
-            class_weight: vec![2, 2, 2],
             value_symmetric: true,
-            precedence_order: vec![0, 1, 2],
-            class_perms: Vec::new(),
+            index,
+            class_perms: &[],
         }
     }
 
     /// A seeded random instance that exercises every window term: lower
-    /// windows up to 2, facets of mixed widths whose repeated classes
-    /// give multiplicities above 1, and 1 to 15 values.
-    fn random_instance(rng: &mut XorShift) -> Instance {
+    /// windows up to 2, facets of one random width whose repeated
+    /// classes give multiplicities above 1, and 1 to 15 values. Widths
+    /// vary between instances, not within one: an index holds facets of
+    /// a single width.
+    fn random_instance(rng: &mut XorShift) -> (ConstraintIndex, Vec<u32>, Vec<u32>) {
         let classes = 1 + rng.below(10);
         let values = 1 + rng.below(15);
         let lower: Vec<u32> = (0..values).map(|_| rng.below(3) as u32).collect();
         let upper: Vec<u32> = lower.iter().map(|&l| l + rng.below(3) as u32).collect();
-        let facets: Vec<Vec<(u32, u32)>> = (0..1 + rng.below(12))
-            .map(|_| {
-                let mut members: Vec<u32> = (0..1 + rng.below(6))
-                    .map(|_| rng.below(classes) as u32)
-                    .collect();
+        let width = 1 + rng.below(6);
+        let facets: Vec<u32> = (0..1 + rng.below(12))
+            .flat_map(|_| {
+                let mut members: Vec<u32> = (0..width).map(|_| rng.below(classes) as u32).collect();
                 members.sort_unstable();
-                let mut runs: Vec<(u32, u32)> = Vec::new();
-                for c in members {
-                    match runs.last_mut() {
-                        Some((class, mult)) if *class == c => *mult += 1,
-                        _ => runs.push((c, 1)),
-                    }
-                }
-                runs
+                members
             })
             .collect();
-        Instance {
-            classes,
-            values,
-            lower,
-            upper,
-            facets,
-            class_weight: vec![1; classes],
-            value_symmetric: false,
-            precedence_order: (0..classes as u32).collect(),
-            class_perms: Vec::new(),
-        }
+        (ConstraintIndex::new(facets, width, classes), lower, upper)
     }
 
     /// Per-facet window violations of `assign`, recounted from scratch.
     fn brute_violations(inst: &Instance, assign: &[usize]) -> Vec<u32> {
-        inst.facets
-            .iter()
-            .map(|facet| {
+        (0..inst.index.facet_count())
+            .map(|f| {
                 let mut counts = vec![0u32; inst.values];
-                for &(c, mult) in facet {
+                for (c, mult) in inst.index.runs(f) {
                     counts[assign[c as usize]] += mult;
                 }
                 (0..inst.values)
@@ -570,9 +514,10 @@ mod tests {
     fn assert_state_recomputes(repair: &Repair) {
         let inst = repair.inst;
         let m = inst.values;
-        let mut counts = vec![0u32; inst.facets.len() * m];
-        for (f, facet) in inst.facets.iter().enumerate() {
-            for &(c, mult) in facet {
+        let facets = inst.index.facet_count();
+        let mut counts = vec![0u32; facets * m];
+        for f in 0..facets {
+            for (c, mult) in inst.index.runs(f) {
                 counts[f * m + repair.assign[c as usize]] += mult;
             }
         }
@@ -581,7 +526,7 @@ mod tests {
         assert_eq!(repair.violation, violation);
         let mut violated = repair.violated.clone();
         violated.sort_unstable();
-        let expected: Vec<u32> = (0..inst.facets.len() as u32)
+        let expected: Vec<u32> = (0..facets as u32)
             .filter(|&f| violation[f as usize] > 0)
             .collect();
         assert_eq!(violated, expected);
@@ -603,7 +548,15 @@ mod tests {
     fn repair_state_matches_brute_force() {
         for seed in 1..=300u64 {
             let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-            let inst = random_instance(&mut rng);
+            let (index, lower, upper) = random_instance(&mut rng);
+            let inst = Instance {
+                values: lower.len(),
+                lower,
+                upper,
+                value_symmetric: false,
+                index: &index,
+                class_perms: &[],
+            };
             let m = inst.values;
             let mut repair = Repair::new(&inst);
             let mut penalty = vec![0u64; m];
@@ -612,7 +565,7 @@ mod tests {
             assert_state_recomputes(&repair);
             for _ in 0..24 {
                 let total = brute_total(&inst, &repair.assign);
-                for c in 0..inst.classes {
+                for c in 0..index.classes() {
                     repair.move_deltas(c, &mut deltas);
                     for (vi, &delta) in deltas.iter().enumerate() {
                         let mut moved = repair.assign.clone();
@@ -624,7 +577,7 @@ mod tests {
                         );
                     }
                 }
-                repair.apply_move(rng.below(inst.classes), rng.below(m));
+                repair.apply_move(rng.below(index.classes()), rng.below(m));
                 assert_state_recomputes(&repair);
             }
         }
@@ -634,8 +587,8 @@ mod tests {
     fn local_finds_witness_on_satisfiable_instance() {
         // Drop one pair facet: the remaining path of pairs is
         // 2-colorable, so a witness exists.
-        let mut inst = pair_instance();
-        inst.facets.pop();
+        let path = index_of(3, 2, &[&[0, 1], &[0, 2]]);
+        let inst = pair_instance(&path);
         let out = solve_local(
             &inst,
             &LocalConfig::default(),
@@ -645,9 +598,9 @@ mod tests {
         );
         let assignment = out.assignment.expect("pair instance is satisfiable");
         assert_eq!(assignment.len(), 3);
-        for facet in &inst.facets {
+        for f in 0..path.facet_count() {
             let mut counts = [0u32; 2];
-            for &(c, mult) in facet {
+            for (c, mult) in path.runs(f) {
                 counts[assignment[c as usize] - 1] += mult;
             }
             for ((&c, &l), &u) in counts.iter().zip(&inst.lower).zip(&inst.upper) {
@@ -658,7 +611,8 @@ mod tests {
 
     #[test]
     fn local_is_deterministic() {
-        let inst = pair_instance();
+        let index = triangle();
+        let inst = pair_instance(&index);
         let cfg = LocalConfig {
             restarts: 3,
             steps_per_restart: 512,
@@ -673,19 +627,12 @@ mod tests {
 
     #[test]
     fn warm_seed_pins_first_construction() {
-        let inst = pair_instance();
         // The pair windows force distinct values on every pair — with
         // only two values over three mutually paired classes the
         // instance is UNSAT, so exhaustion must come back witness-free.
         // Use a satisfiable two-class variant instead to observe seeds.
-        let inst2 = Instance {
-            classes: 2,
-            values: 2,
-            facets: vec![vec![(0, 1), (1, 1)]],
-            class_weight: vec![1, 1],
-            precedence_order: vec![0, 1],
-            ..inst
-        };
+        let edge = index_of(2, 2, &[&[0, 1]]);
+        let inst2 = pair_instance(&edge);
         let cfg = LocalConfig::default();
         let out = solve_local(&inst2, &cfg, Some(&[2, 1]), None, &Ticket::unlimited());
         assert_eq!(out.assignment, Some(vec![2, 1]));
@@ -696,7 +643,8 @@ mod tests {
     fn exhaustion_returns_no_witness() {
         // Three mutually paired classes, two values, windows [0,1]:
         // some pair must repeat a value, so no witness exists.
-        let inst = pair_instance();
+        let index = triangle();
+        let inst = pair_instance(&index);
         let cfg = LocalConfig {
             restarts: 3,
             steps_per_restart: 64,
@@ -710,7 +658,8 @@ mod tests {
 
     #[test]
     fn race_returns_unsat_from_cdcl_lane() {
-        let inst = pair_instance();
+        let index = triangle();
+        let inst = pair_instance(&index);
         let (result, stats) = solve_race(
             &inst,
             &CdclConfig::default(),
@@ -727,7 +676,8 @@ mod tests {
 
     #[test]
     fn cancel_flag_stops_local_search() {
-        let inst = pair_instance();
+        let index = triangle();
+        let inst = pair_instance(&index);
         let cancel = AtomicBool::new(true);
         let cfg = LocalConfig {
             restarts: 1,

@@ -540,12 +540,6 @@ pub(crate) struct OrbitExpansion {
     /// [`ConstraintSystem::from_complex`](crate::ConstraintSystem)
     /// derives from the materialized complex.
     pub facet_classes: Vec<u32>,
-    /// Candidate class permutations mined from the group image table:
-    /// for each renaming `h` that acts *consistently* on the signature
-    /// quotient (`class(g·rep) ↦ class((h∘g)·rep)` is functional), the
-    /// induced class map. Candidates, not facts — the consumer verifies
-    /// bijectivity and facet-family invariance before trusting one.
-    pub class_perm_candidates: Vec<Vec<u32>>,
 }
 
 /// Bits per class id when a width-`n` sorted multiset is packed
@@ -985,7 +979,6 @@ impl OrbitFrontier {
             n,
             arena,
             group,
-            group_index,
             rows,
             stats,
             ..
@@ -1071,47 +1064,6 @@ impl OrbitFrontier {
         for entry in &mut table {
             *entry = class_of_slot[*entry as usize];
         }
-        // Class-permutation mining over the canonical image table: a
-        // renaming `h` descends to the signature quotient iff
-        // `class(g·rep) ↦ class((h∘g)·rep)` is functional across every
-        // representative and every `g` — and the table already holds
-        // both sides of that map. Most `h` clash within a handful of
-        // entries (signatures erase process ids, so few renamings act
-        // consistently on classes); survivors are *candidates* only,
-        // re-verified downstream (bijectivity + facet-family
-        // invariance) before orbit learning trusts them.
-        let classes = sigs.len();
-        let mut class_perm_candidates: Vec<Vec<u32>> = Vec::new();
-        'mine: for h in 1..group_order {
-            // ticket.check poll site (perm-mining stride)
-            ticket.check()?;
-            // compose[g] = index of h∘g (apply `g`, then `h`).
-            let compose: Vec<usize> = (0..group_order)
-                .map(|g| {
-                    let composed: Vec<u32> =
-                        group[g].iter().map(|&i| group[h][i as usize - 1]).collect();
-                    usize::from(group_index[&composed])
-                })
-                .collect();
-            let mut cand = vec![u32::MAX; classes];
-            for slot in 0..distinct_keys.len() {
-                let row = &table[slot * group_order..(slot + 1) * group_order];
-                for (g, &hg) in compose.iter().enumerate() {
-                    let (src, img) = (row[g] as usize, row[hg]);
-                    if cand[src] == u32::MAX {
-                        cand[src] = img;
-                    } else if cand[src] != img {
-                        continue 'mine;
-                    }
-                }
-            }
-            if cand.contains(&u32::MAX) || cand.iter().enumerate().all(|(i, &p)| p == i as u32) {
-                continue;
-            }
-            if !class_perm_candidates.contains(&cand) {
-                class_perm_candidates.push(cand);
-            }
-        }
         // Constraint emission: one packed word per (representative,
         // group element) — big-endian packing makes word order equal
         // lexicographic multiset order, so a single u128 sort both
@@ -1143,7 +1095,6 @@ impl OrbitFrontier {
         Ok(OrbitExpansion {
             class_keys,
             facet_classes,
-            class_perm_candidates,
         })
     }
 

@@ -319,8 +319,9 @@ impl std::fmt::Display for DecisionMap {
 
 /// The **spec-independent half of a prepared search**: the protocol
 /// complex's signature classes in canonical (ascending-view) order and
-/// the distinct facet constraints over them, plus the derived indexes
-/// the engines branch on.
+/// the one [`ConstraintIndex`] over them that every engine borrows —
+/// the CDCL solver, the local repair lane and the reference
+/// backtracker read it in place, so no query copies the family.
 ///
 /// Two pipelines produce it, and they are equivalence-tested to the
 /// byte (`tests/orbit_equivalence.rs` and the in-crate instance test):
@@ -347,27 +348,114 @@ pub struct ConstraintSystem {
     /// keys, and the first free permutation-memo id (the group ids
     /// `0..base` are taken by the `S_n` enumeration).
     lazy: Option<Mutex<(ViewArena, Vec<ViewKey>, u32)>>,
-    class_count: usize,
-    /// Constraint width: one class id per process (`n`).
-    width: usize,
-    /// Facet constraints as sorted class multisets, deduplicated,
-    /// family-sorted, and stored flat (`width` ids per constraint) —
-    /// 421,875 `χ³(Δ³)` constraints are one allocation.
-    facet_classes: Vec<u32>,
-    /// Class occurrence counts over the distinct constraints (search
-    /// ordering).
-    class_weight: Vec<usize>,
-    /// For each class, the distinct constraints mentioning it —
-    /// CSR-packed (`class_facets_data[offsets[c]..offsets[c + 1]]`).
-    class_facets_offsets: Vec<u32>,
-    class_facets_data: Vec<u32>,
-    /// Candidate class permutations mined by the orbit pipeline from
-    /// its group image table (empty on the complex path). Unverified —
-    /// `class_perms` re-checks each before use.
-    mined_perm_candidates: Vec<Vec<u32>>,
+    /// The distinct facet constraints and their per-class index.
+    index: ConstraintIndex,
     /// Verified class permutations (orbit learning), computed on first
     /// demand — spec-independent, like everything else here.
     class_perms: OnceLock<Vec<Vec<u32>>>,
+}
+
+/// The one constraint index of a [`ConstraintSystem`]: the distinct
+/// facet constraints stored flat, and for every class the constraints
+/// that mention it with the class's multiplicity there. Every engine
+/// reads this one copy; none re-packs it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ConstraintIndex {
+    /// Constraint width: one class id per process (`n`); every
+    /// constraint's multiplicities sum to it.
+    pub width: usize,
+    /// Facet constraints as sorted class multisets, deduplicated,
+    /// family-sorted, and stored flat (`width` ids per constraint) —
+    /// 421,875 `χ³(Δ³)` constraints are one allocation.
+    pub facet_classes: Vec<u32>,
+    /// Class occurrence counts over the distinct constraints.
+    pub class_weight: Vec<usize>,
+    /// Classes by descending weight (stable sort): the backtracker's
+    /// branching order and CDCL's value-precedence order.
+    pub precedence_order: Vec<u32>,
+    /// For each class, the distinct constraints mentioning it as
+    /// `(facet, multiplicity)`, ascending by facet — CSR-packed
+    /// (`memberships[offsets[c]..offsets[c + 1]]`).
+    pub offsets: Vec<u32>,
+    pub memberships: Vec<(u32, u32)>,
+}
+
+impl ConstraintIndex {
+    /// Indexes a flat family of sorted `width`-multisets over `classes`
+    /// classes.
+    pub(crate) fn new(facet_classes: Vec<u32>, width: usize, classes: usize) -> Self {
+        assert!(width > 0, "constraints have at least one member");
+        let mut class_weight = vec![0usize; classes];
+        let mut offsets = vec![0u32; classes + 1];
+        for facet in facet_classes.chunks_exact(width) {
+            for run in facet.chunk_by(|a, b| a == b) {
+                class_weight[run[0] as usize] += run.len();
+                offsets[run[0] as usize + 1] += 1;
+            }
+        }
+        for c in 0..classes {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut fill: Vec<u32> = offsets[..classes].to_vec();
+        let mut memberships = vec![(0u32, 0u32); offsets[classes] as usize];
+        for (f, facet) in facet_classes.chunks_exact(width).enumerate() {
+            let f = u32::try_from(f).expect("facets fit in u32");
+            for run in facet.chunk_by(|a, b| a == b) {
+                let c = run[0] as usize;
+                memberships[fill[c] as usize] = (f, run.len() as u32);
+                fill[c] += 1;
+            }
+        }
+        let mut precedence_order: Vec<u32> =
+            (0..u32::try_from(classes).expect("classes fit in u32")).collect();
+        precedence_order.sort_by_key(|&c| std::cmp::Reverse(class_weight[c as usize]));
+        ConstraintIndex {
+            width,
+            facet_classes,
+            class_weight,
+            precedence_order,
+            offsets,
+            memberships,
+        }
+    }
+
+    /// Number of symmetry classes.
+    pub(crate) fn classes(&self) -> usize {
+        self.class_weight.len()
+    }
+
+    /// Number of distinct facet constraints.
+    pub(crate) fn facet_count(&self) -> usize {
+        self.facet_classes.len() / self.width
+    }
+
+    /// One distinct constraint: a sorted class multiset of `width` ids.
+    pub(crate) fn facet(&self, f: usize) -> &[u32] {
+        &self.facet_classes[f * self.width..(f + 1) * self.width]
+    }
+
+    /// One constraint as `(class, multiplicity)` runs, classes
+    /// strictly increasing.
+    pub(crate) fn runs(&self, f: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.facet(f)
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u32))
+    }
+
+    /// The distinct constraints mentioning class `c` with its
+    /// multiplicity in each, ascending by facet.
+    pub(crate) fn class_facets(&self, c: usize) -> &[(u32, u32)] {
+        &self.memberships[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+    }
+
+    /// Bytes of the derived per-class structures (the flat family is
+    /// charged by the construction that emits it).
+    fn index_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.class_weight.len() * size_of::<usize>()
+            + (self.precedence_order.len() + self.offsets.len()) * size_of::<u32>()
+            + self.memberships.len() * size_of::<(u32, u32)>()) as u64
+    }
 }
 
 impl ConstraintSystem {
@@ -441,21 +529,13 @@ impl ConstraintSystem {
         for (chunk, &word) in facet_classes.chunks_exact_mut(n).zip(&packed) {
             unpack_multiset(word, bits, chunk);
         }
-        let (class_weight, class_facets_offsets, class_facets_data) =
-            index_constraints(&facet_classes, n, class_count);
         ConstraintSystem {
             quotient: OnceLock::from(Arc::new(SignatureQuotient {
                 classes,
                 vertex_class,
             })),
             lazy: None,
-            class_count,
-            width: n,
-            facet_classes,
-            class_weight,
-            class_facets_offsets,
-            class_facets_data,
-            mined_perm_candidates: Vec::new(),
+            index: ConstraintIndex::new(facet_classes, n, class_count),
             class_perms: OnceLock::new(),
         }
     }
@@ -466,7 +546,7 @@ impl ConstraintSystem {
     /// orbit counters alongside. No [`ChromaticComplex`] is ever
     /// materialized. Every subdivision round and the final expansion
     /// poll the ticket and charge their allocations against its memory
-    /// budget.
+    /// budget, and so does the constraint index built last.
     ///
     /// # Errors
     ///
@@ -490,7 +570,7 @@ impl ConstraintSystem {
         // One-shot path: the frontier is consumed, so the arena moves.
         let arena = frontier.into_arena();
         Ok((
-            Self::from_orbit_parts(n, expansion, arena, perm_id_base),
+            Self::from_orbit_parts(n, expansion, arena, perm_id_base, ticket)?,
             stats,
         ))
     }
@@ -500,7 +580,8 @@ impl ConstraintSystem {
     /// during sweeps, and each round's expansion leaves the frontier
     /// valid for the next extension). Expansion never mutates the
     /// frontier's rows, so an `Err` return leaves the cached frontier
-    /// valid for later extension.
+    /// valid for later extension. The constraint index is charged to
+    /// the ticket like the expansion.
     ///
     /// # Errors
     ///
@@ -513,12 +594,13 @@ impl ConstraintSystem {
         // The frontier stays cached for later round extension, so the
         // arena is cloned.
         let arena = frontier.clone_arena();
-        Ok(Self::from_orbit_parts(
+        Self::from_orbit_parts(
             frontier.n(),
             expansion,
             arena,
             frontier.perm_id_base(),
-        ))
+            ticket,
+        )
     }
 
     fn from_orbit_parts(
@@ -526,34 +608,30 @@ impl ConstraintSystem {
         expansion: crate::protocol::OrbitExpansion,
         arena: ViewArena,
         perm_id_base: u32,
-    ) -> Self {
+        ticket: &Ticket,
+    ) -> Result<Self, Stopped> {
         let class_count = expansion.class_keys.len();
-        let (class_weight, class_facets_offsets, class_facets_data) =
-            index_constraints(&expansion.facet_classes, n, class_count);
-        ConstraintSystem {
+        let index = ConstraintIndex::new(expansion.facet_classes, n, class_count);
+        // ticket.check poll site (constraint index memory)
+        ticket.charge_memory(index.index_bytes())?;
+        Ok(ConstraintSystem {
             quotient: OnceLock::new(),
             lazy: Some(Mutex::new((arena, expansion.class_keys, perm_id_base))),
-            class_count,
-            width: n,
-            facet_classes: expansion.facet_classes,
-            class_weight,
-            class_facets_offsets,
-            class_facets_data,
-            mined_perm_candidates: expansion.class_perm_candidates,
+            index,
             class_perms: OnceLock::new(),
-        }
+        })
     }
 
     /// Number of symmetry classes.
     #[must_use]
     pub fn class_count(&self) -> usize {
-        self.class_count
+        self.index.classes()
     }
 
     /// Number of distinct facet constraints.
     #[must_use]
     pub fn facet_count(&self) -> usize {
-        self.facet_classes.len() / self.width.max(1)
+        self.index.facet_count()
     }
 
     /// Number of *verified* class permutations available to orbit
@@ -561,17 +639,6 @@ impl ConstraintSystem {
     #[must_use]
     pub fn verified_class_perm_count(&self) -> usize {
         self.class_perms().len()
-    }
-
-    /// One distinct constraint: a sorted class multiset of `width` ids.
-    fn facet(&self, f: usize) -> &[u32] {
-        &self.facet_classes[f * self.width..(f + 1) * self.width]
-    }
-
-    /// The distinct constraints mentioning class `c`, ascending.
-    fn class_facets(&self, c: usize) -> &[u32] {
-        &self.class_facets_data
-            [self.class_facets_offsets[c] as usize..self.class_facets_offsets[c + 1] as usize]
     }
 
     /// The classes as canonical view signatures, ascending. The orbit
@@ -599,20 +666,19 @@ impl ConstraintSystem {
         })
     }
 
-    /// Verified class permutations of the quotient: candidate maps come
-    /// from order-reversal of view signatures
-    /// ([`View::reversed_signature`]) and, on the orbit path, from the
-    /// renamings mined out of the group image table
-    /// ([`OrbitExpansion::class_perm_candidates`]); a candidate is kept
-    /// only if it is a bijection on classes under which the facet
-    /// multiset family is invariant, so orbit learning never uses an
-    /// unsound symmetry.
+    /// Verified class permutations of the quotient: the order reversal
+    /// of view signatures ([`View::reversed_signature`]), kept only if
+    /// it is a bijection on classes under which the facet multiset
+    /// family is invariant, so orbit learning never uses an unsound
+    /// symmetry. No other renaming is tried: among process renamings
+    /// only the identity and the reversal act consistently on
+    /// order-isomorphism classes.
     /// Computed on first demand and cached; the orbit path derives the
     /// reversal key-level (reversal is an arbitrary-permutation relabel
     /// of the signature's `1..s` support), without materializing views.
     fn class_perms(&self) -> &[Vec<u32>] {
         self.class_perms.get_or_init(|| {
-            let candidate: Option<Vec<u32>> = match &self.lazy {
+            let reversal: Option<Vec<u32>> = match &self.lazy {
                 Some(lazy) => {
                     let mut guard = lazy.lock().expect("orbit arena poisoned");
                     let (arena, keys, base) = &mut *guard;
@@ -652,69 +718,19 @@ impl ConstraintSystem {
                         .collect()
                 }
             };
-            let mut verified =
-                verify_class_perm(candidate, &self.facet_classes, self.width, self.class_count);
-            for cand in &self.mined_perm_candidates {
-                for perm in verify_class_perm(
-                    Some(cand.clone()),
-                    &self.facet_classes,
-                    self.width,
-                    self.class_count,
-                ) {
-                    if !verified.contains(&perm) {
-                        verified.push(perm);
-                    }
-                }
-            }
-            verified
+            let index = &self.index;
+            reversal
+                .into_iter()
+                .filter(|perm| {
+                    is_class_symmetry(perm, &index.facet_classes, index.width, index.classes())
+                })
+                .collect()
         })
     }
 }
 
-/// Occurrence weights and the CSR per-class constraint index over the
-/// deduplicated flat facet family (facets are sorted multisets, so
-/// within-facet duplicates are consecutive).
-fn index_constraints(
-    facet_classes: &[u32],
-    width: usize,
-    classes: usize,
-) -> (Vec<usize>, Vec<u32>, Vec<u32>) {
-    let width = width.max(1);
-    let mut class_weight = vec![0usize; classes];
-    for &c in facet_classes {
-        class_weight[c as usize] += 1;
-    }
-    let mut counts = vec![0u32; classes];
-    for facet in facet_classes.chunks_exact(width) {
-        let mut prev = u32::MAX;
-        for &c in facet {
-            if c != prev {
-                counts[c as usize] += 1;
-                prev = c;
-            }
-        }
-    }
-    let mut offsets = vec![0u32; classes + 1];
-    for c in 0..classes {
-        offsets[c + 1] = offsets[c] + counts[c];
-    }
-    let mut fill: Vec<u32> = offsets[..classes].to_vec();
-    let mut data = vec![0u32; offsets[classes] as usize];
-    for (f, facet) in facet_classes.chunks_exact(width).enumerate() {
-        let mut prev = u32::MAX;
-        for &c in facet {
-            if c != prev {
-                data[fill[c as usize] as usize] = u32::try_from(f).expect("facets fit in u32");
-                fill[c as usize] += 1;
-                prev = c;
-            }
-        }
-    }
-    (class_weight, offsets, data)
-}
-
-/// Keeps a candidate class permutation only if it is a genuine
-/// non-identity bijection under which the facet family is invariant.
+/// Whether a class map is a genuine non-identity bijection under which
+/// the facet family is invariant.
 ///
 /// The family is stored lex-sorted and deduplicated, and a bijection on
 /// classes maps distinct multisets to distinct multisets. So the family
@@ -723,27 +739,18 @@ fn index_constraints(
 /// rows: one `u128` sort and one merge-compare per candidate, with no
 /// per-candidate hash set. Any image outside the family breaks the
 /// equality, so a surviving candidate maps every row into the family.
-fn verify_class_perm(
-    candidate: Option<Vec<u32>>,
-    facet_classes: &[u32],
-    width: usize,
-    classes: usize,
-) -> Vec<Vec<u32>> {
-    let Some(perm) = candidate else {
-        return Vec::new();
-    };
+fn is_class_symmetry(perm: &[u32], facet_classes: &[u32], width: usize, classes: usize) -> bool {
     // Identity or non-bijective maps are useless/unsound.
-    let mut targets: Vec<u32> = perm.clone();
+    let mut targets: Vec<u32> = perm.to_vec();
     targets.sort_unstable();
     targets.dedup();
     if targets.len() != classes
         || targets.last().is_some_and(|&t| t as usize >= classes)
         || perm.iter().enumerate().all(|(i, &p)| p == i as u32)
     {
-        return Vec::new();
+        return false;
     }
     // Facet family invariance.
-    let width = width.max(1);
     let bits = multiset_bits(width);
     assert!(
         (classes as u128) <= (1u128 << bits),
@@ -761,15 +768,10 @@ fn verify_class_perm(
         })
         .collect();
     images.sort_unstable();
-    let invariant = images
+    images
         .iter()
         .zip(facet_classes.chunks_exact(width))
-        .all(|(&img, facet)| img == pack_multiset(facet, bits));
-    if invariant {
-        vec![perm]
-    } else {
-        Vec::new()
-    }
+        .all(|(&img, facet)| img == pack_multiset(facet, bits))
 }
 
 /// Distinct-constraint count at or below which the front door of
@@ -1036,7 +1038,7 @@ impl SymmetricSearch {
                 .is_some_and(|r| r >= 1 && r - 1 == parent.rounds())
             && parent.rounds() >= 1;
         if !matching {
-            return vec![0; self.system.class_count];
+            return vec![0; self.system.class_count()];
         }
         self.classes()
             .iter()
@@ -1056,10 +1058,15 @@ impl SymmetricSearch {
     /// (`Interrupted` when the ticket tripped first) and one-worker
     /// counters reporting the visited nodes as `decisions`.
     fn backtrack_all(&self, ticket: &Ticket) -> (CdclResult, SearchStats) {
-        let k = self.system.class_count;
-        // Order classes by descending weight: most-constrained first.
-        let mut order: Vec<usize> = (0..k).collect();
-        order.sort_by_key(|&c| std::cmp::Reverse(self.system.class_weight[c]));
+        let k = self.system.class_count();
+        // Classes by descending weight: most-constrained first.
+        let order: Vec<usize> = self
+            .system
+            .index
+            .precedence_order
+            .iter()
+            .map(|&c| c as usize)
+            .collect();
         let mut assignment: Vec<Option<usize>> = vec![None; k];
         // Value symmetry breaking is sound only for fully symmetric specs.
         let value_symmetric = self.spec.is_symmetric();
@@ -1082,45 +1089,19 @@ impl SymmetricSearch {
         (outcome, stats)
     }
 
-    /// The quotiented instance handed to the CDCL engine.
-    fn instance(&self) -> cdcl::Instance {
+    /// The quotiented instance handed to the CDCL and local engines:
+    /// the spec's value windows over the system's borrowed index and
+    /// verified class permutations.
+    fn instance(&self) -> cdcl::Instance<'_> {
         let m = self.spec.m();
-        let facets: Vec<Vec<(u32, u32)>> = self
-            .system
-            .facet_classes
-            .chunks_exact(self.system.width.max(1))
-            .map(|facet| {
-                let mut runs: Vec<(u32, u32)> = Vec::with_capacity(facet.len());
-                for &c in facet {
-                    match runs.last_mut() {
-                        Some((class, mult)) if *class == c => *mult += 1,
-                        _ => runs.push((c, 1)),
-                    }
-                }
-                runs
-            })
-            .collect();
-        // Precedence order mirrors the reference engine's branching
-        // order: descending facet-occurrence weight.
-        let mut precedence_order: Vec<u32> = (0..self.system.class_count as u32).collect();
-        precedence_order.sort_by_key(|&c| std::cmp::Reverse(self.system.class_weight[c as usize]));
         cdcl::Instance {
-            classes: self.system.class_count,
             values: m,
             lower: (1..=m).map(|v| self.spec.lower(v) as u32).collect(),
             upper: (1..=m).map(|v| self.spec.upper(v) as u32).collect(),
-            facets,
-            class_weight: self.system.class_weight.clone(),
             value_symmetric: self.spec.is_symmetric(),
-            precedence_order,
-            class_perms: self.class_symmetries(),
+            index: &self.system.index,
+            class_perms: self.system.class_perms(),
         }
-    }
-
-    /// The system's verified class permutations (see
-    /// [`ConstraintSystem::class_perms`]).
-    fn class_symmetries(&self) -> Vec<Vec<u32>> {
-        self.system.class_perms().to_vec()
     }
 
     fn backtrack(
@@ -1185,8 +1166,8 @@ impl SymmetricSearch {
         trail.push(class);
         let mut queue = vec![class];
         while let Some(c) = queue.pop() {
-            for &f in self.system.class_facets(c) {
-                let facet = self.system.facet(f as usize);
+            for &(f, _) in self.system.index.class_facets(c) {
+                let facet = self.system.index.facet(f as usize);
                 if !self.facet_completable(facet, assignment) {
                     return false;
                 }
@@ -1257,11 +1238,8 @@ impl SymmetricSearch {
 
     fn all_facets_legal(&self, assignment: &[Option<usize>]) -> bool {
         let m = self.spec.m();
-        for facet in self
-            .system
-            .facet_classes
-            .chunks_exact(self.system.width.max(1))
-        {
+        let index = &self.system.index;
+        for facet in index.facet_classes.chunks_exact(index.width) {
             let mut counts = vec![0usize; m];
             for &c in facet {
                 match assignment[c as usize] {
@@ -1503,8 +1481,8 @@ mod tests {
     fn fused_and_full_preps_hand_the_solver_identical_instances() {
         // The orbit-quotient pipeline must be *byte-identical* to the
         // materialized-complex path at the instance level: same classes
-        // in the same canonical order, same facet runs, same weights,
-        // same precedence, same verified symmetries.
+        // in the same canonical order, same constraint index (family,
+        // memberships, weights, precedence), same verified symmetries.
         for (spec, r) in [
             (SymmetricGsb::renaming(2, 3).unwrap().to_spec(), 1usize),
             (SymmetricGsb::wsb(3).unwrap().to_spec(), 2),
@@ -1515,27 +1493,69 @@ mod tests {
             let full = full(spec.clone(), r);
             let fused = fused(spec.clone(), r);
             assert_eq!(full.classes(), fused.classes(), "{spec} r={r}");
-            assert_eq!(
-                full.system.class_weight, fused.system.class_weight,
-                "{spec} r={r}"
-            );
-            // The orbit pipeline additionally mines class permutations
-            // out of its group image table (the complex path has no
-            // group table to mine), so the verified-symmetry sets may
-            // legitimately differ: fused ⊇ full. Everything else must
-            // still be byte-identical.
-            let mut full_inst = full.instance();
-            let mut fused_inst = fused.instance();
-            let full_perms = std::mem::take(&mut full_inst.class_perms);
-            let fused_perms = std::mem::take(&mut fused_inst.class_perms);
-            assert_eq!(full_inst, fused_inst, "{spec} r={r}");
-            for perm in &full_perms {
-                assert!(
-                    fused_perms.contains(perm),
-                    "fused symmetries cover the full path's at {spec} r={r}"
-                );
+            assert_eq!(full.instance(), fused.instance(), "{spec} r={r}");
+        }
+    }
+
+    /// Every class's `(facet, multiplicity)` list and weight equal a
+    /// brute-force recount of the flat family, on both pipelines.
+    #[test]
+    fn constraint_index_matches_a_recount() {
+        let mut systems: Vec<(String, ConstraintSystem)> =
+            [(3usize, 1usize), (3, 2), (4, 1), (4, 2)]
+                .into_iter()
+                .map(|(n, r)| {
+                    let (sys, _) = ConstraintSystem::streamed(n, r, &Ticket::unlimited()).unwrap();
+                    (format!("streamed n={n} r={r}"), sys)
+                })
+                .collect();
+        systems.push((
+            "complex n=3 r=2".into(),
+            ConstraintSystem::from_complex(&protocol_complex(3, 2)),
+        ));
+        for (label, sys) in &systems {
+            let index = &sys.index;
+            let facets: Vec<&[u32]> = index.facet_classes.chunks_exact(index.width).collect();
+            for c in 0..sys.class_count() {
+                let recount: Vec<(u32, u32)> = facets
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(f, facet)| {
+                        let mult = facet.iter().filter(|&&x| x as usize == c).count();
+                        (mult > 0).then_some((f as u32, mult as u32))
+                    })
+                    .collect();
+                assert_eq!(index.class_facets(c), recount, "{label} class {c}");
+                let weight: u32 = recount.iter().map(|&(_, mult)| mult).sum();
+                assert_eq!(index.class_weight[c], weight as usize, "{label} class {c}");
             }
         }
+    }
+
+    /// A width-1 CDCL solve of `wsb(3)` at r = 2 takes one fixed
+    /// trajectory; any change to propagation, learning or the index
+    /// order it reads moves these counters.
+    #[test]
+    fn cdcl_trajectory_is_pinned_on_wsb3_r2() {
+        let search = fused(SymmetricGsb::wsb(3).unwrap().to_spec(), 2);
+        let (result, stats) = crate::cdcl::solve_portfolio_width(
+            &search.instance(),
+            &CdclConfig::default(),
+            1,
+            &Ticket::unlimited(),
+        );
+        assert_eq!(result, CdclResult::Unsat);
+        assert_eq!(
+            (
+                stats.decisions,
+                stats.conflicts,
+                stats.propagations,
+                stats.restarts,
+                stats.learned,
+                stats.symmetric_images
+            ),
+            (337, 100, 5_009, 1, 99, 45)
+        );
     }
 
     #[test]
@@ -1564,32 +1584,14 @@ mod tests {
         assert!(stats.conflicts > 0);
     }
 
-    #[test]
-    fn orbit_path_mines_verified_class_permutations() {
-        // The streamed path mines class-permutation candidates from its
-        // group image table; every survivor is re-verified, and the
-        // reversal candidate guarantees at least one verified symmetry
-        // on these quotients.
-        for (n, r) in [(3usize, 1usize), (3, 2), (4, 1)] {
-            let (sys, _) = ConstraintSystem::streamed(n, r, &Ticket::unlimited()).unwrap();
-            let count = sys.verified_class_perm_count();
-            println!(
-                "mined n={n} r={r}: classes={} perms={count}",
-                sys.class_count()
-            );
-            assert!(count >= 1, "reversal must verify at n={n} r={r}");
-        }
-    }
-
-    /// `verify_class_perm` keeps a genuine symmetry and rejects forged
+    /// `is_class_symmetry` keeps a genuine symmetry and rejects forged
     /// bijections, non-bijections, out-of-range maps and the identity.
     #[test]
     fn class_perm_verification_is_sound() {
         let (sys, _) = ConstraintSystem::streamed(3, 2, &Ticket::unlimited()).unwrap();
-        let verify = |perm: Vec<u32>| {
-            !verify_class_perm(Some(perm), &sys.facet_classes, sys.width, sys.class_count)
-                .is_empty()
-        };
+        let k = sys.class_count();
+        let verify =
+            |perm: Vec<u32>| is_class_symmetry(&perm, &sys.index.facet_classes, sys.index.width, k);
         // The order reversal of view signatures is a symmetry.
         let classes = sys.classes();
         let index: HashMap<&View, u32> = classes
@@ -1604,35 +1606,35 @@ mod tests {
         assert!(verify(reversal));
         // Automorphisms preserve occurrence counts, so swapping two
         // classes of different weight is a bijection but no symmetry.
-        let (a, b) = (0..sys.class_count)
-            .flat_map(|a| (a + 1..sys.class_count).map(move |b| (a, b)))
-            .find(|&(a, b)| sys.class_weight[a] != sys.class_weight[b])
+        let (a, b) = (0..k)
+            .flat_map(|a| (a + 1..k).map(move |b| (a, b)))
+            .find(|&(a, b)| sys.index.class_weight[a] != sys.index.class_weight[b])
             .expect("classes of different weight");
-        let mut forged: Vec<u32> = (0..sys.class_count as u32).collect();
+        let mut forged: Vec<u32> = (0..k as u32).collect();
         forged.swap(a, b);
         assert!(!verify(forged));
         // Two classes onto one: not a bijection.
-        let mut merged: Vec<u32> = (0..sys.class_count as u32).collect();
+        let mut merged: Vec<u32> = (0..k as u32).collect();
         merged[1] = 0;
         assert!(!verify(merged));
         // Distinct targets, one outside the class range: the family
         // {0,1}, {0,2} never mentions class 3, so only the range check
         // stands between this map and acceptance.
-        assert!(verify_class_perm(Some(vec![0, 2, 1, 7]), &[0, 1, 0, 2], 2, 4).is_empty());
-        assert!(!verify_class_perm(Some(vec![0, 2, 1, 3]), &[0, 1, 0, 2], 2, 4).is_empty());
+        assert!(!is_class_symmetry(&[0, 2, 1, 7], &[0, 1, 0, 2], 2, 4));
+        assert!(is_class_symmetry(&[0, 2, 1, 3], &[0, 1, 0, 2], 2, 4));
         // The identity is useless to orbit learning.
-        assert!(!verify((0..sys.class_count as u32).collect()));
+        assert!(!verify((0..k as u32).collect()));
         // The survivors on the streamed systems: the reversal alone.
-        for (n, r) in [(3usize, 1usize), (3, 2), (4, 1), (4, 2)] {
+        for (n, r) in [(3usize, 1usize), (3, 2), (4, 1), (4, 2), (5, 1)] {
             let (sys, _) = ConstraintSystem::streamed(n, r, &Ticket::unlimited()).unwrap();
             assert_eq!(sys.verified_class_perm_count(), 1, "n={n} r={r}");
         }
     }
 
     #[test]
-    fn class_symmetries_are_verified_permutations() {
+    fn verified_class_perms_are_bijections() {
         let search = full(SymmetricGsb::wsb(3).unwrap().to_spec(), 1);
-        for perm in search.class_symmetries() {
+        for perm in search.system.class_perms() {
             let mut sorted = perm.clone();
             sorted.sort_unstable();
             sorted.dedup();

@@ -376,8 +376,8 @@ pub(crate) struct ConstraintIndex {
     /// For each class, the distinct constraints mentioning it as
     /// `(facet, multiplicity)`, ascending by facet — CSR-packed
     /// (`memberships[offsets[c]..offsets[c + 1]]`).
-    pub offsets: Vec<u32>,
-    pub memberships: Vec<(u32, u32)>,
+    offsets: Vec<u32>,
+    memberships: Vec<(u32, u32)>,
 }
 
 impl ConstraintIndex {

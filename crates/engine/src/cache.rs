@@ -503,7 +503,10 @@ mod tests {
         let ((cached, cached_map, _), hit) = search(&cache, &spec, 1);
         assert!(hit);
         assert_eq!(cached, result);
-        assert_eq!(cached_map, Some(map));
+        let cached_map = cached_map.expect("the hit carries the witness");
+        // The hit shares the miss's class list instead of copying it.
+        assert!(std::ptr::eq(cached_map.classes(), map.classes()));
+        assert_eq!(cached_map, map);
     }
 
     #[test]

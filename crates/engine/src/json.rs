@@ -520,9 +520,9 @@ fn duration_from_ms(ms: f64, key: &str) -> Result<Duration> {
 }
 
 /// Facet ceiling for decision-map rebuilds parsed from untrusted bytes.
-/// `χ^r(Δ^{n−1})` has `fubini(n)^r` facets and
-/// [`DecisionMap::rebuild`] materializes the whole complex, so a crafted
-/// `(n, rounds)` pair would otherwise turn a parse into an
+/// `χ^r(Δ^{n−1})` has `fubini(n)^r` facets and the first
+/// [`DecisionMap::rebuild`] at a pair materializes the whole complex, so
+/// a crafted `(n, rounds)` pair would otherwise turn a parse into an
 /// out-of-memory build. The ceiling comfortably covers every complex
 /// the engine has ever searched (χ³(Δ³) = 421,875, χ²(Δ⁴) = 292,681,
 /// χ²(Δ⁵) = 21,932,489 facets).
@@ -530,6 +530,12 @@ const MAX_REBUILD_FACETS: u128 = 30_000_000;
 
 /// Rejects `(n, rounds)` pairs whose rebuild would materialize more
 /// than [`MAX_REBUILD_FACETS`] facets (or a degenerate `n = 0`).
+///
+/// [`DecisionMap::rebuild`] builds `χ^rounds(Δ^{n−1})` once per
+/// `(n, rounds)` and keeps it, with its sorted class list, in the
+/// process-wide shared memo, so later decodes at the pair clone an
+/// `Arc`. The guard bounds that first build, and with it what one
+/// accepted pair keeps resident.
 fn rebuild_cost_guard(n: usize, rounds: usize) -> Result<()> {
     let oversized = || Error::Json {
         details: format!(

@@ -90,6 +90,9 @@ pub struct ChromaticComplex {
     /// tracks classes incrementally per round; either way
     /// [`ChromaticComplex::signature_quotient`] is a lookup afterwards.
     quotient: OnceLock<Arc<SignatureQuotient>>,
+    /// The quotient's classes in canonical (ascending-view) order,
+    /// computed on first demand and reset with `quotient`.
+    canonical: OnceLock<Arc<[View]>>,
 }
 
 impl ChromaticComplex {
@@ -102,6 +105,7 @@ impl ChromaticComplex {
             index: HashMap::new(),
             facet_data: Vec::new(),
             quotient: OnceLock::new(),
+            canonical: OnceLock::new(),
         }
     }
 
@@ -128,7 +132,7 @@ impl ChromaticComplex {
             return id;
         }
         // A new vertex invalidates any computed quotient.
-        self.quotient = OnceLock::new();
+        self.reset_quotient();
         let id = VertexId::try_from(self.vertices.len()).expect("vertex ids fit in u32");
         self.vertices.push(vertex.clone());
         self.index.insert(vertex, id);
@@ -147,7 +151,7 @@ impl ChromaticComplex {
     /// is skipped — [`ChromaticComplex::intern`] rebuilds it lazily if
     /// ever needed again).
     pub(crate) fn push_vertex(&mut self, vertex: Vertex) -> VertexId {
-        self.quotient = OnceLock::new();
+        self.reset_quotient();
         let id = VertexId::try_from(self.vertices.len()).expect("vertex ids fit in u32");
         self.vertices.push(vertex);
         id
@@ -261,6 +265,28 @@ impl ChromaticComplex {
     pub(crate) fn set_quotient(&mut self, quotient: SignatureQuotient) {
         debug_assert_eq!(quotient.vertex_class.len(), self.vertices.len());
         self.quotient = OnceLock::from(Arc::new(quotient));
+        self.canonical = OnceLock::new();
+    }
+
+    /// The quotient's class signatures in canonical (ascending-view)
+    /// order — the order every search prep and
+    /// [`DecisionMap`](crate::DecisionMap) use. Sorted once per complex
+    /// and shared behind an [`Arc`], so decoding any number of decision
+    /// maps over the shared complex clones no class.
+    #[must_use]
+    pub(crate) fn canonical_classes(&self) -> Arc<[View]> {
+        Arc::clone(self.canonical.get_or_init(|| {
+            let mut classes = self.signature_quotient().classes.clone();
+            classes.sort_unstable();
+            classes.into()
+        }))
+    }
+
+    /// Drops the memoized quotient and canonical class list (the vertex
+    /// set changed).
+    fn reset_quotient(&mut self) {
+        self.quotient = OnceLock::new();
+        self.canonical = OnceLock::new();
     }
 
     fn compute_quotient(&self) -> SignatureQuotient {
@@ -436,6 +462,28 @@ mod tests {
         assert_ne!(ridge_key(&wide, 0), ridge_key(&wide, 6));
         assert!(matches!(ridge_key(&wide, 0), RidgeKey::Wide(_)));
         assert!(matches!(ridge_key(&facet_a, 0), RidgeKey::Packed(_)));
+    }
+
+    #[test]
+    fn canonical_classes_are_shared_until_the_vertex_set_changes() {
+        let mut c = ChromaticComplex::new(2);
+        let a = c.intern(vertex(1, &[1]));
+        let b = c.intern(vertex(2, &[1, 2]));
+        c.add_facet(vec![a, b]);
+        let before = c.canonical_classes();
+        assert!(before.windows(2).all(|w| w[0] < w[1]), "ascending");
+        assert!(Arc::ptr_eq(&before, &c.canonical_classes()));
+        // Re-interning a known vertex changes nothing.
+        c.intern(vertex(1, &[1]));
+        assert!(Arc::ptr_eq(&before, &c.canonical_classes()));
+        // A vertex of a new class yields a fresh list that has it.
+        let fresh = vertex(1, &[1, 2]);
+        c.intern(fresh.clone());
+        let after = c.canonical_classes();
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert_eq!(after.len(), before.len() + 1);
+        assert!(after.binary_search(&fresh.view.signature()).is_ok());
+        assert!(after.windows(2).all(|w| w[0] < w[1]), "ascending");
     }
 
     #[test]

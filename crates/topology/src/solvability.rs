@@ -41,7 +41,7 @@ use gsb_core::GsbSpec;
 use rayon::prelude::*;
 
 use crate::cdcl::{self, CdclConfig, CdclResult, SearchStats};
-use crate::complex::{ChromaticComplex, SignatureQuotient};
+use crate::complex::ChromaticComplex;
 use crate::error::Error;
 use crate::local;
 use crate::protocol::{
@@ -157,36 +157,36 @@ pub struct DecisionMap {
     /// Canonical signature of each symmetry class, in canonical
     /// (ascending-view) order — the order every search prep and
     /// [`DecisionMap::rebuild`] use, *not* the raw
-    /// [`SignatureQuotient`](crate::SignatureQuotient) order.
-    classes: Vec<View>,
+    /// [`SignatureQuotient`](crate::SignatureQuotient) order. Shared with
+    /// the constraint system or complex it came from, never copied.
+    classes: Arc<[View]>,
     /// Value decided by each class.
     assignment: Vec<usize>,
 }
 
 impl DecisionMap {
     /// Reconstructs a decision map from `(n, rounds, assignment)` alone —
-    /// the serialized form — by rebuilding the signature quotient of
-    /// `χ^rounds(Δ^{n−1})`.
+    /// the serialized form — over the canonical class list of the
+    /// process-wide shared `χ^rounds(Δ^{n−1})`: the complex is built and
+    /// its classes sorted once per `(n, rounds)`, and every later decode
+    /// clones an [`Arc`].
     ///
     /// # Errors
     ///
     /// Returns [`Error::ClassCountMismatch`] if `assignment` does not
     /// have one value per symmetry class of that complex.
     pub fn rebuild(n: usize, rounds: usize, assignment: Vec<usize>) -> Result<Self, Error> {
-        let complex = shared_protocol_complex(n, rounds);
-        let quotient = complex.signature_quotient();
-        if quotient.classes.len() != assignment.len() {
-            return Err(Error::ClassCountMismatch {
-                witness: assignment.len(),
-                complex: quotient.classes.len(),
-            });
-        }
         // Canonical (ascending-view) class order — the order every
         // search prep uses, whichever pipeline built it — so a
         // serialized `(n, rounds, assignment)` triple deserializes to
         // the map the search produced.
-        let mut classes = quotient.classes.clone();
-        classes.sort_unstable();
+        let classes = shared_protocol_complex(n, rounds).canonical_classes();
+        if classes.len() != assignment.len() {
+            return Err(Error::ClassCountMismatch {
+                witness: assignment.len(),
+                complex: classes.len(),
+            });
+        }
         Ok(DecisionMap {
             n,
             rounds,
@@ -225,10 +225,9 @@ impl DecisionMap {
     /// belongs to no recorded class.
     #[must_use]
     pub fn value_of(&self, view: &View) -> Option<usize> {
-        let signature = view.signature();
         self.classes
-            .iter()
-            .position(|c| *c == signature)
+            .binary_search(&view.signature())
+            .ok()
             .map(|i| self.assignment[i])
     }
 
@@ -341,9 +340,10 @@ impl std::fmt::Display for DecisionMap {
 /// every spec searched at the same parameters.
 #[derive(Debug)]
 pub struct ConstraintSystem {
-    /// Materialized quotient, classes canonically ordered. Set eagerly
+    /// Materialized class signatures, canonically ordered. Set eagerly
     /// by the complex path; the orbit path fills it lazily from `lazy`.
-    quotient: OnceLock<Arc<SignatureQuotient>>,
+    /// Decision maps share this list rather than copy it.
+    classes: OnceLock<Arc<[View]>>,
     /// Orbit-path source: the frontier's arena, the canonical class
     /// keys, and the first free permutation-memo id (the group ids
     /// `0..base` are taken by the `S_n` enumeration).
@@ -473,20 +473,20 @@ impl ConstraintSystem {
     #[must_use]
     pub fn from_complex(complex: &ChromaticComplex) -> Self {
         let raw = complex.signature_quotient();
-        let class_count = raw.classes.len();
         // Canonical class order: ascending view order — identical to
         // the orbit pipeline's key-level sort, so the two paths hand
         // the solver byte-identical instances.
-        let mut order: Vec<u32> =
-            (0..u32::try_from(class_count).expect("classes fit in u32")).collect();
-        order.sort_unstable_by(|&a, &b| raw.classes[a as usize].cmp(&raw.classes[b as usize]));
-        let mut new_of_old = vec![0u32; class_count];
-        for (new, &old) in order.iter().enumerate() {
-            new_of_old[old as usize] = u32::try_from(new).expect("classes fit in u32");
-        }
-        let classes: Vec<View> = order
+        let classes = complex.canonical_classes();
+        let class_count = classes.len();
+        let new_of_old: Vec<u32> = raw
+            .classes
             .iter()
-            .map(|&old| raw.classes[old as usize].clone())
+            .map(|sig| {
+                let new = classes
+                    .binary_search(sig)
+                    .expect("every class is in the canonical list");
+                u32::try_from(new).expect("classes fit in u32")
+            })
             .collect();
         let vertex_class: Vec<u32> = raw
             .vertex_class
@@ -530,10 +530,7 @@ impl ConstraintSystem {
             unpack_multiset(word, bits, chunk);
         }
         ConstraintSystem {
-            quotient: OnceLock::from(Arc::new(SignatureQuotient {
-                classes,
-                vertex_class,
-            })),
+            classes: OnceLock::from(classes),
             lazy: None,
             index: ConstraintIndex::new(facet_classes, n, class_count),
             class_perms: OnceLock::new(),
@@ -615,7 +612,7 @@ impl ConstraintSystem {
         // ticket.check poll site (constraint index memory)
         ticket.charge_memory(index.index_bytes())?;
         Ok(ConstraintSystem {
-            quotient: OnceLock::new(),
+            classes: OnceLock::new(),
             lazy: Some(Mutex::new((arena, expansion.class_keys, perm_id_base))),
             index,
             class_perms: OnceLock::new(),
@@ -647,22 +644,19 @@ impl ConstraintSystem {
     /// and displays do).
     #[must_use]
     pub fn classes(&self) -> &[View] {
-        &self.materialized().classes
+        self.shared_classes()
     }
 
-    fn materialized(&self) -> &Arc<SignatureQuotient> {
-        self.quotient.get_or_init(|| {
+    /// The canonical class list itself, for decision maps to share.
+    pub(crate) fn shared_classes(&self) -> &Arc<[View]> {
+        self.classes.get_or_init(|| {
             let lazy = self
                 .lazy
                 .as_ref()
                 .expect("a system is eager or carries its orbit arena");
             let guard = lazy.lock().expect("orbit arena poisoned");
             let (arena, keys, _) = &*guard;
-            let classes: Vec<View> = keys.iter().map(|&k| arena.view(k)).collect();
-            Arc::new(SignatureQuotient {
-                classes,
-                vertex_class: Vec::new(),
-            })
+            keys.iter().map(|&k| arena.view(k)).collect()
         })
     }
 
@@ -702,11 +696,10 @@ impl ConstraintSystem {
                         .collect()
                 }
                 None => {
-                    let classes = &self
-                        .quotient
+                    let classes = self
+                        .classes
                         .get()
-                        .expect("the complex path sets its quotient eagerly")
-                        .classes;
+                        .expect("the complex path sets its classes eagerly");
                     let index: HashMap<&View, u32> = classes
                         .iter()
                         .enumerate()
@@ -916,7 +909,7 @@ impl SymmetricSearch {
         Some(DecisionMap {
             n: self.spec.n(),
             rounds,
-            classes: self.system.classes().to_vec(),
+            classes: Arc::clone(self.system.shared_classes()),
             assignment: assignment.to_vec(),
         })
     }
@@ -1678,6 +1671,38 @@ mod tests {
         for (i, class) in map.classes().iter().enumerate() {
             assert_eq!(map.value_of(class), Some(map.assignment()[i]));
         }
+        // Views of no class: a round-0 view, and a round-1 view that saw
+        // four processes.
+        assert_eq!(map.value_of(&View::Initial { id: 1 }), None);
+        assert_eq!(map.value_of(&View::one_round(2, &[1, 2, 3, 4])), None);
+    }
+
+    /// Decoded maps and searched maps list classes in one canonical
+    /// order, though they read it from different `Arc`s: the shared
+    /// complex's sorted quotient and the orbit system's arena keys.
+    /// Decodes at one `(n, rounds)` share one list, and so do a system
+    /// and the maps its searches return.
+    #[test]
+    fn decision_map_class_lists_are_shared_in_canonical_order() {
+        let points = (1..=4usize)
+            .flat_map(|n| (0..=2usize).map(move |r| (n, r)))
+            .chain([(5, 1)]);
+        for (n, r) in points {
+            let (system, _) = ConstraintSystem::streamed(n, r, &Ticket::unlimited()).unwrap();
+            let decoded = DecisionMap::rebuild(n, r, vec![1; system.class_count()]).unwrap();
+            assert_eq!(decoded.classes(), system.classes(), "n={n} r={r}");
+            assert!(
+                decoded.classes().windows(2).all(|w| w[0] < w[1]),
+                "n={n} r={r}: ascending"
+            );
+            let again = DecisionMap::rebuild(n, r, vec![2; system.class_count()]).unwrap();
+            assert!(Arc::ptr_eq(&decoded.classes, &again.classes), "n={n} r={r}");
+        }
+        let spec = SymmetricGsb::renaming(3, 6).unwrap().to_spec();
+        let search = fused(spec, 1);
+        let (result, _) = run(&search, FRONT_DOOR);
+        let map = search.decision_map(&result).unwrap();
+        assert!(Arc::ptr_eq(&map.classes, search.system.shared_classes()));
     }
 
     #[test]
@@ -1697,10 +1722,32 @@ mod tests {
             out_of_range.check(&spec),
             Err(Error::ValueOutOfRange { .. })
         ));
-        // Wrong arity for the complex.
+        // Wrong arity for the complex, whose class list the decodes
+        // above have already cached.
         assert!(matches!(
             DecisionMap::rebuild(3, 1, vec![1; classes + 1]),
             Err(Error::ClassCountMismatch { .. })
+        ));
+        // The replay builds its complex fresh, so a map whose class list
+        // no longer matches the shared one is still caught.
+        let truncated = DecisionMap {
+            classes: forged.classes[1..].into(),
+            assignment: vec![1; classes - 1],
+            ..forged.clone()
+        };
+        assert!(matches!(
+            truncated.check(&spec),
+            Err(Error::ClassCountMismatch { .. })
+        ));
+        let mut foreign = forged.classes.to_vec();
+        foreign[0] = View::one_round(2, &[1, 2, 3, 4]);
+        let foreign = DecisionMap {
+            classes: foreign.into(),
+            ..forged
+        };
+        assert!(matches!(
+            foreign.check(&spec),
+            Err(Error::UnknownClassSignature { .. })
         ));
         // Wrong process count.
         let other = SymmetricGsb::renaming(2, 3).unwrap().to_spec();

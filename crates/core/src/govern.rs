@@ -130,9 +130,9 @@ impl std::error::Error for Stopped {}
 pub struct Limits {
     /// Wall-clock deadline, measured from [`Ticket::new`].
     pub deadline: Option<Duration>,
-    /// Maximum CDCL decisions across all portfolio members.
+    /// Maximum CDCL decisions of the governed solve.
     pub decisions: Option<u64>,
-    /// Maximum CDCL conflicts across all portfolio members.
+    /// Maximum CDCL conflicts of the governed solve.
     pub conflicts: Option<u64>,
     /// Maximum reference-backtracker nodes.
     pub nodes: Option<u64>,

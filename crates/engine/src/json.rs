@@ -654,7 +654,6 @@ fn stats_to_json(stats: &SearchStats) -> Json {
             "symmetric_images".into(),
             Json::Num(stats.symmetric_images as f64),
         ),
-        ("imported".into(), Json::Num(stats.imported as f64)),
         ("deleted".into(), Json::Num(stats.deleted as f64)),
         ("warm_seeded".into(), Json::Num(stats.warm_seeded as f64)),
         ("local_steps".into(), Json::Num(stats.local_steps as f64)),
@@ -684,7 +683,6 @@ fn stats_from_json(value: &Json) -> Result<SearchStats> {
         restarts: u64_field(value, "restarts")?,
         learned: u64_field(value, "learned")?,
         symmetric_images: u64_field(value, "symmetric_images")?,
-        imported: u64_field(value, "imported")?,
         deleted: u64_field(value, "deleted")?,
         warm_seeded: opt_u64("warm_seeded")?,
         local_steps: opt_u64("local_steps")?,

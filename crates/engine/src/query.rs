@@ -76,8 +76,8 @@ impl std::fmt::Display for Question {
 /// Which engine answers round-bounded search questions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SearchEngine {
-    /// The conflict-driven engine (clause learning, orbit pruning,
-    /// portfolio) — the production default.
+    /// The conflict-driven engine (clause learning, orbit pruning, one
+    /// deterministic solver) — the production default.
     #[default]
     Cdcl,
     /// The retained backtracking oracle (optionally node-budgeted).
@@ -120,9 +120,9 @@ pub struct EngineOpts {
     /// stride. Exhaustion yields an indeterminate verdict
     /// ([`Evidence::Indeterminate`](crate::Evidence)).
     pub deadline: Option<std::time::Duration>,
-    /// CDCL decision budget across all portfolio members.
+    /// CDCL decision budget of the query (a race's CDCL lane counts).
     pub decision_budget: Option<u64>,
-    /// CDCL conflict budget across all portfolio members.
+    /// CDCL conflict budget of the query (a race's CDCL lane counts).
     pub conflict_budget: Option<u64>,
     /// Node budget for the reference backtracker.
     pub node_budget: Option<u64>,

@@ -1,5 +1,5 @@
 //! Governance integration: every query holds a ticket (unlimited by
-//! default), every long loop — CDCL portfolio, reference backtracker,
+//! default), every long loop — CDCL solver, reference backtracker,
 //! streamed orbit construction — stops when its ticket trips, and the
 //! engine reports the stop as an *indeterminate verdict* (never a hang,
 //! never an abort). The deterministic
@@ -62,8 +62,8 @@ fn deadline_stops_a_long_cdcl_solve() {
     assert_eq!(stop_reason_of(&verdict), StopReason::Deadline);
 }
 
-/// A conflict budget trips the CDCL portfolio at a strided poll site
-/// and the verdict carries the busiest member's partial counters.
+/// A conflict budget trips the CDCL solver at a strided poll site and
+/// the verdict carries its partial counters.
 #[test]
 fn conflict_budget_stops_cdcl_with_partial_counters() {
     let _g = lock();
@@ -108,7 +108,7 @@ fn memory_budget_stops_streamed_construction() {
 
 /// The memory budget covers the solver too: with construction served
 /// from the cache, a budget below the CDCL setup charge trips before
-/// any search, in the portfolio and in the race's CDCL lane alike, and
+/// any search, in a plain CDCL solve and in the race's CDCL lane alike, and
 /// the interrupted verdict leaves no cache entry behind.
 #[test]
 fn memory_budget_covers_solver_setup() {
@@ -146,7 +146,7 @@ fn generous_limits_do_not_change_the_verdict() {
     assert_eq!(verdict.is_solvable(), Some(false));
 }
 
-/// Seeded fault injection cancels the CDCL portfolio at a counted poll
+/// Seeded fault injection cancels the CDCL solver at a counted poll
 /// site: construction finishes before the plan is armed (its polls
 /// would otherwise consume the countdown) and the solver setup charge
 /// is the first counted poll, so the countdown-one seed lands on the

@@ -80,6 +80,19 @@ fn every_evidence_kind_round_trips() {
                 .check()
                 .unwrap_or_else(|e| panic!("{expected_kind} ({path}) re-check after parse: {e}"));
         }
+        // Solver counters no longer carry the clause-pool `imported`
+        // count, and a stored line that still does (written before the
+        // counter was removed) parses to the same verdict.
+        assert!(!json.contains("\"imported\""), "{expected_kind}: {json}");
+        if let Some(stats) = verdict.stats.search {
+            let legacy = json.replace("\"deleted\":", "\"imported\": 7, \"deleted\":");
+            assert_ne!(legacy, json, "{expected_kind}: counters are rendered");
+            let parsed = Verdict::from_json(&legacy)
+                .unwrap_or_else(|e| panic!("{expected_kind}: legacy stats line: {e}"));
+            assert_eq!(parsed.stats.search, Some(stats), "{expected_kind}");
+            assert_eq!(parsed.evidence, verdict.evidence, "{expected_kind}");
+            assert_eq!(parsed.to_json(), json, "{expected_kind}");
+        }
     }
 }
 

@@ -32,12 +32,11 @@
 //!   specs additionally get static value-precedence breaking; clauses
 //!   touching those constraints (and so every clause mentioning a ladder
 //!   auxiliary) are tainted and never imaged.
-//! * **Portfolio.** [`solve_portfolio`] fans diversified configurations
-//!   (seed, phase, restart cadence, random-decision rate) across scoped
-//!   threads — sized by `rayon::current_num_threads()`, which honors
-//!   `RAYON_NUM_THREADS`, so the 1-core container runs exactly one
-//!   deterministic solver — with first-finisher-wins cancellation and
-//!   optional sharing of short learned clauses.
+//! * **One solver per query.** Every solve runs one seeded solver on
+//!   the calling thread, so an instance and its warm start always take
+//!   the same trajectory. The completion race
+//!   ([`local::solve_race`](crate::local)) is the only place a query
+//!   uses a second thread.
 //!
 //! The seed's backtracking engine is retained in
 //! [`solvability`](crate::solvability) as the reference oracle; the
@@ -47,7 +46,6 @@ use crate::solvability::ConstraintIndex;
 use gsb_core::govern::Ticket;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// The quotiented decision-map instance handed to the CDCL and local
 /// engines: one spec's value windows over a borrowed constraint index.
@@ -78,27 +76,21 @@ pub(crate) struct Instance<'a> {
     pub class_perms: &'a [Vec<u32>],
 }
 
-/// Tuning knobs of one CDCL solver; the portfolio diversifies these.
-#[derive(Debug, Clone)]
+/// Seed of the solver's xorshift RNG (random decisions).
+const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Luby restart unit, in conflicts.
+const RESTART_BASE: u64 = 64;
+
+/// Percentage (`0..100`) of decisions taken on a random variable.
+const RANDOM_DECISION_PCT: u64 = 2;
+
+/// Longest learned clause replayed through the symmetry group.
+const SYMMETRIC_IMAGE_MAX_LEN: usize = 16;
+
+/// What a caller may hand one CDCL solve beyond the instance.
+#[derive(Debug, Clone, Default)]
 pub struct CdclConfig {
-    /// Seed of the solver's xorshift RNG (random decisions, jitter).
-    pub seed: u64,
-    /// Initial saved phase used for branching decisions.
-    pub default_phase: bool,
-    /// Luby restart unit, in conflicts.
-    pub restart_base: u64,
-    /// Percentage (`0..100`) of decisions taken on a random variable.
-    pub random_decision_pct: u32,
-    /// Whether to learn orbit images of symmetric conflict clauses.
-    pub symmetric_learning: bool,
-    /// Longest clause replayed through the symmetry group.
-    pub symmetric_image_max_len: usize,
-    /// Whether to jitter initial activities (portfolio diversity).
-    pub activity_jitter: bool,
-    /// Whether portfolio members exchange short learned clauses.
-    pub share_learned: bool,
-    /// Longest clause exported to the portfolio pool.
-    pub share_max_len: usize,
     /// Per-class warm-start values (`1..=m`, `0` = unseeded), lifted
     /// from the previous round's decision map. Seeds preset saved
     /// phases and boost initial VSIDS activity; they never constrain
@@ -106,24 +98,7 @@ pub struct CdclConfig {
     pub warm_start: Option<std::sync::Arc<Vec<u32>>>,
 }
 
-impl Default for CdclConfig {
-    fn default() -> Self {
-        CdclConfig {
-            seed: 0x9E37_79B9_7F4A_7C15,
-            default_phase: false,
-            restart_base: 64,
-            random_decision_pct: 2,
-            symmetric_learning: true,
-            symmetric_image_max_len: 16,
-            activity_jitter: false,
-            share_learned: true,
-            share_max_len: 8,
-            warm_start: None,
-        }
-    }
-}
-
-/// Counters reported by one solve (the portfolio returns the winner's).
+/// Counters reported by one solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Branching decisions taken.
@@ -138,8 +113,6 @@ pub struct SearchStats {
     pub learned: u64,
     /// Learned clauses added as symmetry-orbit images.
     pub symmetric_images: u64,
-    /// Clauses imported from the portfolio pool.
-    pub imported: u64,
     /// Learned clauses deleted by DB reduction.
     pub deleted: u64,
     /// Classes whose initial phase came from a lifted warm start.
@@ -151,7 +124,8 @@ pub struct SearchStats {
     pub local_restarts: u64,
     /// Whether the local-search member produced the winning assignment.
     pub local_won: bool,
-    /// Portfolio workers that ran (1 outside portfolio mode).
+    /// Solvers that ran: always 1, since every query runs one engine
+    /// (the race reports its CDCL lane). UNSAT evidence rejects 0.
     pub workers: usize,
 }
 
@@ -162,7 +136,7 @@ pub(crate) enum CdclResult {
     Sat(Vec<usize>),
     /// The instance admits no decision map.
     Unsat,
-    /// No verdict: another portfolio member finished first, the ticket
+    /// No verdict: the race's other lane finished first, the ticket
     /// tripped, or local search ran out of restarts.
     Interrupted,
 }
@@ -323,29 +297,10 @@ impl VarOrder {
     }
 }
 
-/// Pool of short learned clauses exchanged between portfolio members.
-#[derive(Debug, Default)]
-pub(crate) struct SharedPool {
-    clauses: Mutex<Vec<(Vec<Lit>, bool)>>,
-}
-
-impl SharedPool {
-    fn export(&self, lits: Vec<Lit>, symmetric: bool) {
-        self.clauses
-            .lock()
-            .expect("pool poisoned")
-            .push((lits, symmetric));
-    }
-
-    fn import_from(&self, cursor: usize) -> Vec<(Vec<Lit>, bool)> {
-        let pool = self.clauses.lock().expect("pool poisoned");
-        pool[cursor.min(pool.len())..].to_vec()
-    }
-}
-
 struct Solver<'a> {
     inst: &'a Instance<'a>,
-    cfg: CdclConfig,
+    /// Luby restart unit ([`RESTART_BASE`]; tests shorten it).
+    restart_base: u64,
     /// Number of `x_{c,v}` variables (`k · m`, numbered `c · m + v − 1`);
     /// the value-precedence ladder's auxiliaries are numbered after them.
     class_vars: usize,
@@ -384,7 +339,6 @@ struct Solver<'a> {
     image_seen: HashSet<Vec<Lit>>,
     learned_live: usize,
     learned_limit: usize,
-    pool_cursor: usize,
     /// Set when input installation already refutes the instance (a unit
     /// conflict or a facet whose lower window exceeds its weight).
     root_conflict: bool,
@@ -407,7 +361,7 @@ impl<'a> Solver<'a> {
         var as usize >= self.class_vars
     }
 
-    fn new(inst: &'a Instance<'a>, cfg: CdclConfig) -> Solver<'a> {
+    fn new(inst: &'a Instance<'a>, cfg: &CdclConfig) -> Solver<'a> {
         let index = inst.index;
         let m = inst.values;
         let classes = index.classes();
@@ -416,26 +370,18 @@ impl<'a> Solver<'a> {
         let facet_max_mult: Vec<u32> = (0..index.facet_count())
             .map(|f| index.runs(f).map(|(_, mult)| mult).max().unwrap_or(0))
             .collect();
-        let mut rng = XorShift(cfg.seed | 1);
         let max_weight = index.class_weight.iter().copied().max().unwrap_or(1).max(1);
         let mut activity = vec![0.0f64; nvars];
         for c in 0..classes {
             let base = index.class_weight[c] as f64 / max_weight as f64;
-            for vi in 0..m {
-                let jitter = if cfg.activity_jitter {
-                    1.0 + (rng.next() % 1000) as f64 / 10_000.0
-                } else {
-                    1.0
-                };
-                activity[c * m + vi] = base * jitter;
-            }
+            activity[c * m..(c + 1) * m].fill(base);
         }
         // Warm-start seeds lift the previous round's decision map into
         // initial phases and a VSIDS boost: seeded variables start on
         // top of the order with a positive saved phase, so the first
         // dive replays the lifted solution. Pure heuristic — verdicts
         // are unaffected.
-        let mut saved_phase = vec![cfg.default_phase; nvars];
+        let mut saved_phase = vec![false; nvars];
         let mut warm_seeded = 0u64;
         if let Some(seed) = cfg.warm_start.as_deref() {
             if seed.len() == classes {
@@ -458,6 +404,7 @@ impl<'a> Solver<'a> {
         let var_maps = build_var_maps(inst, m, nvars);
         let mut solver = Solver {
             inst,
+            restart_base: RESTART_BASE,
             class_vars,
             clauses: Vec::new(),
             watches: vec![Vec::new(); nvars * 2],
@@ -478,19 +425,17 @@ impl<'a> Solver<'a> {
             false_w: vec![0; index.facet_count() * m],
             facet_max_mult,
             seen: vec![false; nvars],
-            rng,
+            rng: XorShift(SEED | 1),
             var_maps,
             pending: Vec::new(),
             image_seen: HashSet::new(),
             learned_live: 0,
             learned_limit: 4000,
-            pool_cursor: 0,
             root_conflict: false,
             stats: SearchStats {
                 warm_seeded,
                 ..SearchStats::default()
             },
-            cfg,
         };
         // A facet whose lower window exceeds its total weight can never
         // be satisfied, and — with `m = 1` — never produces the false
@@ -1003,9 +948,9 @@ impl<'a> Solver<'a> {
         (learnt, backtrack, levels.len() as u32, symmetric)
     }
 
-    /// Installs a learned clause (after backtracking), exports it to the
-    /// portfolio pool, and queues its symmetry-orbit images.
-    fn record(&mut self, learnt: Vec<Lit>, lbd: u32, symmetric: bool, pool: Option<&SharedPool>) {
+    /// Installs a learned clause (after backtracking) and queues its
+    /// symmetry-orbit images.
+    fn record(&mut self, learnt: Vec<Lit>, lbd: u32, symmetric: bool) {
         self.stats.learned += 1;
         self.debug_assert_untainted_free_of_aux(&learnt, symmetric);
         if learnt.len() == 1 {
@@ -1016,20 +961,12 @@ impl<'a> Solver<'a> {
             let ok = self.enqueue(learnt[0], Reason::Clause(cref));
             debug_assert!(ok, "asserting literal is unassigned after backtrack");
         }
-        // Every own clause goes into the dedup set, so pool imports never
-        // hand this solver back its own exports as duplicates.
+        // Every own clause goes into the dedup set, so no orbit image
+        // re-adds a clause the solver already holds.
         let mut canonical = learnt.clone();
         canonical.sort_unstable();
         self.image_seen.insert(canonical);
-        if let Some(pool) = pool {
-            if self.cfg.share_learned && learnt.len() <= self.cfg.share_max_len {
-                pool.export(learnt.clone(), symmetric);
-            }
-        }
-        if symmetric
-            && self.cfg.symmetric_learning
-            && learnt.len() <= self.cfg.symmetric_image_max_len
-        {
+        if symmetric && learnt.len() <= SYMMETRIC_IMAGE_MAX_LEN {
             for map_index in 0..self.var_maps.len() {
                 let mut image: Vec<Lit> = learnt
                     .iter()
@@ -1044,24 +981,10 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Absorbs queued clauses (symmetry images, portfolio imports) at
-    /// decision level 0; `false` means the instance is now UNSAT.
-    fn absorb_pending(&mut self, pool: Option<&SharedPool>) -> bool {
+    /// Absorbs queued symmetry images at decision level 0; `false`
+    /// means the instance is now UNSAT.
+    fn absorb_pending(&mut self) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
-        if let Some(pool) = pool {
-            if self.cfg.share_learned {
-                let imported = pool.import_from(self.pool_cursor);
-                self.pool_cursor += imported.len();
-                for (lits, symmetric) in imported {
-                    let mut canonical = lits.clone();
-                    canonical.sort_unstable();
-                    if self.image_seen.insert(canonical) {
-                        self.stats.imported += 1;
-                        self.pending.push((lits, symmetric));
-                    }
-                }
-            }
-        }
         let pending = std::mem::take(&mut self.pending);
         for (lits, mut symmetric) in pending {
             let mut reduced: Vec<Lit> = Vec::with_capacity(lits.len());
@@ -1161,10 +1084,7 @@ impl<'a> Solver<'a> {
 
     fn pick_branch(&mut self) -> Option<Lit> {
         self.stats.decisions += 1;
-        if self.cfg.random_decision_pct > 0
-            && (self.rng.next() % 100) < u64::from(self.cfg.random_decision_pct)
-            && self.class_vars > 0
-        {
+        if (self.rng.next() % 100) < RANDOM_DECISION_PCT && self.class_vars > 0 {
             let start = self.rng.below(self.class_vars);
             for i in 0..self.class_vars {
                 let v = (start + i) % self.class_vars;
@@ -1219,18 +1139,13 @@ impl<'a> Solver<'a> {
             .collect()
     }
 
-    fn solve(
-        mut self,
-        cancel: Option<&AtomicBool>,
-        pool: Option<&SharedPool>,
-        ticket: &Ticket,
-    ) -> (CdclResult, SearchStats) {
+    fn solve(mut self, cancel: Option<&AtomicBool>, ticket: &Ticket) -> (CdclResult, SearchStats) {
         self.stats.workers = 1;
         if self.root_conflict {
             return (CdclResult::Unsat, self.stats);
         }
         let mut conflicts_since_restart = 0u64;
-        let mut restart_threshold = luby(1) * self.cfg.restart_base;
+        let mut restart_threshold = luby(1) * self.restart_base;
         // Work already reported to the ticket; deltas are charged at the
         // strided poll sites below so the governed counters track the
         // true totals without a per-iteration atomic.
@@ -1245,7 +1160,7 @@ impl<'a> Solver<'a> {
                 }
                 let (learnt, backtrack, lbd, symmetric) = self.analyze(conflict);
                 self.cancel_until(backtrack);
-                self.record(learnt, lbd, symmetric, pool);
+                self.record(learnt, lbd, symmetric);
                 self.var_inc /= 0.95;
                 if self.stats.conflicts.is_multiple_of(1024) {
                     // ticket.check poll site (conflict stride)
@@ -1263,9 +1178,9 @@ impl<'a> Solver<'a> {
             } else if conflicts_since_restart >= restart_threshold {
                 self.stats.restarts += 1;
                 conflicts_since_restart = 0;
-                restart_threshold = luby(self.stats.restarts + 1) * self.cfg.restart_base;
+                restart_threshold = luby(self.stats.restarts + 1) * self.restart_base;
                 self.cancel_until(0);
-                if self.propagate().is_some() || !self.absorb_pending(pool) {
+                if self.propagate().is_some() || !self.absorb_pending() {
                     return (CdclResult::Unsat, self.stats);
                 }
                 if self.learned_live > self.learned_limit {
@@ -1275,9 +1190,9 @@ impl<'a> Solver<'a> {
                     self.reduce_db();
                 }
             } else {
-                // Poll cancellation here too: a losing portfolio member
-                // deep in a low-conflict SAT dive would otherwise only
-                // notice the winner at its next conflict burst.
+                // Poll cancellation here too: a race's CDCL lane deep in
+                // a low-conflict SAT dive would otherwise only notice the
+                // local lane's win at its next conflict burst.
                 if self.stats.decisions.is_multiple_of(2048) {
                     // ticket.check poll site (decision stride)
                     if let Some(flag) = cancel {
@@ -1368,63 +1283,15 @@ fn luby(mut i: u64) -> u64 {
     1u64 << (k - 1)
 }
 
-/// Upper bound on portfolio width (beyond this, diversification returns
-/// diminishing variety for these instance sizes).
-const MAX_PORTFOLIO: usize = 8;
-
-/// Diversified configurations for `width` portfolio members; member 0 is
-/// the base configuration, so a 1-wide portfolio is exactly the
-/// deterministic single solver.
-fn diversify(base: &CdclConfig, width: usize) -> Vec<CdclConfig> {
-    (0..width)
-        .map(|i| {
-            let mut cfg = base.clone();
-            if i > 0 {
-                cfg.seed = base
-                    .seed
-                    .wrapping_mul(0x100_0000_01B3)
-                    .wrapping_add(i as u64);
-                cfg.default_phase = i % 2 == 1;
-                cfg.restart_base = match i % 3 {
-                    0 => 64,
-                    1 => 256,
-                    _ => 1024,
-                };
-                cfg.random_decision_pct = [2, 5, 0, 10][i % 4];
-                cfg.activity_jitter = true;
-            }
-            cfg
-        })
-        .collect()
-}
-
-/// Solves `inst` with a first-finisher-wins portfolio sized by
-/// `rayon::current_num_threads()` (which honors `RAYON_NUM_THREADS`):
-/// width 1 — the 1-core container case — runs one deterministic solver
-/// inline, wider runs exchange short learned clauses through a shared
-/// pool when the base configuration allows it. Every member polls the
-/// ticket at its strided check sites; a tripped ticket interrupts the
-/// whole portfolio, returning `Interrupted` with the partial statistics
-/// of the busiest member.
-pub(crate) fn solve_portfolio(
-    inst: &Instance,
-    base: &CdclConfig,
-    ticket: &Ticket,
-) -> (CdclResult, SearchStats) {
-    let width = rayon::current_num_threads().clamp(1, MAX_PORTFOLIO);
-    solve_portfolio_width(inst, base, width, ticket)
-}
-
-/// One CDCL run with an explicit configuration: the solver is built on
-/// the calling thread and its setup memory is charged to the ticket
-/// before it searches, so a memory budget bounds the solver as well as
-/// construction. A tripped charge comes back `Interrupted`. The cancel
-/// flag lets a portfolio or the completion race stop the losers.
+/// One CDCL run on the calling thread: the solver is built and its
+/// setup memory is charged to the ticket before it searches, so a
+/// memory budget bounds the solver as well as construction. A tripped
+/// charge or poll comes back `Interrupted` with the partial counters.
+/// The cancel flag lets the completion race stop this lane.
 pub(crate) fn solve_charged(
     inst: &Instance,
-    cfg: CdclConfig,
+    cfg: &CdclConfig,
     cancel: Option<&AtomicBool>,
-    pool: Option<&SharedPool>,
     ticket: &Ticket,
 ) -> (CdclResult, SearchStats) {
     let solver = Solver::new(inst, cfg);
@@ -1436,66 +1303,7 @@ pub(crate) fn solve_charged(
         };
         return (CdclResult::Interrupted, stats);
     }
-    solver.solve(cancel, pool, ticket)
-}
-
-/// [`solve_portfolio`] at an explicit width (tests exercise the
-/// multi-worker path regardless of host core count).
-pub(crate) fn solve_portfolio_width(
-    inst: &Instance,
-    base: &CdclConfig,
-    width: usize,
-    ticket: &Ticket,
-) -> (CdclResult, SearchStats) {
-    let configs = diversify(base, width.max(1));
-    if configs.len() == 1 {
-        let cfg = configs.into_iter().next().expect("width 1");
-        return solve_charged(inst, cfg, None, None, ticket);
-    }
-    let workers = configs.len();
-    let pool = SharedPool::default();
-    let pool = base.share_learned.then_some(&pool);
-    let done = AtomicBool::new(false);
-    let winner: Mutex<Option<(CdclResult, SearchStats)>> = Mutex::new(None);
-    // When the ticket trips, *every* member comes back Interrupted and
-    // there is no winner; keep the busiest interrupted member's stats so
-    // partial progress is still reported (a member whose setup charge
-    // tripped has done none).
-    let interrupted: Mutex<Option<SearchStats>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for cfg in configs {
-            let (done, winner, interrupted, pool) = (&done, &winner, &interrupted, pool);
-            scope.spawn(move || {
-                let (result, stats) = solve_charged(inst, cfg, Some(done), pool, ticket);
-                if matches!(result, CdclResult::Interrupted) {
-                    let mut slot = interrupted.lock().unwrap_or_else(|p| p.into_inner());
-                    let work = |s: &SearchStats| s.conflicts + s.decisions + s.propagations;
-                    let busier = slot.is_none_or(|s| work(&stats) > work(&s));
-                    if busier {
-                        *slot = Some(stats);
-                    }
-                } else {
-                    let mut slot = winner.lock().unwrap_or_else(|p| p.into_inner());
-                    if slot.is_none() {
-                        *slot = Some((result, stats));
-                        done.store(true, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    let (result, mut stats) = winner
-        .into_inner()
-        .unwrap_or_else(|p| p.into_inner())
-        .unwrap_or_else(|| {
-            let partial = interrupted
-                .into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .unwrap_or_default();
-            (CdclResult::Interrupted, partial)
-        });
-    stats.workers = workers;
-    (result, stats)
+    solver.solve(cancel, ticket)
 }
 
 #[cfg(test)]
@@ -1512,6 +1320,11 @@ pub(crate) mod tests {
     /// `width` long) over `classes` classes.
     pub(crate) fn index_of(classes: usize, width: usize, facets: &[&[u32]]) -> ConstraintIndex {
         ConstraintIndex::new(facets.concat(), width, classes)
+    }
+
+    /// One ungoverned solve with the default configuration.
+    fn solve(inst: &Instance) -> (CdclResult, SearchStats) {
+        solve_charged(inst, &CdclConfig::default(), None, &Ticket::unlimited())
     }
 
     /// Two interchangeable values, each exactly once per facet: on pair
@@ -1539,7 +1352,7 @@ pub(crate) mod tests {
         // cycle, which does not exist.
         let index = nae_triangle();
         let inst = one_of_each(&index);
-        let (result, stats) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
+        let (result, stats) = solve(&inst);
         assert_eq!(result, CdclResult::Unsat);
         assert!(stats.conflicts >= 1);
     }
@@ -1548,7 +1361,7 @@ pub(crate) mod tests {
     fn even_nae_path_is_sat() {
         let index = index_of(2, 2, &[&[0, 1]]);
         let inst = one_of_each(&index);
-        let (result, _) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
+        let (result, _) = solve(&inst);
         match result {
             CdclResult::Sat(assignment) => {
                 assert_eq!(assignment.len(), 2);
@@ -1571,7 +1384,7 @@ pub(crate) mod tests {
             index: &index,
             class_perms: &[],
         };
-        let (result, _) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
+        let (result, _) = solve(&inst);
         assert_eq!(result, CdclResult::Sat(vec![1]));
     }
 
@@ -1585,7 +1398,7 @@ pub(crate) mod tests {
             class_perms: &rotations,
             ..one_of_each(&index)
         };
-        let (result, _) = solve_portfolio(&inst, &CdclConfig::default(), &Ticket::unlimited());
+        let (result, _) = solve(&inst);
         assert_eq!(result, CdclResult::Unsat);
     }
 
@@ -1602,13 +1415,10 @@ pub(crate) mod tests {
             class_perms: &symmetries,
             ..one_of_each(&index)
         };
-        for restart_base in [1, 64] {
-            let config = CdclConfig {
-                restart_base,
-                ..CdclConfig::default()
-            };
-            let (result, _) = solve_portfolio(&inst, &config, &Ticket::unlimited());
-            match result {
+        for restart_base in [1, RESTART_BASE] {
+            let mut solver = Solver::new(&inst, &CdclConfig::default());
+            solver.restart_base = restart_base;
+            match solver.solve(None, &Ticket::unlimited()).0 {
                 CdclResult::Sat(assignment) => {
                     for pair in [(0, 1), (1, 2), (2, 3), (0, 3)] {
                         assert_ne!(assignment[pair.0], assignment[pair.1]);
@@ -1617,23 +1427,6 @@ pub(crate) mod tests {
                 other => panic!("expected SAT, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn portfolio_width_three_agrees_on_both_verdicts() {
-        // Exercise the scoped-thread path (first-finisher-wins, shared
-        // pool, cancellation) even on a 1-core host.
-        let triangle = nae_triangle();
-        let unsat = one_of_each(&triangle);
-        let (result, stats) =
-            solve_portfolio_width(&unsat, &CdclConfig::default(), 3, &Ticket::unlimited());
-        assert_eq!(result, CdclResult::Unsat);
-        assert_eq!(stats.workers, 3);
-        let edge = index_of(2, 2, &[&[0, 1]]);
-        let sat = one_of_each(&edge);
-        let (result, _) =
-            solve_portfolio_width(&sat, &CdclConfig::default(), 3, &Ticket::unlimited());
-        assert!(matches!(result, CdclResult::Sat(_)));
     }
 
     /// The index of a random graph for colouring: one pair facet per
@@ -1732,14 +1525,18 @@ pub(crate) mod tests {
                 &inst,
                 &relabelled.iter().map(|&v| v as usize).collect::<Vec<_>>()
             ));
+            let config = CdclConfig {
+                warm_start: Some(std::sync::Arc::new(relabelled.clone())),
+            };
+            // Both initial phases for unseeded variables (seeded ones
+            // start positive either way), under a per-graph RNG seed.
             for default_phase in [false, true] {
-                let config = CdclConfig {
-                    seed,
-                    default_phase,
-                    warm_start: Some(std::sync::Arc::new(relabelled.clone())),
-                    ..CdclConfig::default()
-                };
-                match solve_portfolio_width(&inst, &config, 1, &Ticket::unlimited()).0 {
+                let mut solver = Solver::new(&inst, &config);
+                solver.rng = XorShift(seed | 1);
+                if default_phase {
+                    solver.saved_phase.fill(true);
+                }
+                match solver.solve(None, &Ticket::unlimited()).0 {
                     CdclResult::Sat(assignment) => {
                         for f in &edges {
                             assert_ne!(assignment[f[0] as usize], assignment[f[1] as usize]);
@@ -1765,23 +1562,14 @@ pub(crate) mod tests {
         let mut index = ConstraintIndex::new(path, 2, k);
         index.precedence_order = (0..k as u32).rev().collect();
         let inst = at_most_once(&index, m);
-        let solver = Solver::new(&inst, CdclConfig::default());
+        let solver = Solver::new(&inst, &CdclConfig::default());
         let literals: usize =
             solver.clauses.iter().map(|c| c.lits.len()).sum::<usize>() + solver.trail.len();
         assert!(literals <= 2 * k * m * m, "{literals} input literals");
         assert_eq!(solver.value.len(), k * m + (k - 1) * (m - 1));
         assert!(matches!(
-            solver.solve(None, None, &Ticket::unlimited()).0,
+            solver.solve(None, &Ticket::unlimited()).0,
             CdclResult::Sat(_)
         ));
-    }
-
-    #[test]
-    fn diversify_keeps_member_zero_deterministic() {
-        let base = CdclConfig::default();
-        let configs = diversify(&base, 4);
-        assert_eq!(configs[0].seed, base.seed);
-        assert_eq!(configs[0].default_phase, base.default_phase);
-        assert!(configs.iter().skip(1).any(|c| c.seed != base.seed));
     }
 }

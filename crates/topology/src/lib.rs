@@ -17,9 +17,10 @@
 //!   a GSB task is solvable by an `r`-round comparison-based IIS
 //!   protocol, reproducing election's and WSB's impossibilities and
 //!   renaming's small-`n` boundaries.
-//! * [`cdcl`] — the conflict-driven engine behind the search: clause
-//!   learning, symmetry-orbit pruning, and the solver portfolio that pushed the solvability frontier to the
-//!   `r = 2` UNSAT certificates.
+//! * [`cdcl`] — the conflict-driven engine behind the search: one
+//!   deterministic solver per query with clause learning and
+//!   symmetry-orbit pruning, which pushed the solvability frontier to
+//!   the `r = 2` UNSAT certificates.
 //! * [`local`] — the greedy/min-conflicts completion engine for
 //!   suspected-SAT instances and the CDCL-vs-local completion race.
 
@@ -39,7 +40,6 @@ pub mod views;
 pub use cdcl::{CdclConfig, SearchStats};
 pub use complex::{ridge_key, ChromaticComplex, RidgeKey, SignatureQuotient, Vertex, VertexId};
 pub use error::{Error, Result};
-pub use local::LocalConfig;
 pub use protocol::{
     ordered_bell, process_permutations, protocol_complex, protocol_complex_reference,
     protocol_complex_with_stats, shared_protocol_complex, BuildStats, OrbitBuildStats,

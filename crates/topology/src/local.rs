@@ -8,14 +8,14 @@
 //! refutation-grade search — a greedy weight-order construction
 //! followed by min-conflicts repair walks straight into a witness. The
 //! engine here can never prove unsolvability, so [`solve_race`]
-//! races it against a cancellable CDCL lane (reusing the portfolio's
-//! first-finisher-wins plumbing): whichever engine finishes first stops
-//! the other, and a local win is converted into the exact same
+//! races it against a cancellable CDCL lane on a second thread:
+//! whichever engine finishes first stops the other, and a local win is
+//! converted into the exact same
 //! `CdclResult::Sat` witness shape so downstream evidence replay (facet
 //! by facet through `Evidence::check`) is engine-agnostic.
 //!
 //! Determinism: runs are seeded xorshift walks with a fixed restart
-//! schedule; the same `(instance, config)` pair always visits the same
+//! schedule; the same instance and warm start always visit the same
 //! states. Governance: the inner move loop polls its ticket on a fixed
 //! step stride (registered in `ci/check_ticket_polls.sh`), so deadlines,
 //! budgets, and fault injection cover this engine exactly like the
@@ -25,9 +25,10 @@ use crate::cdcl::{solve_charged, CdclConfig, CdclResult, Instance, SearchStats, 
 use gsb_core::govern::{Stopped, Ticket};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Tuning knobs of one local-search run.
+/// Tuning knobs of one local-search run: every query runs
+/// [`LocalConfig::default`]; only tests set other values.
 #[derive(Debug, Clone)]
-pub struct LocalConfig {
+pub(crate) struct LocalConfig {
     /// Seed of the xorshift RNG driving facet/class/value picks.
     pub seed: u64,
     /// Restart attempts before giving up (local search cannot refute;
@@ -43,7 +44,7 @@ pub struct LocalConfig {
 impl Default for LocalConfig {
     fn default() -> Self {
         LocalConfig {
-            seed: 0x51ab_1e5e_ed00_7bad,
+            seed: 0x9E27_B3A5_755B_22F8,
             restarts: 64,
             steps_per_restart: 400_000,
             walk_pct: 8,
@@ -164,7 +165,7 @@ impl<'a> Repair<'a> {
     /// weight-descending `precedence_order`, picking for each class the
     /// value with the smallest *over-window* penalty across its facets
     /// (deficits can still be repaired by later classes, overflows
-    /// cannot), breaking ties by the RNG so restarts diversify. One walk
+    /// cannot), breaking ties by the RNG so restarts differ. One walk
     /// of a class's facets scores every value into `penalty` (`m` slots).
     fn construct(&mut self, warm: Option<&[u32]>, rng: &mut XorShift, penalty: &mut [u64]) {
         let inst = self.inst;
@@ -413,7 +414,7 @@ pub(crate) fn solve_race(
             }
             *local_out.lock().expect("local lane mutex") = Some(out);
         });
-        let cdcl = solve_charged(inst, cdcl_cfg.clone(), Some(&cancel), None, ticket);
+        let cdcl = solve_charged(inst, cdcl_cfg, Some(&cancel), ticket);
         cancel.store(true, Ordering::Relaxed);
         local_lane.join().expect("local-search lane must not panic");
         cdcl

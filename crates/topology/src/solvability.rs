@@ -14,8 +14,8 @@
 //! literature (the paper's \[10\], \[16\], \[17\]).
 //!
 //! **Engines.** [`SymmetricSearch::solve`] runs the conflict-driven
-//! solver of [`cdcl`](crate::cdcl) — clause learning, orbit pruning,
-//! and (on multi-core hosts) a first-finisher-wins portfolio — which
+//! solver of [`cdcl`](crate::cdcl) — one deterministic solver with
+//! clause learning and orbit pruning, on the calling thread — which
 //! certifies instances the seed's plain backtracking could not reach in
 //! reasonable time, such as the WSB `n = 3, r = 2` index-lemma UNSAT.
 //! The seed engine is retained verbatim as [`SolveRoute::Reference`],
@@ -43,7 +43,7 @@ use rayon::prelude::*;
 use crate::cdcl::{self, CdclConfig, CdclResult, SearchStats};
 use crate::complex::ChromaticComplex;
 use crate::error::Error;
-use crate::local;
+use crate::local::{self, LocalConfig};
 use crate::protocol::{
     multiset_bits, pack_multiset, protocol_complex, shared_protocol_complex, unpack_multiset,
     OrbitBuildStats, OrbitFrontier,
@@ -947,19 +947,16 @@ impl SymmetricSearch {
                 self.backtrack_all(ticket)
             }
             SolveRoute::Cdcl | SolveRoute::Mode(SearchMode::Cdcl) => {
-                cdcl::solve_portfolio(&self.instance(), config, ticket)
+                cdcl::solve_charged(&self.instance(), config, None, ticket)
             }
-            SolveRoute::Mode(SearchMode::Race) => local::solve_race(
-                &self.instance(),
-                config,
-                &Self::local_config(config),
-                ticket,
-            ),
+            SolveRoute::Mode(SearchMode::Race) => {
+                local::solve_race(&self.instance(), config, &LocalConfig::default(), ticket)
+            }
             SolveRoute::Mode(SearchMode::Local) => {
                 let warm = config.warm_start.as_deref().map(Vec::as_slice);
                 let out = local::solve_local(
                     &self.instance(),
-                    &Self::local_config(config),
+                    &LocalConfig::default(),
                     warm,
                     None,
                     ticket,
@@ -1002,15 +999,6 @@ impl SymmetricSearch {
         mode: SearchMode,
     ) -> (Option<SearchResult>, SearchStats) {
         self.solve(config, SolveRoute::Mode(mode), &Ticket::unlimited())
-    }
-
-    /// The local engine's configuration, derived from the CDCL one so
-    /// portfolio-style seed diversity carries over to the race.
-    fn local_config(config: &CdclConfig) -> crate::local::LocalConfig {
-        crate::local::LocalConfig {
-            seed: config.seed ^ 0x0010_ca1c_0a11_5eed,
-            ..crate::local::LocalConfig::default()
-        }
     }
 
     /// Lifts a round-`r−1` decision map through the subdivision into
@@ -1525,30 +1513,47 @@ mod tests {
         }
     }
 
-    /// A width-1 CDCL solve of `wsb(3)` at r = 2 takes one fixed
-    /// trajectory; any change to propagation, learning or the index
-    /// order it reads moves these counters.
+    /// The solver counters `(decisions, conflicts, propagations,
+    /// restarts, learned, symmetric images)` of a forced CDCL solve.
+    fn cdcl_counters(search: &SymmetricSearch) -> (u64, u64, u64, u64, u64, u64) {
+        let (result, stats) = run(search, SolveRoute::Cdcl);
+        assert_eq!(result, SearchResult::Unsolvable);
+        assert_eq!(stats.workers, 1);
+        (
+            stats.decisions,
+            stats.conflicts,
+            stats.propagations,
+            stats.restarts,
+            stats.learned,
+            stats.symmetric_images,
+        )
+    }
+
+    /// The trajectory every CDCL solve of `wsb(3)` at r = 2 takes.
+    const WSB3_R2_COUNTERS: (u64, u64, u64, u64, u64, u64) = (337, 100, 5_009, 1, 99, 45);
+
+    /// A CDCL solve of `wsb(3)` at r = 2 takes one fixed trajectory;
+    /// any change to propagation, learning or the index order it reads
+    /// moves these counters.
     #[test]
     fn cdcl_trajectory_is_pinned_on_wsb3_r2() {
         let search = fused(SymmetricGsb::wsb(3).unwrap().to_spec(), 2);
-        let (result, stats) = crate::cdcl::solve_portfolio_width(
-            &search.instance(),
-            &CdclConfig::default(),
-            1,
-            &Ticket::unlimited(),
-        );
-        assert_eq!(result, CdclResult::Unsat);
-        assert_eq!(
-            (
-                stats.decisions,
-                stats.conflicts,
-                stats.propagations,
-                stats.restarts,
-                stats.learned,
-                stats.symmetric_images
-            ),
-            (337, 100, 5_009, 1, 99, 45)
-        );
+        assert_eq!(cdcl_counters(&search), WSB3_R2_COUNTERS);
+    }
+
+    /// The trajectory does not depend on how many threads the caller's
+    /// rayon pool has: a solve runs one solver on the calling thread.
+    #[test]
+    fn cdcl_trajectory_ignores_the_rayon_pool_width() {
+        let search = fused(SymmetricGsb::wsb(3).unwrap().to_spec(), 2);
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("a small rayon pool");
+            let counters = pool.install(|| cdcl_counters(&search));
+            assert_eq!(counters, WSB3_R2_COUNTERS, "{threads} rayon threads");
+        }
     }
 
     #[test]
@@ -1637,23 +1642,6 @@ mod tests {
                 "identity is filtered out"
             );
         }
-    }
-
-    #[test]
-    fn multiworker_portfolio_agrees_on_the_frontier_instance() {
-        // Force the scoped-thread portfolio (with learned-clause sharing
-        // and cancellation) on the real 81-class instance, independent of
-        // host core count.
-        let search = full(SymmetricGsb::wsb(3).unwrap().to_spec(), 2);
-        let instance = search.instance();
-        let (result, stats) = crate::cdcl::solve_portfolio_width(
-            &instance,
-            &CdclConfig::default(),
-            4,
-            &Ticket::unlimited(),
-        );
-        assert_eq!(result, CdclResult::Unsat);
-        assert_eq!(stats.workers, 4);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The CDCL engine ([`SolveRoute::Cdcl`]) must agree verdict-for-verdict
 //! with the retained backtracking oracle ([`SolveRoute::Reference`]) on
 //! every zoo task and on property-sampled symmetric specs at
-//! `r ∈ {0, 1}` — with orbit learning both on and off, so an unsound
-//! symmetry image would surface as a divergence. SAT answers are
+//! `r ∈ {0, 1}` — with orbit learning on, so an unsound symmetry image
+//! would surface as a divergence. SAT answers are
 //! additionally re-checked facet-by-facet inside `solve` (a bad map
 //! panics there).
 
@@ -48,25 +48,17 @@ fn zoo(n: usize) -> Vec<GsbSpec> {
 fn engines_agree(spec: &GsbSpec, rounds: usize) {
     let search = reference_build(spec, rounds);
     let reference = oracle(&search);
-    for symmetric_learning in [true, false] {
-        let config = CdclConfig {
-            symmetric_learning,
-            ..CdclConfig::default()
-        };
-        // Forced CDCL, not the front door: the production path routes
-        // tiny instances (most of this suite) straight to the
-        // backtracking oracle, which would make the CDCL-vs-oracle
-        // comparison vacuous.
-        let cdcl = solve(&search, &config, SolveRoute::Cdcl).expect("CDCL is complete");
-        assert_eq!(
-            cdcl.is_solvable(),
-            reference.is_solvable(),
-            "engines diverge on {spec:?} at r = {rounds} \
-             (symmetric_learning = {symmetric_learning})"
-        );
-        if let SearchResult::Solvable { assignment } = &cdcl {
-            assert_eq!(assignment.len(), search.classes().len());
-        }
+    // Forced CDCL, not the front door: the production path routes tiny
+    // instances (most of this suite) straight to the backtracking
+    // oracle, which would make the CDCL-vs-oracle comparison vacuous.
+    let cdcl = solve(&search, &CdclConfig::default(), SolveRoute::Cdcl).expect("CDCL is complete");
+    assert_eq!(
+        cdcl.is_solvable(),
+        reference.is_solvable(),
+        "engines diverge on {spec:?} at r = {rounds}"
+    );
+    if let SearchResult::Solvable { assignment } = &cdcl {
+        assert_eq!(assignment.len(), search.classes().len());
     }
 }
 
@@ -121,7 +113,6 @@ fn warm_start_agrees(spec: &GsbSpec, rounds: usize) {
         .expect("reference assignments align with the canonical class order");
     let config = CdclConfig {
         warm_start: Some(std::sync::Arc::new(search.lift_warm_start(&map))),
-        ..CdclConfig::default()
     };
     let warm = solve(&search, &config, SolveRoute::Cdcl).expect("CDCL is complete");
     assert_eq!(

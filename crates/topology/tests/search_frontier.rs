@@ -224,7 +224,6 @@ fn lifted_map_is_a_complete_witness_one_round_deeper() {
     assert!(seed.iter().all(|&v| v != 0), "the lift covers every class");
     let config = CdclConfig {
         warm_start: Some(std::sync::Arc::new(seed.clone())),
-        ..CdclConfig::default()
     };
     let (lifted, stats) = r2.solve_mode_with(&config, SearchMode::Local);
     let lifted = lifted.expect("a lifted SAT map is SAT");
@@ -266,7 +265,6 @@ fn loose_renaming_n5_solved_in_three_rounds_by_lifted_map() {
     assert!(seed.iter().all(|&v| (1..=9).contains(&v)));
     let lifted_config = CdclConfig {
         warm_start: Some(std::sync::Arc::new(seed.clone())),
-        ..CdclConfig::default()
     };
     let (r3_result, r3_stats) = r3.solve_mode_with(&lifted_config, SearchMode::Local);
     let r3_result = r3_result.expect("a lifted SAT map is SAT");

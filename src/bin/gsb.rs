@@ -112,8 +112,8 @@ OPTIONS:
                  orbit–stabilizer, no complex materialized (complex)
   --json         emit the machine-readable verdict report
   --deadline-ms MS      wall-clock deadline (checked at every poll)
-  --decision-budget D   CDCL decision budget across the portfolio
-  --conflict-budget C   CDCL conflict budget across the portfolio
+  --decision-budget D   CDCL decision budget of the query
+  --conflict-budget C   CDCL conflict budget of the query
   --node-budget K       reference-backtracker node budget
   --memory-budget-mb MB approximate memory budget: construction plus
                         each CDCL solver's setup

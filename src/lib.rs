@@ -60,10 +60,10 @@
 //! * [`topology`] (`gsb-topology`) — protocol complexes and the
 //!   symmetric decision-map search behind the impossibility results
 //!   (Theorem 11): a conflict-driven (CDCL) engine with symmetry-orbit
-//!   learning and a solver portfolio, plus the retained backtracking
-//!   oracle it is property-tested against, and the replayable
-//!   [`DecisionMap`](topology::DecisionMap) witness the engine's SAT
-//!   evidence is built on.
+//!   learning that runs one deterministic solver per query, plus the
+//!   retained backtracking oracle it is property-tested against, and the
+//!   replayable [`DecisionMap`](topology::DecisionMap) witness the
+//!   engine's SAT evidence is built on.
 //! * [`engine`] (`gsb-engine`) — the query→verdict engine itself.
 //! * [`serve`] (`gsb-serve`) — the persistent solvability service: a
 //!   JSON-lines TCP server with a disk-backed

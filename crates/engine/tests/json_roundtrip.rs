@@ -80,9 +80,9 @@ fn every_evidence_kind_round_trips() {
                 .check()
                 .unwrap_or_else(|e| panic!("{expected_kind} ({path}) re-check after parse: {e}"));
         }
-        // Solver counters no longer carry the clause-pool `imported`
-        // count, and a stored line that still does (written before the
-        // counter was removed) parses to the same verdict.
+        // Stored lines may still carry the `imported` counter of the
+        // removed clause pool: such a line parses to the same verdict,
+        // and new output never writes the key.
         assert!(!json.contains("\"imported\""), "{expected_kind}: {json}");
         if let Some(stats) = verdict.stats.search {
             let legacy = json.replace("\"deleted\":", "\"imported\": 7, \"deleted\":");

@@ -10,9 +10,9 @@
 //! engine here can never prove unsolvability, so [`solve_race`]
 //! races it against a cancellable CDCL lane on a second thread:
 //! whichever engine finishes first stops the other, and a local win is
-//! converted into the exact same
-//! `CdclResult::Sat` witness shape so downstream evidence replay (facet
-//! by facet through `Evidence::check`) is engine-agnostic.
+//! converted into the exact same `CdclResult::Sat` witness shape so
+//! downstream evidence replay (facet by facet through
+//! `Evidence::check`) is engine-agnostic.
 //!
 //! Determinism: runs are seeded xorshift walks with a fixed restart
 //! schedule; the same instance and warm start always visit the same
@@ -44,6 +44,8 @@ pub(crate) struct LocalConfig {
 impl Default for LocalConfig {
     fn default() -> Self {
         LocalConfig {
+            // The seed of the pinned walks (23,427 moves on
+            // loose_renaming(5) r=2, in CI and `search_frontier`).
             seed: 0x9E27_B3A5_755B_22F8,
             restarts: 64,
             steps_per_restart: 400_000,

@@ -20,11 +20,12 @@ use std::sync::Arc;
 use gsb_core::govern::{Stopped, Ticket};
 use gsb_core::{Classification, GsbSpec, StopReason};
 use gsb_topology::{
-    CdclConfig, ConstraintSystem, DecisionMap, OrbitFrontier, SearchMode, SearchResult,
-    SearchStats, SolveRoute, SymmetricSearch,
+    CdclConfig, ConstraintSystem, DecisionMap, OrbitFrontier, SearchResult, SearchStats,
+    SolveRoute, SymmetricSearch,
 };
 
 use crate::error::Error;
+use crate::query::EngineOpts;
 
 /// Hit/miss counters and entry counts of an [`EngineCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,11 +47,32 @@ pub struct CacheStats {
     /// Frontier sweeps served by extending a cached χ^r frontier to
     /// χ^{r+1} instead of re-streaming from round 0.
     pub extensions: u64,
+    /// Decision-map checks ([`DecisionMap::check`]) the search memo ran:
+    /// at most one per cached SAT entry, on its insertion or on the first
+    /// check-requesting hit of an entry an unchecked query inserted.
+    pub evidence_checks: u64,
 }
 
-/// A cached search verdict: result, replayable witness (SAT only), and
-/// the counters of the solve that produced it.
-pub(crate) type SearchEntry = (SearchResult, Option<DecisionMap>, SearchStats);
+/// A cached search verdict: result, replayable witness (SAT only), the
+/// counters of the solve that produced it, and whether the witness has
+/// passed its evidence check.
+#[derive(Debug, Clone)]
+pub(crate) struct SearchEntry {
+    pub(crate) result: SearchResult,
+    pub(crate) map: Option<DecisionMap>,
+    pub(crate) stats: SearchStats,
+    /// Whether `map` passed [`DecisionMap::check`] against the entry's
+    /// spec. Never set on UNSAT entries: they carry no map, and
+    /// `execute` checks their counters per query.
+    pub(crate) checked: bool,
+}
+
+impl SearchEntry {
+    /// Whether a check-requesting query must still verify this entry.
+    fn needs_check(&self) -> bool {
+        self.map.is_some() && !self.checked
+    }
+}
 
 /// Per-key in-flight build guards: the first thread to miss a key takes
 /// its guard and builds; concurrent missers of the **same** key block on
@@ -114,6 +136,7 @@ pub struct EngineCache {
     hits: AtomicU64,
     misses: AtomicU64,
     extensions: AtomicU64,
+    evidence_checks: AtomicU64,
 }
 
 impl EngineCache {
@@ -167,20 +190,29 @@ impl EngineCache {
         (computed, false)
     }
 
-    /// Round-bounded search verdict for `(spec, rounds)` in `mode`,
-    /// memoized with its replayable decision map and solver counters.
-    /// Returns the entry and whether it was served from the cache.
+    /// Round-bounded search verdict for `(spec, rounds)` in
+    /// `opts.mode`, memoized with its replayable decision map and solver
+    /// counters. Returns the entry and whether it was served from the
+    /// cache.
     ///
-    /// The key deliberately excludes `config` and `mode`: verdicts (and
-    /// witnesses' validity) are configuration-independent, so the entry
-    /// produced by the first miss is served to every later
+    /// The key deliberately excludes `opts.cdcl` and `opts.mode`:
+    /// verdicts (and witnesses' validity) are configuration-independent,
+    /// so the entry produced by the first miss is served to every later
     /// configuration. Callers that need config-faithful *counters*
     /// (benchmarks) run each query on a fresh cache.
     ///
-    /// `warm_start` lifts a cached `rounds − 1` SAT decision map through
-    /// the subdivision into the solver's seed when one is already
-    /// present (never triggering a recursive solve); seeds are perf
-    /// hints only, so the cached entry stays configuration-independent.
+    /// `opts.warm_start` lifts a cached `rounds − 1` SAT decision map
+    /// through the subdivision into the solver's seed when one is
+    /// already present (never triggering a recursive solve); seeds are
+    /// perf hints only, so the cached entry stays
+    /// configuration-independent.
+    ///
+    /// With `opts.check_evidence` on, a SAT map is checked
+    /// ([`DecisionMap::check`], on a freshly built complex) before the
+    /// entry is cached, and a hit on an entry that an unchecked query
+    /// inserted is checked once and marked: each cached map is checked
+    /// at most once, and the returned entry's `checked` says whether it
+    /// has been.
     ///
     /// Hits are served whatever the ticket's state (they cost nothing);
     /// misses construct and solve under `ticket`.
@@ -190,30 +222,44 @@ impl EngineCache {
     /// A tripped ticket returns [`Error::Interrupted`] carrying the
     /// partial counters, and the incomplete result is **not** cached —
     /// a later, better-funded query recomputes it cleanly.
-    /// [`SearchMode::Local`] cannot refute: when local search exhausts
-    /// its restart schedule without a witness this also returns
-    /// [`Error::Interrupted`], and nothing is cached.
-    pub fn search(
+    /// [`SearchMode::Local`](gsb_topology::SearchMode::Local) cannot
+    /// refute: when local search exhausts its restart schedule without a
+    /// witness this also returns [`Error::Interrupted`], and nothing is
+    /// cached. A map that fails its check is returned as that error and
+    /// is never cached (nor marked checked, when it was already cached).
+    pub(crate) fn search(
         &self,
         spec: &GsbSpec,
         rounds: usize,
-        config: &CdclConfig,
-        mode: SearchMode,
-        warm_start: bool,
+        opts: &EngineOpts,
         ticket: &Ticket,
     ) -> Result<(SearchEntry, bool), Error> {
         let key = (spec.clone(), rounds);
-        if let Some(hit) = self.cached_search(&key) {
+        let ready = |entry: &SearchEntry| !(opts.check_evidence && entry.needs_check());
+        if let Some(hit) = self.cached_search(&key).filter(ready) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((hit, true));
         }
         // In-flight guard: concurrent identical queries block here and
         // are served the winner's entry by the re-check, instead of
-        // each running the full solve. If the winner's ticket trips it
-        // caches nothing and releases the guard; the next waiter
-        // re-checks, misses, and retries under its own budget.
+        // each running the full solve (or check). If the winner's ticket
+        // trips it caches nothing and releases the guard; the next
+        // waiter re-checks, misses, and retries under its own budget.
         let guard = self.search_guards.guard(&key);
         let _build = guard.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(hit) = self.cached_search(&key) {
+        if let Some(mut hit) = self.cached_search(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            if !ready(&hit) {
+                self.check_entry(spec, &mut hit)?;
+                if let Some(cached) = self
+                    .searches
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .get_mut(&key)
+                {
+                    cached.checked = true;
+                }
+            }
             return Ok((hit, true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -222,8 +268,11 @@ impl EngineCache {
         // sweeps (uncounted: this search is one logical cache lookup).
         let (system, _) = self.build_system(spec.n(), rounds, ticket)?;
         let search = SymmetricSearch::with_system(spec.clone(), Some(rounds), system);
-        let config = self.seeded_config(spec, rounds, config, warm_start, &search);
-        let computed = solve_entry(&search, &config, SolveRoute::Mode(mode), ticket)?;
+        let config = self.seeded_config(spec, rounds, &opts.cdcl, opts.warm_start, &search);
+        let mut computed = solve_entry(&search, &config, SolveRoute::Mode(opts.mode), ticket)?;
+        if opts.check_evidence {
+            self.check_entry(spec, &mut computed)?;
+        }
         self.searches
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -232,16 +281,26 @@ impl EngineCache {
         Ok((computed, false))
     }
 
-    /// The cached search entry for `key`, counted as a hit when present.
+    /// The cached search entry for `key`, if any (uncounted).
     fn cached_search(&self, key: &(GsbSpec, usize)) -> Option<SearchEntry> {
-        let hit = self
-            .searches
+        self.searches
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .get(key)
-            .cloned()?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(hit)
+            .cloned()
+    }
+
+    /// Checks `entry`'s decision map against `spec` on a freshly built
+    /// complex, counted in [`CacheStats::evidence_checks`], and marks
+    /// the entry checked when it passes. UNSAT entries have no map and
+    /// stay unmarked.
+    fn check_entry(&self, spec: &GsbSpec, entry: &mut SearchEntry) -> Result<(), Error> {
+        if let Some(map) = &entry.map {
+            self.evidence_checks.fetch_add(1, Ordering::Relaxed);
+            map.check(spec)?;
+            entry.checked = true;
+        }
+        Ok(())
     }
 
     /// `config` with the lifted warm-start seed filled in, when wanted,
@@ -276,13 +335,13 @@ impl EngineCache {
         let parent_key = (spec.clone(), rounds.checked_sub(1)?);
         let parent_map = {
             let searches = self.searches.lock().unwrap_or_else(|p| p.into_inner());
-            let (result, map, _) = searches.get(&parent_key)?;
-            if !result.is_solvable() {
+            let parent = searches.get(&parent_key)?;
+            if !parent.result.is_solvable() {
                 return None;
             }
             // Clone so the lift (signature computations per class) runs
             // outside the cache lock.
-            map.clone()?
+            parent.map.clone()?
         };
         let seed = search.lift_warm_start(&parent_map);
         seed.iter().any(|&v| v != 0).then(|| Arc::new(seed))
@@ -423,6 +482,7 @@ impl EngineCache {
                 .unwrap_or_else(|p| p.into_inner())
                 .len(),
             extensions: self.extensions.load(Ordering::Relaxed),
+            evidence_checks: self.evidence_checks.load(Ordering::Relaxed),
         }
     }
 }
@@ -454,26 +514,34 @@ pub(crate) fn solve_entry(
         });
     };
     let map = search.decision_map(&result);
-    Ok((result, map, stats))
+    Ok(SearchEntry {
+        result,
+        map,
+        stats,
+        checked: false,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gsb_core::SymmetricGsb;
+    use gsb_topology::SearchMode;
 
-    /// A plain-CDCL cache search under an unlimited ticket.
+    /// Plain-CDCL options, checking evidence when `check` is set.
+    fn cdcl_opts(check: bool) -> EngineOpts {
+        EngineOpts {
+            mode: SearchMode::Cdcl,
+            check_evidence: check,
+            ..EngineOpts::default()
+        }
+    }
+
+    /// A plain-CDCL, evidence-checking cache search under an unlimited
+    /// ticket.
     fn search(cache: &EngineCache, spec: &GsbSpec, rounds: usize) -> (SearchEntry, bool) {
-        let config = CdclConfig::default();
         cache
-            .search(
-                spec,
-                rounds,
-                &config,
-                SearchMode::Cdcl,
-                true,
-                &Ticket::unlimited(),
-            )
+            .search(spec, rounds, &cdcl_opts(true), &Ticket::unlimited())
             .expect("CDCL is complete")
     }
 
@@ -495,15 +563,15 @@ mod tests {
     fn search_entries_carry_the_decision_map() {
         let cache = EngineCache::new();
         let spec = SymmetricGsb::renaming(2, 3).unwrap().to_spec();
-        let ((result, map, _stats), hit) = search(&cache, &spec, 1);
+        let (entry, hit) = search(&cache, &spec, 1);
         assert!(!hit);
-        assert!(result.is_solvable());
-        let map = map.expect("SAT entries carry a witness");
+        assert!(entry.result.is_solvable());
+        let map = entry.map.expect("SAT entries carry a witness");
         map.check(&spec).unwrap();
-        let ((cached, cached_map, _), hit) = search(&cache, &spec, 1);
+        let (cached, hit) = search(&cache, &spec, 1);
         assert!(hit);
-        assert_eq!(cached, result);
-        let cached_map = cached_map.expect("the hit carries the witness");
+        assert_eq!(cached.result, entry.result);
+        let cached_map = cached.map.expect("the hit carries the witness");
         // The hit shares the miss's class list instead of copying it.
         assert!(std::ptr::eq(cached_map.classes(), map.classes()));
         assert_eq!(cached_map, map);
@@ -552,7 +620,7 @@ mod tests {
         for rounds in 0..=2usize {
             let (entry, hit) = search(&cache, &spec, rounds);
             assert!(!hit, "distinct (spec, rounds) keys");
-            assert!(!entry.0.is_solvable(), "WSB n=3 is UNSAT through r=2");
+            assert!(!entry.result.is_solvable(), "WSB n=3 is UNSAT through r=2");
         }
         let stats = cache.stats();
         assert_eq!(stats.frontiers, 1, "one cached frontier per n");
@@ -634,13 +702,95 @@ mod tests {
         });
         let solvers = results.iter().filter(|(_, hit)| !hit).count();
         assert_eq!(solvers, 1, "exactly one thread runs the CDCL solve");
-        for ((result, map, _), _) in &results[1..] {
-            assert_eq!(result, &results[0].0 .0);
-            assert_eq!(map, &results[0].0 .1);
+        for (entry, _) in &results[1..] {
+            assert_eq!(entry.result, results[0].0.result);
+            assert_eq!(entry.map, results[0].0.map);
         }
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, threads as u64 - 1);
         assert_eq!(stats.searches, 1);
+        assert_eq!(stats.evidence_checks, 1, "the winner's map is checked once");
+    }
+
+    /// `loose_renaming(4)`, SAT at two rounds.
+    fn loose_renaming_4() -> GsbSpec {
+        crate::named_task("loose_renaming", 4, None).expect("a zoo task")
+    }
+
+    #[test]
+    fn a_sat_entry_is_checked_once_however_often_it_is_asked() {
+        let cache = EngineCache::new();
+        let spec = loose_renaming_4();
+        let (miss, hit) = search(&cache, &spec, 2);
+        assert!(!hit && miss.checked, "the miss checks before caching");
+        for _ in 0..5 {
+            let (again, hit) = search(&cache, &spec, 2);
+            assert!(hit && again.checked);
+            assert_eq!(again.map, miss.map);
+        }
+        assert_eq!(cache.stats().evidence_checks, 1);
+    }
+
+    #[test]
+    fn a_checking_hit_checks_an_unchecked_entry_once() {
+        let cache = EngineCache::new();
+        let spec = loose_renaming_4();
+        let ticket = Ticket::unlimited();
+        let (entry, _) = cache.search(&spec, 2, &cdcl_opts(false), &ticket).unwrap();
+        assert!(!entry.checked);
+        assert_eq!(cache.stats().evidence_checks, 0);
+        let (upgraded, hit) = search(&cache, &spec, 2);
+        assert!(hit && upgraded.checked);
+        assert_eq!(cache.stats().evidence_checks, 1);
+        let (again, _) = search(&cache, &spec, 2);
+        assert!(again.checked);
+        // An unchecked query reads the upgraded entry as checked too.
+        let (unchecked, _) = cache.search(&spec, 2, &cdcl_opts(false), &ticket).unwrap();
+        assert!(unchecked.checked);
+        assert_eq!(cache.stats().evidence_checks, 1);
+    }
+
+    /// Inserts `spec`'s r = 2 entry unchecked, replaces its map with
+    /// `tamper(assignment)`, and returns a checking re-ask's outcome.
+    fn ask_tampered(tamper: impl FnOnce(&mut Vec<usize>)) -> Result<(SearchEntry, bool), Error> {
+        let cache = EngineCache::new();
+        let spec = loose_renaming_4();
+        let ticket = Ticket::unlimited();
+        let (entry, _) = cache.search(&spec, 2, &cdcl_opts(false), &ticket).unwrap();
+        let map = entry.map.expect("SAT");
+        let mut assignment = map.assignment().to_vec();
+        tamper(&mut assignment);
+        let forged = DecisionMap::rebuild(map.n(), map.rounds(), assignment).unwrap();
+        let key = (spec.clone(), 2);
+        cache.searches.lock().unwrap().get_mut(&key).unwrap().map = Some(forged);
+        let outcome = cache.search(&spec, 2, &cdcl_opts(true), &ticket);
+        assert_eq!(
+            cache.stats().evidence_checks,
+            1,
+            "the forged map was checked"
+        );
+        assert!(!cache.searches.lock().unwrap()[&key].checked);
+        outcome
+    }
+
+    #[test]
+    fn a_checking_hit_rejects_a_tampered_unchecked_entry() {
+        // One class's value moved out of the task's range.
+        let out_of_range = ask_tampered(|a| a[0] = 99);
+        assert!(out_of_range.is_err(), "{out_of_range:?}");
+        // Every class deciding one value: an illegal output on every facet.
+        let illegal = ask_tampered(|a| a.iter_mut().for_each(|v| *v = 1));
+        assert!(illegal.is_err(), "{illegal:?}");
+    }
+
+    #[test]
+    fn unsat_entries_carry_no_check_flag() {
+        let cache = EngineCache::new();
+        let spec = SymmetricGsb::wsb(3).unwrap().to_spec();
+        let (miss, _) = search(&cache, &spec, 1);
+        let (hit, cached) = search(&cache, &spec, 1);
+        assert!(cached && !miss.checked && !hit.checked);
+        assert_eq!(cache.stats().evidence_checks, 0);
     }
 }

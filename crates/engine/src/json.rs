@@ -465,6 +465,15 @@ fn u64_field(obj: &Json, key: &str) -> Result<u64> {
     checked_uint(x, key)
 }
 
+/// A counter field that postdates stored payloads: absent (or null)
+/// reads as zero, so older payloads keep parsing.
+fn opt_u64_field(obj: &Json, key: &str) -> Result<u64> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(0),
+        Some(_) => u64_field(obj, key),
+    }
+}
+
 fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str> {
     field(obj, key)?.as_str().ok_or_else(|| Error::Json {
         details: format!("field '{key}' is not a string"),
@@ -667,15 +676,10 @@ fn stats_to_json(stats: &SearchStats) -> Json {
 }
 
 fn stats_from_json(value: &Json) -> Result<SearchStats> {
-    // The warm/local fields postdate stored verdict records; absent
-    // keys read as zero so old store entries keep parsing, and keys of
-    // counters that have since been removed are ignored.
-    let opt_u64 = |key: &str| -> Result<u64> {
-        match value.get(key) {
-            None | Some(Json::Null) => Ok(0),
-            Some(_) => u64_field(value, key),
-        }
-    };
+    // The warm/local fields postdate stored verdict records, so they
+    // are optional; keys of counters that have since been removed are
+    // ignored.
+    let opt_u64 = |key: &str| opt_u64_field(value, key);
     Ok(SearchStats {
         decisions: u64_field(value, "decisions")?,
         conflicts: u64_field(value, "conflicts")?,
@@ -1043,11 +1047,16 @@ impl crate::cache::CacheStats {
             ("systems".into(), Json::Num(self.systems as f64)),
             ("frontiers".into(), Json::Num(self.frontiers as f64)),
             ("extensions".into(), Json::Num(self.extensions as f64)),
+            (
+                "evidence_checks".into(),
+                Json::Num(self.evidence_checks as f64),
+            ),
         ])
     }
 
     /// Parses counters back from [`to_json_value`](Self::to_json_value)
-    /// output.
+    /// output. `evidence_checks` postdates the format and reads as 0
+    /// when absent.
     ///
     /// # Errors
     ///
@@ -1062,6 +1071,7 @@ impl crate::cache::CacheStats {
             systems: usize_field(value, "systems")?,
             frontiers: usize_field(value, "frontiers")?,
             extensions: u64_field(value, "extensions")?,
+            evidence_checks: opt_u64_field(value, "evidence_checks")?,
         })
     }
 }
@@ -1343,8 +1353,21 @@ mod tests {
             systems: 2,
             frontiers: 1,
             extensions: 5,
+            evidence_checks: 6,
         };
         let parsed = crate::cache::CacheStats::from_json_value(&stats.to_json_value()).unwrap();
         assert_eq!(parsed, stats);
+    }
+
+    #[test]
+    fn cache_stats_without_evidence_checks_still_parse() {
+        let old = Json::parse(
+            r#"{"hits":7,"misses":3,"classifications":2,"witnesses":1,
+                "searches":4,"systems":2,"frontiers":1,"extensions":5}"#,
+        )
+        .unwrap();
+        let parsed = crate::cache::CacheStats::from_json_value(&old).unwrap();
+        assert_eq!(parsed.evidence_checks, 0);
+        assert_eq!(parsed.extensions, 5);
     }
 }

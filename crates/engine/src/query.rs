@@ -138,9 +138,13 @@ pub struct EngineOpts {
     /// [`Error::Disagreement`](crate::Error::Disagreement). Exponential
     /// in `r` and `n`; meant for small instances and CI sweeps.
     pub agreement_rounds: Option<usize>,
-    /// Re-verify the verdict's evidence before returning it (decision
-    /// maps facet-by-facet, witnesses against every adversarial identity
-    /// subset). Default `true`.
+    /// Verify the verdict's evidence before returning it (decision maps
+    /// facet-by-facet on a freshly built complex, witnesses against
+    /// every adversarial identity subset). A decision map the
+    /// [`EngineCache`](crate::EngineCache) serves is checked once per
+    /// cached entry, not once per query: on the miss that inserts it,
+    /// or on the first checking hit of an entry an unchecked query
+    /// inserted. Default `true`.
     pub check_evidence: bool,
     /// Additionally replay no-communication witnesses through the actual
     /// shared-memory simulator (one run per adversarial identity subset,

@@ -56,7 +56,10 @@ pub(crate) fn execute(query: &Query, cache: &EngineCache) -> Result<Verdict> {
         }
         Err(other) => return Err(other),
     };
-    if query.opts().check_evidence {
+    // A verdict built from a checked cache entry arrives with
+    // `evidence_checked` already set: its map was checked once, when
+    // the entry was inserted or upgraded, and is not checked again.
+    if query.opts().check_evidence && !verdict.stats.evidence_checked {
         verdict.check()?;
         verdict.stats.evidence_checked = true;
     }
@@ -102,8 +105,10 @@ fn indeterminate_verdict(
 
 /// Runs the round-bounded search with the engine(s) selected in `opts`,
 /// enforcing engine-vs-engine agreement when both run. CDCL goes
-/// through the cache's verdict memo; `Reference` and `Both` solve over
-/// the cache's shared constraint system and are not memoized. The
+/// through the cache's verdict memo, which checks SAT maps itself when
+/// `opts.check_evidence` asks; `Reference` and `Both` solve over the
+/// cache's shared constraint system, are not memoized, and return
+/// unchecked entries. The
 /// ticket is threaded through construction and solve; a tripped ticket
 /// surfaces as [`Error::Interrupted`] with partial counters, which
 /// [`execute`] converts to an indeterminate verdict.
@@ -115,8 +120,7 @@ fn search_at(
     ticket: &Ticket,
 ) -> Result<(SearchEntry, bool, Vec<String>)> {
     if opts.search == SearchEngine::Cdcl {
-        let (entry, hit) =
-            cache.search(spec, rounds, &opts.cdcl, opts.mode, opts.warm_start, ticket)?;
+        let (entry, hit) = cache.search(spec, rounds, opts, ticket)?;
         return Ok((entry, hit, vec!["cdcl".into()]));
     }
     let (system, _) = cache.build_system(spec.n(), rounds, ticket)?;
@@ -133,13 +137,13 @@ fn search_at(
     // which would make this check vacuous exactly where a CDCL setup
     // bug would first appear.
     let entry = solve(SolveRoute::Cdcl)?;
-    let (reference, _, _) = solve(SolveRoute::Reference)?;
-    if entry.0.is_solvable() != reference.is_solvable() {
+    let reference = solve(SolveRoute::Reference)?.result;
+    if entry.result.is_solvable() != reference.is_solvable() {
         return Err(Error::Disagreement {
             question: format!("solvable-in-rounds({rounds})"),
             details: format!(
                 "on {spec}: cdcl says '{}', reference says '{}'",
-                entry.0, reference
+                entry.result, reference
             ),
         });
     }
@@ -231,7 +235,8 @@ fn agreement_sweep(
             ..opts.clone()
         };
         // `Both` enforces cdcl-vs-reference agreement internally.
-        let ((result, _, _), _, _) = search_at(spec, rounds, &both, cache, ticket)?;
+        let (entry, _, _) = search_at(spec, rounds, &both, cache, ticket)?;
+        let result = entry.result;
         // Sound direction 1: a SAT decision map is a wait-free protocol,
         // so a negative classification contradicts it.
         if result.is_solvable() && classification.solvability.is_negative() {
@@ -261,10 +266,10 @@ fn run_rounds(
     ticket: &Ticket,
 ) -> Result<Verdict> {
     let (classification, _) = cache.classification(spec);
-    let ((result, map, stats), cache_hit, mut engines) =
-        search_at(spec, rounds, opts, cache, ticket)?;
+    let (entry, cache_hit, mut engines) = search_at(spec, rounds, opts, cache, ticket)?;
     engines.push("classifier".into());
-    let (solvability, evidence, justification) = match (&result, map) {
+    let stats = entry.stats;
+    let (solvability, evidence, justification) = match (&entry.result, entry.map) {
         (SearchResult::Solvable { .. }, Some(map)) => {
             // Always-on soundness guard: a SAT map against a negative
             // classification means one of the engines is wrong.
@@ -316,6 +321,7 @@ fn run_rounds(
         },
         stats: RunStats {
             search: Some(stats),
+            evidence_checked: entry.checked,
             ..RunStats::default()
         },
     })

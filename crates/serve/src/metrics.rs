@@ -1,15 +1,47 @@
 //! Lock-free server metrics: request counters, an in-flight gauge, and
-//! per-question latency histograms with power-of-two microsecond
-//! buckets (p50/p95/p99 read out of cumulative bucket counts).
+//! per-question latency histograms with log-linear microsecond buckets,
+//! eight per octave (p50/p95/p99 read out of cumulative bucket counts).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use gsb_engine::Json;
 
-/// Number of power-of-two buckets: bucket `i` holds latencies in
-/// `[2^i, 2^(i+1))` µs, the last bucket is open-ended (≥ ~34 minutes).
-const BUCKETS: usize = 32;
+/// Linear sub-buckets per octave. With 8, a bucket at or above 8 µs is
+/// at most 1/8 of its lower bound wide, so a quantile read as its
+/// bucket's largest latency is within 12.5% of the samples there.
+const SUB_BUCKETS: u64 = 8;
+
+/// Octaves covered: latencies up to `2^OCTAVES − 1` µs (~71 minutes) get
+/// their own bucket; longer ones share the last.
+const OCTAVES: u32 = 32;
+
+/// Buckets: one per whole µs below 8 µs, then 8 per octave from
+/// `[8, 16)` µs through `[2^31, 2^32)` µs.
+const BUCKETS: usize = (SUB_BUCKETS * (OCTAVES as u64 - 2)) as usize;
+
+/// The bucket of a latency of `micros` µs. Below 8 µs every value has
+/// its own bucket; in octave `[2^e, 2^(e+1))`, `e ≥ 3`, the bucket is
+/// the octave's base index plus the 3 bits below the leading one.
+fn bucket_of(micros: u64) -> usize {
+    if micros < SUB_BUCKETS {
+        return micros as usize;
+    }
+    let octave = u64::from(u64::BITS - 1 - micros.leading_zeros());
+    let sub = (micros >> (octave - 3)) - SUB_BUCKETS;
+    (SUB_BUCKETS * (octave - 2) + sub).min(BUCKETS as u64 - 1) as usize
+}
+
+/// The largest latency, in whole µs, that lands in `bucket`.
+fn bucket_max_us(bucket: usize) -> u64 {
+    let bucket = bucket as u64;
+    if bucket < SUB_BUCKETS {
+        return bucket;
+    }
+    let shift = bucket / SUB_BUCKETS - 1;
+    let low = (SUB_BUCKETS + bucket % SUB_BUCKETS) << shift;
+    low + (1 << shift) - 1
+}
 
 /// The question labels tracked by the per-question histograms, in the
 /// order reported by the metrics response.
@@ -21,7 +53,7 @@ pub const QUESTION_LABELS: [&str; 5] = [
     "atlas",
 ];
 
-/// A lock-free latency histogram over power-of-two µs buckets.
+/// A lock-free latency histogram over log-linear µs buckets.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -36,11 +68,11 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Records one latency sample.
+    /// Records one latency sample, rounded up to whole µs (so a bucket's
+    /// largest latency bounds every sample in it from above).
     pub fn record(&self, latency: Duration) {
-        let micros = latency.as_micros().max(1);
-        let bucket = (u128::BITS - 1 - micros.leading_zeros()).min(BUCKETS as u32 - 1);
-        self.buckets[bucket as usize].fetch_add(1, Ordering::Relaxed);
+        let micros = u64::try_from(latency.as_nanos().div_ceil(1_000)).unwrap_or(u64::MAX);
+        self.buckets[bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total recorded samples.
@@ -49,9 +81,10 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// The upper µs bound of the bucket holding quantile `q` (0 < q ≤ 1);
-    /// `None` when the histogram is empty. Resolution is one power of
-    /// two — coarse, but monotone and allocation-free on the hot path.
+    /// The largest latency, in whole µs, of the bucket holding quantile
+    /// `q` (0 < q ≤ 1); `None` when the histogram is empty. Exact below
+    /// 8 µs and within 12.5% above it, up to ~71 minutes (the last
+    /// bucket collects everything longer).
     #[must_use]
     pub fn quantile_us(&self, q: f64) -> Option<u64> {
         let counts: Vec<u64> = self
@@ -68,7 +101,7 @@ impl Histogram {
         for (i, count) in counts.iter().enumerate() {
             seen += count;
             if seen >= rank {
-                return Some(1u64 << (i + 1).min(63));
+                return Some(bucket_max_us(i));
             }
         }
         None
@@ -178,13 +211,20 @@ mod tests {
         let h = Histogram::default();
         assert_eq!(h.quantile_us(0.5), None);
         for _ in 0..99 {
-            h.record(Duration::from_micros(3)); // bucket [2, 4)
+            h.record(Duration::from_micros(3)); // exact bucket 3
         }
-        h.record(Duration::from_micros(1000)); // bucket [512, 1024)
+        h.record(Duration::from_micros(1000)); // bucket [960, 1024)
         assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_us(0.50), Some(4));
-        assert_eq!(h.quantile_us(0.99), Some(4));
-        assert_eq!(h.quantile_us(1.0), Some(1024));
+        assert_eq!(h.quantile_us(0.50), Some(3));
+        assert_eq!(h.quantile_us(0.99), Some(3));
+        assert_eq!(h.quantile_us(1.0), Some(1023));
+        // 43 µs lands in [40, 44) and reads 43 µs, 45 µs in [44, 48)
+        // and reads 47 µs; power-of-two buckets read both as 64 µs.
+        let h = Histogram::default();
+        h.record(Duration::from_micros(43));
+        h.record(Duration::from_micros(45));
+        assert_eq!(h.quantile_us(0.5), Some(43));
+        assert_eq!(h.quantile_us(1.0), Some(47));
     }
 
     #[test]
@@ -192,7 +232,37 @@ mod tests {
         let h = Histogram::default();
         h.record(Duration::ZERO);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.quantile_us(0.5), Some(2));
+        assert_eq!(h.quantile_us(0.5), Some(0));
+        // Any positive latency rounds up to at least 1 µs.
+        h.record(Duration::from_nanos(1));
+        assert_eq!(h.quantile_us(1.0), Some(1));
+    }
+
+    #[test]
+    fn quantiles_are_within_an_eighth_from_1us_to_10s() {
+        let mut micros = 1u64;
+        while micros <= 10_000_000 {
+            let h = Histogram::default();
+            h.record(Duration::from_micros(micros));
+            let read = h.quantile_us(0.5).expect("one sample");
+            assert!(read >= micros, "{micros} µs read {read} µs");
+            let error = (read - micros) as f64 / micros as f64;
+            assert!(error <= 0.125, "{micros} µs read {read} µs ({error:.3})");
+            micros = (micros + 1).max(micros * 101 / 100);
+        }
+    }
+
+    #[test]
+    fn buckets_tile_the_latency_axis() {
+        // Consecutive buckets meet without gaps or overlaps, and every
+        // bucket's largest latency maps back to it.
+        for bucket in 0..BUCKETS - 1 {
+            let max = bucket_max_us(bucket);
+            assert_eq!(bucket_of(max), bucket);
+            assert_eq!(bucket_of(max + 1), bucket + 1);
+        }
+        assert_eq!(bucket_max_us(BUCKETS - 1), (1 << OCTAVES) - 1);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
     }
 
     #[test]

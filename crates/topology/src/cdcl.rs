@@ -99,6 +99,14 @@ pub struct CdclConfig {
 }
 
 /// Counters reported by one solve.
+///
+/// A completion race ([`SearchMode::Race`](crate::SearchMode::Race))
+/// reports its winning lane's counters only: a CDCL win leaves the
+/// `local_*` counters at 0, and a local win leaves every CDCL counter
+/// (decisions through `warm_seeded`) at 0. The loser's counters depend on
+/// when it noticed the cancel flag, so reporting them would make a
+/// decided race's counters differ from run to run. A race that neither
+/// lane decided reports both lanes' partial counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Branching decisions taken.
@@ -125,7 +133,7 @@ pub struct SearchStats {
     /// Whether the local-search member produced the winning assignment.
     pub local_won: bool,
     /// Solvers that ran: always 1, since every query runs one engine
-    /// (the race reports its CDCL lane). UNSAT evidence rejects 0.
+    /// (a race reports its winning lane). UNSAT evidence rejects 0.
     pub workers: usize,
 }
 

@@ -395,6 +395,13 @@ pub(crate) fn solve_local(
 /// deadlines cap the race as a whole. The CDCL lane builds its solver
 /// while the local lane already searches; when its setup-memory charge
 /// trips the ticket, the local lane stops at its next poll.
+///
+/// The returned counters are the winning lane's alone: the loser's
+/// partial counters depend on when its strided poll saw the cancel
+/// flag, so they are zeroed and a decided race reports the same
+/// [`SearchStats`] on every run. Only a race that neither lane decided
+/// (a tripped ticket, or local exhaustion with CDCL interrupted)
+/// reports both lanes' partial counters.
 pub(crate) fn solve_race(
     inst: &Instance,
     cdcl_cfg: &CdclConfig,
@@ -408,7 +415,7 @@ pub(crate) fn solve_race(
         .cloned();
     let cancel = AtomicBool::new(false);
     let local_out: std::sync::Mutex<Option<LocalOutcome>> = std::sync::Mutex::new(None);
-    let (cdcl_result, mut stats) = std::thread::scope(|scope| {
+    let (cdcl_result, cdcl_stats) = std::thread::scope(|scope| {
         let local_lane = scope.spawn(|| {
             let out = solve_local(inst, local_cfg, warm.as_deref(), Some(&cancel), ticket);
             if out.assignment.is_some() {
@@ -425,20 +432,31 @@ pub(crate) fn solve_race(
         .into_inner()
         .expect("local lane mutex")
         .expect("local lane stores its outcome");
-    stats.local_steps = local.steps;
-    stats.local_restarts = local.restarts;
     match (&cdcl_result, local.assignment) {
         // CDCL finished with a verdict: it wins outright (an UNSAT
         // verdict is authoritative; a SAT one arrived first).
-        (CdclResult::Sat(_) | CdclResult::Unsat, _) => (cdcl_result, stats),
+        (CdclResult::Sat(_) | CdclResult::Unsat, _) => (cdcl_result, cdcl_stats),
         // CDCL was cancelled or interrupted and the local lane holds a
         // witness: the completion engine won the race.
         (CdclResult::Interrupted, Some(assignment)) => {
-            stats.local_won = true;
+            let stats = SearchStats {
+                local_steps: local.steps,
+                local_restarts: local.restarts,
+                local_won: true,
+                workers: 1,
+                ..SearchStats::default()
+            };
             (CdclResult::Sat(assignment), stats)
         }
         // Both lanes came up empty (ticket trip or exhaustion).
-        (CdclResult::Interrupted, None) => (CdclResult::Interrupted, stats),
+        (CdclResult::Interrupted, None) => {
+            let stats = SearchStats {
+                local_steps: local.steps,
+                local_restarts: local.restarts,
+                ..cdcl_stats
+            };
+            (CdclResult::Interrupted, stats)
+        }
     }
 }
 

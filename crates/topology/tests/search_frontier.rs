@@ -15,7 +15,8 @@
 use gsb_core::govern::Ticket;
 use gsb_core::{GsbSpec, SymmetricGsb};
 use gsb_topology::{
-    election_impossibility_certificate, CdclConfig, SearchMode, SearchResult, SymmetricSearch,
+    election_impossibility_certificate, CdclConfig, SearchMode, SearchResult, SearchStats,
+    SymmetricSearch,
 };
 
 /// The fused orbit-quotient build under an unlimited ticket.
@@ -148,6 +149,31 @@ fn loose_renaming_n5_solved_in_two_rounds() {
     // The witness replays facet-by-facet on a fresh reference build.
     let map = search.decision_map(&result).expect("SAT with known rounds");
     map.check(&nine).expect("genuine witness must replay");
+}
+
+#[test]
+fn race_counters_are_the_winning_lanes_alone() {
+    // A decided race reports its winner's counters and zeroes the
+    // loser's, so its counters are exactly what that lane reports when
+    // it runs alone, and they repeat from run to run.
+    let loose = SymmetricGsb::loose_renaming(4).unwrap().to_spec();
+    let search = build(loose, 2);
+    let config = CdclConfig::default();
+    let lane = |mode| search.solve_mode_with(&config, mode).1;
+    let (cdcl, local) = (lane(SearchMode::Cdcl), lane(SearchMode::Local));
+    let races: Vec<SearchStats> = (0..3).map(|_| lane(SearchMode::Race)).collect();
+    for race in &races {
+        assert_eq!(race, if race.local_won { &local } else { &cdcl });
+    }
+    assert!(
+        races[0].local_won,
+        "the repair walk wins at loose_renaming(4)"
+    );
+    assert_eq!(
+        races[0].decisions, 0,
+        "the cancelled CDCL lane reports nothing"
+    );
+    assert!(races.iter().all(|race| *race == races[0]));
 }
 
 #[test]

@@ -349,7 +349,7 @@ fn emit(verdict: &Verdict, json: bool) {
             "  stats:      {:.3} ms{}{}",
             verdict.stats.wall.as_secs_f64() * 1e3,
             if verdict.stats.evidence_checked {
-                ", evidence re-checked"
+                ", evidence checked"
             } else {
                 ""
             },
@@ -995,6 +995,10 @@ fn cache_stats(args: &Args) -> Result<(), String> {
         num("systems"),
         num("frontiers"),
         num("extensions")
+    );
+    println!(
+        "  evidence: {} decision-map checks (one per checked search entry)",
+        num("evidence_checks")
     );
     Ok(())
 }

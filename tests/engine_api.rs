@@ -2,8 +2,11 @@
 //! entry point, machine-checkable evidence, batched execution, unified
 //! errors, JSON round trips.
 
+use std::time::Duration;
+
 use gsb_universe::core::{GsbSpec, Solvability, SymmetricGsb};
-use gsb_universe::{named_task, Batch, EngineCache, Error, Evidence, Query, Verdict};
+use gsb_universe::engine::Json;
+use gsb_universe::{named_task, Batch, CacheStats, EngineCache, Error, Evidence, Query, Verdict};
 
 #[test]
 fn one_entry_point_answers_all_four_surfaces() {
@@ -90,4 +93,99 @@ fn unified_error_wraps_the_subsystem_crates() {
     ));
     let missing = Query::atlas(0).run().unwrap_err();
     assert!(!missing.to_string().is_empty());
+}
+
+/// `verdict` with the fields that legitimately differ between a miss
+/// and a hit of one key (`cache_hit`, `wall`) reset.
+fn served_part(verdict: &Verdict) -> Verdict {
+    let mut v = verdict.clone();
+    v.provenance.cache_hit = false;
+    v.stats.wall = Duration::ZERO;
+    v
+}
+
+#[test]
+fn a_cached_decision_map_is_checked_once() {
+    let cache = EngineCache::new();
+    let spec = named_task("loose_renaming", 4, None).unwrap();
+    let query = Query::solvable_in_rounds(spec, 2);
+    let miss = query.run_with(&cache).unwrap();
+    assert!(!miss.provenance.cache_hit && miss.stats.evidence_checked);
+    assert!(miss.evidence.decision_map().is_some());
+    assert_eq!(cache.stats().evidence_checks, 1);
+    for _ in 0..5 {
+        let hit = query.run_with(&cache).unwrap();
+        assert!(hit.provenance.cache_hit && hit.stats.evidence_checked);
+        assert_eq!(served_part(&hit), served_part(&miss));
+    }
+    assert_eq!(cache.stats().evidence_checks, 1, "hits check nothing");
+}
+
+#[test]
+fn a_checking_hit_checks_an_entry_an_unchecked_query_inserted() {
+    let cache = EngineCache::new();
+    let spec = named_task("loose_renaming", 4, None).unwrap();
+    let checked = Query::solvable_in_rounds(spec, 2);
+    let mut unchecked = checked.clone();
+    unchecked.opts_mut().check_evidence = false;
+    let first = unchecked.run_with(&cache).unwrap();
+    assert!(!first.stats.evidence_checked);
+    assert_eq!(cache.stats().evidence_checks, 0);
+    let upgraded = checked.run_with(&cache).unwrap();
+    assert!(upgraded.provenance.cache_hit && upgraded.stats.evidence_checked);
+    assert_eq!(cache.stats().evidence_checks, 1);
+    let again = checked.run_with(&cache).unwrap();
+    assert!(again.stats.evidence_checked);
+    assert_eq!(cache.stats().evidence_checks, 1);
+}
+
+#[test]
+fn an_unsat_re_ask_still_reports_its_check() {
+    let cache = EngineCache::new();
+    let spec = SymmetricGsb::wsb(3).unwrap().to_spec();
+    let query = Query::solvable_in_rounds(spec.clone(), 2);
+    query.run_with(&cache).unwrap();
+    let hit = query.run_with(&cache).unwrap();
+    assert!(hit.provenance.cache_hit && hit.stats.evidence_checked);
+    assert!(matches!(hit.evidence, Evidence::RoundsUnsat { .. }));
+    // A certificate question reaches the same memo.
+    let certificate = Query::certificate(spec, 2).run_with(&cache).unwrap();
+    assert!(certificate.provenance.cache_hit && certificate.stats.evidence_checked);
+    assert_eq!(
+        cache.stats().evidence_checks,
+        0,
+        "UNSAT entries carry no map"
+    );
+}
+
+#[test]
+fn cache_stats_json_round_trips_and_reads_old_payloads() {
+    let stats = CacheStats {
+        hits: 9,
+        misses: 4,
+        classifications: 3,
+        witnesses: 1,
+        searches: 2,
+        systems: 2,
+        frontiers: 1,
+        extensions: 1,
+        evidence_checks: 2,
+    };
+    assert_eq!(
+        CacheStats::from_json_value(&stats.to_json_value()).unwrap(),
+        stats
+    );
+    let old = Json::parse(
+        r#"{"hits":9,"misses":4,"classifications":3,"witnesses":1,
+            "searches":2,"systems":2,"frontiers":1,"extensions":1}"#,
+    )
+    .unwrap();
+    let parsed = CacheStats::from_json_value(&old).unwrap();
+    assert_eq!(
+        parsed,
+        CacheStats {
+            evidence_checks: 0,
+            ..stats
+        }
+    );
 }

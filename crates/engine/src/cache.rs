@@ -268,7 +268,7 @@ impl EngineCache {
         // sweeps (uncounted: this search is one logical cache lookup).
         let (system, _) = self.build_system(spec.n(), rounds, ticket)?;
         let search = SymmetricSearch::with_system(spec.clone(), Some(rounds), system);
-        let config = self.seeded_config(spec, rounds, &opts.cdcl, opts.warm_start, &search);
+        let config = self.seeded_config(spec, rounds, opts, &search);
         let mut computed = solve_entry(&search, &config, SolveRoute::Mode(opts.mode), ticket)?;
         if opts.check_evidence {
             self.check_entry(spec, &mut computed)?;
@@ -303,18 +303,17 @@ impl EngineCache {
         Ok(())
     }
 
-    /// `config` with the lifted warm-start seed filled in, when wanted,
-    /// absent, and liftable from a cached `rounds − 1` SAT entry.
+    /// `opts.cdcl` with the lifted warm-start seed filled in, when
+    /// wanted, absent, and liftable from a cached `rounds − 1` SAT entry.
     fn seeded_config(
         &self,
         spec: &GsbSpec,
         rounds: usize,
-        config: &CdclConfig,
-        warm_start: bool,
+        opts: &EngineOpts,
         search: &SymmetricSearch,
     ) -> CdclConfig {
-        let mut config = config.clone();
-        if warm_start && config.warm_start.is_none() {
+        let mut config = opts.cdcl.clone();
+        if opts.warm_start && config.warm_start.is_none() {
             config.warm_start = self.lifted_warm_start(spec, rounds, search);
         }
         config

@@ -679,7 +679,6 @@ fn stats_from_json(value: &Json) -> Result<SearchStats> {
     // The warm/local fields postdate stored verdict records, so they
     // are optional; keys of counters that have since been removed are
     // ignored.
-    let opt_u64 = |key: &str| opt_u64_field(value, key);
     Ok(SearchStats {
         decisions: u64_field(value, "decisions")?,
         conflicts: u64_field(value, "conflicts")?,
@@ -688,9 +687,9 @@ fn stats_from_json(value: &Json) -> Result<SearchStats> {
         learned: u64_field(value, "learned")?,
         symmetric_images: u64_field(value, "symmetric_images")?,
         deleted: u64_field(value, "deleted")?,
-        warm_seeded: opt_u64("warm_seeded")?,
-        local_steps: opt_u64("local_steps")?,
-        local_restarts: opt_u64("local_restarts")?,
+        warm_seeded: opt_u64_field(value, "warm_seeded")?,
+        local_steps: opt_u64_field(value, "local_steps")?,
+        local_restarts: opt_u64_field(value, "local_restarts")?,
         local_won: matches!(value.get("local_won"), Some(Json::Bool(true))),
         workers: usize_field(value, "workers")?,
     })

@@ -108,10 +108,10 @@ fn indeterminate_verdict(
 /// through the cache's verdict memo, which checks SAT maps itself when
 /// `opts.check_evidence` asks; `Reference` and `Both` solve over the
 /// cache's shared constraint system, are not memoized, and return
-/// unchecked entries. The
-/// ticket is threaded through construction and solve; a tripped ticket
-/// surfaces as [`Error::Interrupted`] with partial counters, which
-/// [`execute`] converts to an indeterminate verdict.
+/// unchecked entries. The ticket is threaded through construction and
+/// solve; a tripped ticket surfaces as [`Error::Interrupted`] with
+/// partial counters, which [`execute`] converts to an indeterminate
+/// verdict.
 fn search_at(
     spec: &GsbSpec,
     rounds: usize,

@@ -219,7 +219,7 @@ mod tests {
         assert_eq!(h.quantile_us(0.99), Some(3));
         assert_eq!(h.quantile_us(1.0), Some(1023));
         // 43 µs lands in [40, 44) and reads 43 µs, 45 µs in [44, 48)
-        // and reads 47 µs; power-of-two buckets read both as 64 µs.
+        // and reads 47 µs.
         let h = Histogram::default();
         h.record(Duration::from_micros(43));
         h.record(Duration::from_micros(45));

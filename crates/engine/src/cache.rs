@@ -48,8 +48,8 @@ pub struct CacheStats {
     /// χ^{r+1} instead of re-streaming from round 0.
     pub extensions: u64,
     /// Decision-map checks ([`DecisionMap::check`]) the search memo ran:
-    /// at most one per cached SAT entry, on its insertion or on the first
-    /// check-requesting hit of an entry an unchecked query inserted.
+    /// one per SAT miss of a check-requesting query, before its entry is
+    /// cached. Hits run none.
     pub evidence_checks: u64,
 }
 
@@ -62,16 +62,9 @@ pub(crate) struct SearchEntry {
     pub(crate) map: Option<DecisionMap>,
     pub(crate) stats: SearchStats,
     /// Whether `map` passed [`DecisionMap::check`] against the entry's
-    /// spec. Never set on UNSAT entries: they carry no map, and
-    /// `execute` checks their counters per query.
+    /// spec before the entry was cached. Never set on UNSAT entries:
+    /// they carry no map, and `execute` checks their counters per query.
     pub(crate) checked: bool,
-}
-
-impl SearchEntry {
-    /// Whether a check-requesting query must still verify this entry.
-    fn needs_check(&self) -> bool {
-        self.map.is_some() && !self.checked
-    }
 }
 
 /// Per-key in-flight build guards: the first thread to miss a key takes
@@ -207,12 +200,12 @@ impl EngineCache {
     /// perf hints only, so the cached entry stays
     /// configuration-independent.
     ///
-    /// With `opts.check_evidence` on, a SAT map is checked
+    /// With `opts.check_evidence` on, a miss checks its SAT map
     /// ([`DecisionMap::check`], on a freshly built complex) before the
-    /// entry is cached, and a hit on an entry that an unchecked query
-    /// inserted is checked once and marked: each cached map is checked
-    /// at most once, and the returned entry's `checked` says whether it
-    /// has been.
+    /// entry is cached and marks it `checked`. A hit returns the cached
+    /// entry as it is; an entry an unchecked query inserted stays
+    /// unmarked, and `execute` checks its verdict on every checking
+    /// query.
     ///
     /// Hits are served whatever the ticket's state (they cost nothing);
     /// misses construct and solve under `ticket`.
@@ -226,7 +219,7 @@ impl EngineCache {
     /// refute: when local search exhausts its restart schedule without a
     /// witness this also returns [`Error::Interrupted`], and nothing is
     /// cached. A map that fails its check is returned as that error and
-    /// is never cached (nor marked checked, when it was already cached).
+    /// is never cached.
     pub(crate) fn search(
         &self,
         spec: &GsbSpec,
@@ -235,31 +228,17 @@ impl EngineCache {
         ticket: &Ticket,
     ) -> Result<(SearchEntry, bool), Error> {
         let key = (spec.clone(), rounds);
-        let ready = |entry: &SearchEntry| !(opts.check_evidence && entry.needs_check());
-        if let Some(hit) = self.cached_search(&key).filter(ready) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = self.cached_search(&key) {
             return Ok((hit, true));
         }
         // In-flight guard: concurrent identical queries block here and
         // are served the winner's entry by the re-check, instead of
-        // each running the full solve (or check). If the winner's ticket
+        // each running the full solve and check. If the winner's ticket
         // trips it caches nothing and releases the guard; the next
         // waiter re-checks, misses, and retries under its own budget.
         let guard = self.search_guards.guard(&key);
         let _build = guard.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(mut hit) = self.cached_search(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if !ready(&hit) {
-                self.check_entry(spec, &mut hit)?;
-                if let Some(cached) = self
-                    .searches
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .get_mut(&key)
-                {
-                    cached.checked = true;
-                }
-            }
+        if let Some(hit) = self.cached_search(&key) {
             return Ok((hit, true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -281,13 +260,16 @@ impl EngineCache {
         Ok((computed, false))
     }
 
-    /// The cached search entry for `key`, if any (uncounted).
+    /// The cached search entry for `key`, counted as a hit when present.
     fn cached_search(&self, key: &(GsbSpec, usize)) -> Option<SearchEntry> {
-        self.searches
+        let hit = self
+            .searches
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .get(key)
-            .cloned()
+            .cloned()?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
     }
 
     /// Checks `entry`'s decision map against `spec` on a freshly built
@@ -731,50 +713,30 @@ mod tests {
         assert_eq!(cache.stats().evidence_checks, 1);
     }
 
-    #[test]
-    fn a_checking_hit_checks_an_unchecked_entry_once() {
+    /// Inserts `loose_renaming(4)`'s r = 2 entry unchecked, replaces its
+    /// map with `tamper(assignment)`, and returns a checking re-ask's
+    /// outcome.
+    fn ask_tampered(tamper: impl FnOnce(&mut Vec<usize>)) -> Result<crate::Verdict, Error> {
         let cache = EngineCache::new();
         let spec = loose_renaming_4();
-        let ticket = Ticket::unlimited();
-        let (entry, _) = cache.search(&spec, 2, &cdcl_opts(false), &ticket).unwrap();
-        assert!(!entry.checked);
-        assert_eq!(cache.stats().evidence_checks, 0);
-        let (upgraded, hit) = search(&cache, &spec, 2);
-        assert!(hit && upgraded.checked);
-        assert_eq!(cache.stats().evidence_checks, 1);
-        let (again, _) = search(&cache, &spec, 2);
-        assert!(again.checked);
-        // An unchecked query reads the upgraded entry as checked too.
-        let (unchecked, _) = cache.search(&spec, 2, &cdcl_opts(false), &ticket).unwrap();
-        assert!(unchecked.checked);
-        assert_eq!(cache.stats().evidence_checks, 1);
-    }
-
-    /// Inserts `spec`'s r = 2 entry unchecked, replaces its map with
-    /// `tamper(assignment)`, and returns a checking re-ask's outcome.
-    fn ask_tampered(tamper: impl FnOnce(&mut Vec<usize>)) -> Result<(SearchEntry, bool), Error> {
-        let cache = EngineCache::new();
-        let spec = loose_renaming_4();
-        let ticket = Ticket::unlimited();
-        let (entry, _) = cache.search(&spec, 2, &cdcl_opts(false), &ticket).unwrap();
-        let map = entry.map.expect("SAT");
+        let mut query = crate::Query::solvable_in_rounds(spec.clone(), 2);
+        query.opts_mut().check_evidence = false;
+        query.run_with(&cache).unwrap();
+        let key = (spec, 2);
+        let map = cache.searches.lock().unwrap()[&key]
+            .map
+            .clone()
+            .expect("SAT");
         let mut assignment = map.assignment().to_vec();
         tamper(&mut assignment);
         let forged = DecisionMap::rebuild(map.n(), map.rounds(), assignment).unwrap();
-        let key = (spec.clone(), 2);
         cache.searches.lock().unwrap().get_mut(&key).unwrap().map = Some(forged);
-        let outcome = cache.search(&spec, 2, &cdcl_opts(true), &ticket);
-        assert_eq!(
-            cache.stats().evidence_checks,
-            1,
-            "the forged map was checked"
-        );
-        assert!(!cache.searches.lock().unwrap()[&key].checked);
-        outcome
+        query.opts_mut().check_evidence = true;
+        query.run_with(&cache)
     }
 
     #[test]
-    fn a_checking_hit_rejects_a_tampered_unchecked_entry() {
+    fn a_checking_re_ask_rejects_a_tampered_unchecked_entry() {
         // One class's value moved out of the task's range.
         let out_of_range = ask_tampered(|a| a[0] = 99);
         assert!(out_of_range.is_err(), "{out_of_range:?}");

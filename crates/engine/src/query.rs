@@ -142,9 +142,9 @@ pub struct EngineOpts {
     /// facet-by-facet on a freshly built complex, witnesses against
     /// every adversarial identity subset). A decision map the
     /// [`EngineCache`](crate::EngineCache) serves is checked once per
-    /// cached entry, not once per query: on the miss that inserts it,
-    /// or on the first checking hit of an entry an unchecked query
-    /// inserted. Default `true`.
+    /// cached entry, not once per query: on the checking miss that
+    /// inserts it. An entry an unchecked query inserted is checked on
+    /// every checking query that reads it. Default `true`.
     pub check_evidence: bool,
     /// Additionally replay no-communication witnesses through the actual
     /// shared-memory simulator (one run per adversarial identity subset,

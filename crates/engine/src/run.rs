@@ -57,8 +57,8 @@ pub(crate) fn execute(query: &Query, cache: &EngineCache) -> Result<Verdict> {
         Err(other) => return Err(other),
     };
     // A verdict built from a checked cache entry arrives with
-    // `evidence_checked` already set: its map was checked once, when
-    // the entry was inserted or upgraded, and is not checked again.
+    // `evidence_checked` already set: its map was checked once, before
+    // the entry was cached, and is not checked again.
     if query.opts().check_evidence && !verdict.stats.evidence_checked {
         verdict.check()?;
         verdict.stats.evidence_checked = true;
@@ -321,7 +321,9 @@ fn run_rounds(
         },
         stats: RunStats {
             search: Some(stats),
-            evidence_checked: entry.checked,
+            // Only a checking query reports the memo's check: an
+            // unchecked query reports false whatever the cache holds.
+            evidence_checked: opts.check_evidence && entry.checked,
             ..RunStats::default()
         },
     })

@@ -35,11 +35,12 @@ pub struct RunStats {
     pub wall: Duration,
     /// Solver counters, when a round-bounded search ran.
     pub search: Option<SearchStats>,
-    /// Whether the evidence has been verified against the spec. On a
-    /// fresh answer the check ran in this query; on a search served from
-    /// the [`EngineCache`](crate::EngineCache) it means the cached map
-    /// was checked when its entry was inserted or first upgraded, and
-    /// was not checked again.
+    /// Whether this query asked for its evidence to be verified against
+    /// the spec, and it was. Always false when
+    /// [`EngineOpts::check_evidence`](crate::EngineOpts::check_evidence)
+    /// is off. On a search served from the
+    /// [`EngineCache`](crate::EngineCache) the cached map may have been
+    /// checked when its entry was inserted, and is not checked again.
     pub evidence_checked: bool,
     /// Simulator runs executed while replaying witness evidence.
     pub simulated_runs: usize,

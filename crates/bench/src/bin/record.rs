@@ -145,8 +145,8 @@ fn main() {
             "χ^{}(Δ^{})   {:>9} {:>9} {:>10} {:>20} {:>20} {:>20} {:>8} {:>7.1}x",
             r.rounds,
             r.n - 1,
-            r.stats.facets,
-            r.stats.classes,
+            r.facets,
+            r.classes,
             r.orbit.orbit_rows,
             ms(r.streaming_wall),
             ms(r.full_prep_wall),

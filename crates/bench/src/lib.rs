@@ -1030,9 +1030,12 @@ pub struct ConstructRow {
     pub n: usize,
     /// Protocol rounds.
     pub rounds: usize,
-    /// Construction counters of the streaming build (facet/vertex/class
-    /// counts, peak frontier rows).
-    pub stats: gsb_topology::BuildStats,
+    /// Facets of the streamed complex.
+    pub facets: usize,
+    /// Distinct vertices of the streamed complex.
+    pub vertices: usize,
+    /// View order-isomorphism classes of the streamed complex.
+    pub classes: usize,
     /// Streaming build wall time — **includes** the incremental
     /// signature-class tracking, so the finished complex carries its
     /// quotient.
@@ -1084,7 +1087,7 @@ impl ConstructRow {
     /// stamps (the `≤ 1/20` acceptance lever for `χ³(Δ³)`).
     #[must_use]
     pub fn stamp_fraction(&self) -> f64 {
-        self.orbit.stamped_rows as f64 / (self.stats.facets as f64).max(1.0)
+        self.orbit.stamped_rows as f64 / (self.facets as f64).max(1.0)
     }
 }
 
@@ -1103,11 +1106,9 @@ impl ConstructReport {
             Obj::default()
                 .num("n", row.n as f64)
                 .num("rounds", row.rounds as f64)
-                .num("facets", row.stats.facets as f64)
-                .num("vertices", row.stats.vertices as f64)
-                .num("classes", row.stats.classes as f64)
-                .num("peak_frontier_rows", row.stats.peak_frontier_rows as f64)
-                .num("chunks", row.stats.chunks as f64)
+                .num("facets", row.facets as f64)
+                .num("vertices", row.vertices as f64)
+                .num("classes", row.classes as f64)
                 .num("orbit_rows", row.orbit.orbit_rows as f64)
                 .num("stamped_rows", row.orbit.stamped_rows as f64)
                 .wall("streaming_wall", row.streaming_wall)
@@ -1225,12 +1226,16 @@ fn check_orbit_shape(
 /// the reference and streaming builders disagree.
 #[must_use]
 pub fn construct_report(quick: bool) -> ConstructReport {
-    use gsb_topology::{protocol_complex_reference, protocol_complex_with_stats, ConstraintSystem};
+    use gsb_topology::{protocol_complex, protocol_complex_reference, ConstraintSystem};
     let mut rows = Vec::new();
     for (n, rounds, run_reference) in construct_suite(quick) {
-        let (streaming_wall, (complex, stats)) = sample(|| protocol_complex_with_stats(n, rounds));
-        // The quotient must be a lookup on the streamed complex.
-        assert_eq!(complex.signature_quotient().classes.len(), stats.classes);
+        let (streaming_wall, complex) = sample(|| protocol_complex(n, rounds));
+        // The quotient is a lookup on the streamed complex.
+        let full = (
+            complex.facet_count(),
+            complex.vertices().len(),
+            complex.signature_quotient().classes.len(),
+        );
         // The complex-side instance prep the fused path replaces.
         let (full_prep_wall, _) = sample(|| ConstraintSystem::from_complex(&complex));
         drop(complex);
@@ -1240,7 +1245,6 @@ pub fn construct_report(quick: bool) -> ConstructReport {
         let (fused_wall, (system, orbit)) = sample(|| {
             ConstraintSystem::streamed(n, rounds, &Ticket::unlimited()).expect("unlimited ticket")
         });
-        let full = (stats.facets, stats.vertices, stats.classes);
         check_orbit_shape(n, rounds, full, &orbit, system.class_count());
         if let Some(&(_, _, facets, vertices, classes)) = CONSTRUCT_PINNED
             .iter()
@@ -1264,8 +1268,8 @@ pub fn construct_report(quick: bool) -> ConstructReport {
                 let classes = reference.signature_quotient().classes.len();
                 (reference.facet_count(), classes)
             });
-            assert_eq!(facets, stats.facets, "builders disagree");
-            assert_eq!(classes, stats.classes, "builders disagree on classes");
+            assert_eq!(facets, full.0, "builders disagree");
+            assert_eq!(classes, full.2, "builders disagree on classes");
             let build = match total.iqr {
                 Some(_) => summarize(builds.split_off(1)),
                 None => Wall {
@@ -1277,10 +1281,13 @@ pub fn construct_report(quick: bool) -> ConstructReport {
         } else {
             (None, None)
         };
+        let (facets, vertices, classes) = full;
         rows.push(ConstructRow {
             n,
             rounds,
-            stats,
+            facets,
+            vertices,
+            classes,
             streaming_wall,
             reference_wall,
             reference_total_wall,
@@ -1515,7 +1522,9 @@ mod tests {
             rows: vec![ConstructRow {
                 n: 3,
                 rounds: 1,
-                stats: gsb_topology::BuildStats::default(),
+                facets: 1,
+                vertices: 1,
+                classes: 1,
                 streaming_wall: wall,
                 reference_wall: None,
                 reference_total_wall: None,

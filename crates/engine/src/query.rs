@@ -16,8 +16,11 @@ use crate::error::Result;
 use crate::verdict::Verdict;
 
 /// What is being asked about a task.
+///
+/// Exhaustive on purpose: the server keys a latency histogram and an
+/// admission rule by question, so a new question must not compile until
+/// both handle it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum Question {
     /// Wait-free solvability per the paper's Section 5 results (the
     /// closed-form classifier), with structure-theory evidence.

@@ -98,9 +98,6 @@ impl AdmissionPolicy {
                 ));
             }
             Question::Atlas { .. } | Question::Classify | Question::NoCommWitness => {}
-            // `Question` is non-exhaustive: admit future kinds under
-            // the per-spec and budget caps alone.
-            _ => {}
         }
         let opts = query.opts_mut();
         opts.deadline = Some(match opts.deadline {

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use gsb_engine::Json;
+use gsb_engine::{Json, Question};
 
 /// Linear sub-buckets per octave. With 8, a bucket at or above 8 µs is
 /// at most 1/8 of its lower bound wide, so a quantile read as its
@@ -52,6 +52,19 @@ pub const QUESTION_LABELS: [&str; 5] = [
     "certificate",
     "atlas",
 ];
+
+/// The histogram slot of `question`, indexing [`QUESTION_LABELS`]. The
+/// match is exhaustive, so a new question does not compile until it has
+/// a slot of its own.
+fn slot(question: &Question) -> usize {
+    match question {
+        Question::Classify => 0,
+        Question::SolvableInRounds { .. } => 1,
+        Question::NoCommWitness => 2,
+        Question::Certificate { .. } => 3,
+        Question::Atlas { .. } => 4,
+    }
+}
 
 /// A lock-free latency histogram over log-linear µs buckets.
 #[derive(Debug)]
@@ -156,17 +169,10 @@ pub struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// The histogram tracking `label` (a [`Question::label`] value);
-    /// unknown labels fall back to the first slot.
-    ///
-    /// [`Question::label`]: gsb_engine::Question::label
+    /// The histogram tracking `question`.
     #[must_use]
-    pub fn histogram(&self, label: &str) -> &Histogram {
-        let at = QUESTION_LABELS
-            .iter()
-            .position(|&l| l == label)
-            .unwrap_or(0);
-        &self.latency[at]
+    pub fn histogram(&self, question: &Question) -> &Histogram {
+        &self.latency[slot(question)]
     }
 
     /// The server-counter block of the metrics response.
@@ -266,10 +272,22 @@ mod tests {
     }
 
     #[test]
-    fn histograms_key_by_question_label() {
+    fn histograms_key_by_question() {
+        let questions = [
+            Question::Classify,
+            Question::SolvableInRounds { rounds: 1 },
+            Question::NoCommWitness,
+            Question::Certificate { rounds: 1 },
+            Question::Atlas { max_n: 3 },
+        ];
+        for question in &questions {
+            assert_eq!(QUESTION_LABELS[slot(question)], question.label());
+        }
         let metrics = ServerMetrics::default();
-        metrics.histogram("atlas").record(Duration::from_micros(10));
-        assert_eq!(metrics.latency[4].count(), 1);
-        assert_eq!(metrics.histogram("no-such-label").count(), 0);
+        metrics
+            .histogram(&Question::Atlas { max_n: 3 })
+            .record(Duration::from_micros(10));
+        let counts: Vec<u64> = metrics.latency.iter().map(Histogram::count).collect();
+        assert_eq!(counts, [0, 0, 0, 0, 1]);
     }
 }

@@ -272,11 +272,19 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<TcpStream>>>) {
 /// connection that produces no complete line within the idle timeout is
 /// reaped (counted in `timeouts`); injected `DropConnection` faults
 /// close it, `StallRead` faults stop reading until the reaper fires.
+///
+/// A query's latency is timed from the return of the read that
+/// delivered its line's first byte, so a line that trickles in, or
+/// waits behind an earlier line of the same read, counts that time.
 fn handle_connection(shared: &Shared, stream: &TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let _ = stream.set_nodelay(true);
     let mut last_line = Instant::now();
+    // When the read holding the first byte of `buf` returned, and when
+    // the latest read returned.
+    let mut line_arrived = Instant::now();
+    let mut last_read = Instant::now();
     let mut stalled = false;
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -284,13 +292,17 @@ fn handle_connection(shared: &Shared, stream: &TcpStream) {
         // Serve every complete line already buffered.
         while let Some(at) = buf.iter().position(|&b| b == b'\n') {
             let line: Vec<u8> = buf.drain(..=at).collect();
+            let arrived = line_arrived;
+            // Every complete line is served right after the read that
+            // ends it, so the next line starts in the latest read.
+            line_arrived = last_read;
             let line = String::from_utf8_lossy(&line[..line.len() - 1]);
             let line = line.trim();
             last_line = Instant::now();
             if line.is_empty() {
                 continue;
             }
-            if !serve_line(shared, stream, line) {
+            if !serve_line(shared, stream, line, arrived) {
                 return;
             }
             // Reset again after serving: a long engine run must not
@@ -321,6 +333,10 @@ fn handle_connection(shared: &Shared, stream: &TcpStream) {
         match (&mut &*stream).read(&mut chunk) {
             Ok(0) => return, // client hung up
             Ok(n) => {
+                last_read = Instant::now();
+                if buf.is_empty() {
+                    line_arrived = last_read;
+                }
                 buf.extend_from_slice(&chunk[..n]);
                 if buf.len() > MAX_REQUEST_LINE {
                     let _ = write_line(
@@ -342,9 +358,10 @@ fn handle_connection(shared: &Shared, stream: &TcpStream) {
     }
 }
 
-/// Handles one request line. Returns `false` when the connection (or
-/// the whole server) should wind down.
-fn serve_line(shared: &Shared, stream: &TcpStream, line: &str) -> bool {
+/// Handles one request line whose first byte arrived at `arrived`.
+/// Returns `false` when the connection (or the whole server) should
+/// wind down.
+fn serve_line(shared: &Shared, stream: &TcpStream, line: &str, arrived: Instant) -> bool {
     match parse_request(line) {
         Ok(Request::Ping) => send_line(shared, stream, &response::pong()).is_ok(),
         Ok(Request::Metrics) => send_line(shared, stream, &metrics_payload(shared)).is_ok(),
@@ -370,7 +387,7 @@ fn serve_line(shared: &Shared, stream: &TcpStream, line: &str) -> bool {
                     .retries_observed
                     .fetch_add(1, Ordering::Relaxed);
             }
-            let reply = answer_query(shared, id, *query);
+            let reply = answer_query(shared, id, *query, arrived);
             send_line(shared, stream, &reply).is_ok()
         }
         Err(details) => {
@@ -413,10 +430,10 @@ fn reload_store(shared: &Shared, path: Option<&str>) -> Result<String, String> {
 
 /// Answers one admitted-or-not query: store first, then admission,
 /// then the in-flight gate, then the engine (panic-isolated through a
-/// single-entry [`Batch`]).
-fn answer_query(shared: &Shared, id: Option<u64>, mut query: Query) -> String {
+/// single-entry [`Batch`]). Latency is recorded from `arrived`, when
+/// the request line's first byte was read.
+fn answer_query(shared: &Shared, id: Option<u64>, mut query: Query, arrived: Instant) -> String {
     let metrics = &shared.metrics;
-    let started = Instant::now();
     // One clone up front: this request serves (and appends) against
     // the same store snapshot even if a reload swaps mid-answer.
     let store = shared.store();
@@ -426,8 +443,8 @@ fn answer_query(shared: &Shared, id: Option<u64>, mut query: Query) -> String {
     if let Some(rendered) = store.lookup(&query) {
         metrics.served_store.fetch_add(1, Ordering::Relaxed);
         metrics
-            .histogram(query.question().label())
-            .record(started.elapsed());
+            .histogram(query.question())
+            .record(arrived.elapsed());
         return response::verdict(id, "store", &rendered);
     }
     if let Err(reason) = shared.config.policy.admit(&mut query) {
@@ -464,8 +481,8 @@ fn answer_query(shared: &Shared, id: Option<u64>, mut query: Query) -> String {
             }
             metrics.served_engine.fetch_add(1, Ordering::Relaxed);
             metrics
-                .histogram(query.question().label())
-                .record(started.elapsed());
+                .histogram(query.question())
+                .record(arrived.elapsed());
             response::verdict(id, "engine", &verdict.to_json_value().render_compact())
         }
         Err(e) => {

@@ -131,6 +131,31 @@ fn hostile_bytes_get_error_responses_and_the_server_survives() {
 }
 
 #[test]
+fn latency_counts_from_the_first_byte_of_the_request_line() {
+    let (handle, addr, _cache) = start(AdmissionPolicy::default(), VerdictStore::in_memory());
+    let spec = gsb_engine::named_task("wsb", 3, None).unwrap();
+    let line = gsb_serve::proto::render_query(&Query::new(spec, Question::Classify), None) + "\n";
+    let (head, tail) = line.split_at(line.len() / 2);
+    let stream = TcpStream::connect(&addr).expect("connect raw");
+    (&stream).write_all(head.as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    (&stream).write_all(tail.as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("verdict");
+    assert!(reply.contains("\"verdict\""), "{reply}");
+    let mut client = Client::connect(&addr).expect("connect");
+    let p50 = metric(
+        &client.metrics().expect("metrics"),
+        &["server", "latency", "classify", "p50_us"],
+    );
+    assert!(p50 >= 50_000.0, "classify p50 read {p50} µs");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
 fn saturated_server_sheds_with_a_typed_overloaded_response() {
     let policy = AdmissionPolicy {
         max_in_flight: 0, // every engine-bound query sheds deterministically

@@ -15,7 +15,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
-use crate::views::{View, ViewArena};
+use crate::views::{View, ViewArena, ViewKey};
 
 /// Index of a vertex within a [`ChromaticComplex`].
 pub type VertexId = u32;
@@ -65,12 +65,49 @@ pub fn ridge_key(facet: &[VertexId], skip: usize) -> RidgeKey {
 /// The quotient of a complex's vertex set by view order-isomorphism
 /// ([`View::signature`]): the symmetry classes a comparison-based
 /// decision map must be constant on.
+///
+/// Classes are in canonical (ascending-view) order whichever builder
+/// produced the complex — the one order every constraint system and
+/// [`DecisionMap`](crate::DecisionMap) uses — so class `c` means the same
+/// signature on every build of `χ^r(Δ^{n−1})`.
 #[derive(Debug, Clone)]
 pub struct SignatureQuotient {
-    /// Canonical signature of each class, in first-appearance order.
-    pub classes: Vec<View>,
+    /// Canonical signature of each class, ascending. Shared behind an
+    /// [`Arc`], so decision maps over the complex clone no class.
+    pub classes: Arc<[View]>,
     /// Class index of each vertex.
     pub vertex_class: Vec<u32>,
+}
+
+impl SignatureQuotient {
+    /// Puts classes found in any order into canonical order: sorts the
+    /// distinct signature keys once (through the arena, so equal shared
+    /// sub-views compare in O(1)), materializes each class view and
+    /// renumbers `vertex_class` to match.
+    pub(crate) fn in_canonical_order(
+        arena: &ViewArena,
+        class_keys: &[ViewKey],
+        mut vertex_class: Vec<u32>,
+    ) -> Self {
+        let mut order: Vec<u32> = (0..).take(class_keys.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            arena.cmp_views(class_keys[a as usize], class_keys[b as usize])
+        });
+        let mut rank = vec![0u32; order.len()];
+        for (new, &old) in (0..).zip(&order) {
+            rank[old as usize] = new;
+        }
+        for class in &mut vertex_class {
+            *class = rank[*class as usize];
+        }
+        SignatureQuotient {
+            classes: order
+                .iter()
+                .map(|&old| arena.view(class_keys[old as usize]))
+                .collect(),
+            vertex_class,
+        }
+    }
 }
 
 /// A pure, properly colored simplicial complex given by its facets.
@@ -90,9 +127,6 @@ pub struct ChromaticComplex {
     /// tracks classes incrementally per round; either way
     /// [`ChromaticComplex::signature_quotient`] is a lookup afterwards.
     quotient: OnceLock<Arc<SignatureQuotient>>,
-    /// The quotient's classes in canonical (ascending-view) order,
-    /// computed on first demand and reset with `quotient`.
-    canonical: OnceLock<Arc<[View]>>,
 }
 
 impl ChromaticComplex {
@@ -105,7 +139,6 @@ impl ChromaticComplex {
             index: HashMap::new(),
             facet_data: Vec::new(),
             quotient: OnceLock::new(),
-            canonical: OnceLock::new(),
         }
     }
 
@@ -132,7 +165,7 @@ impl ChromaticComplex {
             return id;
         }
         // A new vertex invalidates any computed quotient.
-        self.reset_quotient();
+        self.quotient = OnceLock::new();
         let id = VertexId::try_from(self.vertices.len()).expect("vertex ids fit in u32");
         self.vertices.push(vertex.clone());
         self.index.insert(vertex, id);
@@ -151,7 +184,7 @@ impl ChromaticComplex {
     /// is skipped — [`ChromaticComplex::intern`] rebuilds it lazily if
     /// ever needed again).
     pub(crate) fn push_vertex(&mut self, vertex: Vertex) -> VertexId {
-        self.reset_quotient();
+        self.quotient = OnceLock::new();
         let id = VertexId::try_from(self.vertices.len()).expect("vertex ids fit in u32");
         self.vertices.push(vertex);
         id
@@ -242,7 +275,7 @@ impl ChromaticComplex {
     /// Quotients the vertex set by view order-isomorphism, interning
     /// signatures once (each canonical [`View`] is materialized exactly
     /// once, when its class first appears) and indexing vertices by dense
-    /// class id.
+    /// class id, classes in canonical order.
     ///
     /// The quotient is computed at most once per complex and shared
     /// behind an [`Arc`]: complexes from the streaming builder carry the
@@ -259,59 +292,30 @@ impl ChromaticComplex {
     }
 
     /// Attaches a quotient computed during construction (the streaming
-    /// builder's incremental class tracking). Must match what
+    /// builder's incremental class tracking). Must equal what
     /// [`ChromaticComplex::signature_quotient`] would compute: one class
-    /// entry per vertex, classes in first-appearance order.
+    /// entry per vertex, classes in canonical order.
     pub(crate) fn set_quotient(&mut self, quotient: SignatureQuotient) {
         debug_assert_eq!(quotient.vertex_class.len(), self.vertices.len());
+        debug_assert!(quotient.classes.windows(2).all(|w| w[0] < w[1]));
         self.quotient = OnceLock::from(Arc::new(quotient));
-        self.canonical = OnceLock::new();
-    }
-
-    /// The quotient's class signatures in canonical (ascending-view)
-    /// order — the order every search prep and
-    /// [`DecisionMap`](crate::DecisionMap) use. Sorted once per complex
-    /// and shared behind an [`Arc`], so decoding any number of decision
-    /// maps over the shared complex clones no class.
-    #[must_use]
-    pub(crate) fn canonical_classes(&self) -> Arc<[View]> {
-        Arc::clone(self.canonical.get_or_init(|| {
-            let mut classes = self.signature_quotient().classes.clone();
-            classes.sort_unstable();
-            classes.into()
-        }))
-    }
-
-    /// Drops the memoized quotient and canonical class list (the vertex
-    /// set changed).
-    fn reset_quotient(&mut self) {
-        self.quotient = OnceLock::new();
-        self.canonical = OnceLock::new();
     }
 
     fn compute_quotient(&self) -> SignatureQuotient {
         let mut arena = ViewArena::new();
-        let mut class_of: HashMap<crate::views::ViewKey, u32> = HashMap::new();
-        let mut classes: Vec<View> = Vec::new();
+        let mut class_of: HashMap<ViewKey, u32> = HashMap::new();
+        let mut class_keys: Vec<ViewKey> = Vec::new();
         let mut vertex_class: Vec<u32> = Vec::with_capacity(self.vertices.len());
         for vertex in &self.vertices {
             let key = arena.intern(&vertex.view);
             let sig = arena.signature(key);
-            let class = match class_of.get(&sig) {
-                Some(&c) => c,
-                None => {
-                    let c = u32::try_from(classes.len()).expect("classes fit in u32");
-                    classes.push(arena.view(sig));
-                    class_of.insert(sig, c);
-                    c
-                }
-            };
+            let class = *class_of.entry(sig).or_insert_with(|| {
+                class_keys.push(sig);
+                u32::try_from(class_keys.len() - 1).expect("classes fit in u32")
+            });
             vertex_class.push(class);
         }
-        SignatureQuotient {
-            classes,
-            vertex_class,
-        }
+        SignatureQuotient::in_canonical_order(&arena, &class_keys, vertex_class)
     }
 
     /// Whether every `(n−2)`-face lies in at most two facets, i.e. the
@@ -465,25 +469,25 @@ mod tests {
     }
 
     #[test]
-    fn canonical_classes_are_shared_until_the_vertex_set_changes() {
+    fn quotients_are_shared_until_the_vertex_set_changes() {
         let mut c = ChromaticComplex::new(2);
         let a = c.intern(vertex(1, &[1]));
         let b = c.intern(vertex(2, &[1, 2]));
         c.add_facet(vec![a, b]);
-        let before = c.canonical_classes();
-        assert!(before.windows(2).all(|w| w[0] < w[1]), "ascending");
-        assert!(Arc::ptr_eq(&before, &c.canonical_classes()));
+        let before = c.signature_quotient();
+        assert!(before.classes.windows(2).all(|w| w[0] < w[1]), "ascending");
+        assert!(Arc::ptr_eq(&before, &c.signature_quotient()));
         // Re-interning a known vertex changes nothing.
         c.intern(vertex(1, &[1]));
-        assert!(Arc::ptr_eq(&before, &c.canonical_classes()));
+        assert!(Arc::ptr_eq(&before, &c.signature_quotient()));
         // A vertex of a new class yields a fresh list that has it.
         let fresh = vertex(1, &[1, 2]);
         c.intern(fresh.clone());
-        let after = c.canonical_classes();
+        let after = c.signature_quotient();
         assert!(!Arc::ptr_eq(&before, &after));
-        assert_eq!(after.len(), before.len() + 1);
-        assert!(after.binary_search(&fresh.view.signature()).is_ok());
-        assert!(after.windows(2).all(|w| w[0] < w[1]), "ascending");
+        assert_eq!(after.classes.len(), before.classes.len() + 1);
+        assert!(after.classes.binary_search(&fresh.view.signature()).is_ok());
+        assert!(after.classes.windows(2).all(|w| w[0] < w[1]), "ascending");
     }
 
     #[test]

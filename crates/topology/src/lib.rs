@@ -42,8 +42,7 @@ pub use complex::{ridge_key, ChromaticComplex, RidgeKey, SignatureQuotient, Vert
 pub use error::{Error, Result};
 pub use protocol::{
     ordered_bell, process_permutations, protocol_complex, protocol_complex_reference,
-    protocol_complex_with_stats, shared_protocol_complex, BuildStats, OrbitBuildStats,
-    OrbitFrontier,
+    shared_protocol_complex, OrbitBuildStats, OrbitFrontier,
 };
 pub use solvability::{
     ConstraintSystem, DecisionMap, SearchMode, SearchResult, SolveRoute, SymmetricSearch,

@@ -49,24 +49,8 @@ use rayon::prelude::*;
 use crate::complex::{ChromaticComplex, SignatureQuotient, Vertex, VertexId};
 use crate::views::{
     fx_mix, node_hash_pair, node_hash_seed, ordered_partitions, round_templates, ProbeTable,
-    RoundTemplate, View, ViewArena, ViewKey,
+    RoundTemplate, ViewArena, ViewKey,
 };
-
-/// Construction counters of one streaming subdivision build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BuildStats {
-    /// Facets of the finished complex.
-    pub facets: usize,
-    /// Distinct vertices of the finished complex.
-    pub vertices: usize,
-    /// View order-isomorphism classes of the finished complex.
-    pub classes: usize,
-    /// Largest deduplicated frontier (in facet rows) held at any round —
-    /// the builder's peak working-set measure.
-    pub peak_frontier_rows: usize,
-    /// Parallel chunks the widest round was fanned out over.
-    pub chunks: usize,
-}
 
 /// Hash of one facet row (a tuple of `n` view keys) — the debug-build
 /// injectivity sweep and the orbit pipeline's canonical-row dedup both
@@ -207,14 +191,12 @@ fn advance_round(
     n: usize,
     templates: &[RoundTemplate],
     arena: &mut ViewArena,
-    stats: &mut BuildStats,
     workers: usize,
 ) -> Vec<ViewKey> {
     let rows = frontier.len() / n;
     // One chunk per worker; below a few rows per worker the fan-out
     // overhead outweighs the stamping itself.
     let chunks = if rows >= 2 * workers { workers } else { 1 };
-    stats.chunks = stats.chunks.max(chunks);
     let next = if chunks == 1 {
         let mut next: Vec<ViewKey> = Vec::with_capacity(rows * templates.len() * n);
         // Fixed-width scratch row: indexed writes, no per-push growth
@@ -255,41 +237,22 @@ fn advance_round(
     };
     #[cfg(debug_assertions)]
     assert_rows_distinct(&next, n);
-    stats.peak_frontier_rows = stats.peak_frontier_rows.max(next.len() / n);
     next
 }
 
-/// Builds the `r`-round IIS protocol complex `χ^r(Δ^{n−1})` for processes
-/// with identities `1..n`, returning the construction counters alongside
-/// the complex. See [`protocol_complex`].
-///
-/// # Panics
-///
-/// Panics if `n = 0`.
-#[must_use]
-pub fn protocol_complex_with_stats(n: usize, rounds: usize) -> (ChromaticComplex, BuildStats) {
-    protocol_complex_with_workers(n, rounds, rayon::current_num_threads().max(1))
-}
-
-/// [`protocol_complex_with_stats`] with an explicit chunk-fan-out width
-/// (normally `rayon::current_num_threads()`) — kept injectable so the
-/// test suite exercises the multi-chunk stamping/merge path even on the
-/// 1-core containers CI runs on.
-fn protocol_complex_with_workers(
-    n: usize,
-    rounds: usize,
-    workers: usize,
-) -> (ChromaticComplex, BuildStats) {
+/// [`protocol_complex`] with an explicit chunk-fan-out width (normally
+/// `rayon::current_num_threads()`) — kept injectable so the test suite
+/// exercises the multi-chunk stamping/merge path even on the 1-core
+/// containers CI runs on.
+fn protocol_complex_with_workers(n: usize, rounds: usize, workers: usize) -> ChromaticComplex {
     assert!(n > 0, "need at least one process");
     let templates = round_templates(n);
     let mut arena = ViewArena::new();
-    let mut stats = BuildStats::default();
     // Facet frontier: flat CSR rows of per-process view keys.
     let mut frontier: Vec<ViewKey> = (1..=n as u32).map(|id| arena.initial(id)).collect();
-    stats.peak_frontier_rows = 1;
     for _ in 0..rounds {
         let keys_before = arena.len();
-        frontier = advance_round(&frontier, n, &templates, &mut arena, &mut stats, workers);
+        frontier = advance_round(&frontier, n, &templates, &mut arena, workers);
         // Incremental class tracking: canonical signatures of this
         // round's new views are computed (and memoized) now, so the
         // final quotient assembly below is pure lookup.
@@ -297,9 +260,9 @@ fn protocol_complex_with_workers(
             arena.signature(ViewKey::from_index(index));
         }
     }
-    // Materialize: one vertex per distinct (color, key), classes in
-    // vertex first-appearance order — exactly the order
-    // `compute_quotient` would produce, so the attached quotient is
+    // Materialize: one vertex per distinct (color, key), each class
+    // once; the classes are then put in canonical order, exactly as
+    // `compute_quotient` would, so the attached quotient is
     // indistinguishable from a recomputation.
     let mut complex = ChromaticComplex::new(n);
     complex.reserve(arena.len(), frontier.len() / n);
@@ -307,7 +270,7 @@ fn protocol_complex_with_workers(
     let mut vertex_of: Vec<VertexId> = vec![VertexId::MAX; arena.len()];
     // Dense signature-key → class map (signature keys are arena indices).
     let mut class_of_signature: Vec<u32> = vec![u32::MAX; arena.len()];
-    let mut classes: Vec<View> = Vec::new();
+    let mut class_keys: Vec<ViewKey> = Vec::new();
     let mut vertex_class: Vec<u32> = Vec::new();
     let mut facet: Vec<VertexId> = Vec::with_capacity(n);
     for row in frontier.chunks_exact(n) {
@@ -324,8 +287,8 @@ fn protocol_complex_with_workers(
                 vertex_of[key.index()] = vertex;
                 let mut class = class_of_signature[signature.index()];
                 if class == u32::MAX {
-                    class = u32::try_from(classes.len()).expect("classes fit in u32");
-                    classes.push(arena.view(signature));
+                    class = u32::try_from(class_keys.len()).expect("classes fit in u32");
+                    class_keys.push(signature);
                     class_of_signature[signature.index()] = class;
                 }
                 vertex_class.push(class);
@@ -335,14 +298,12 @@ fn protocol_complex_with_workers(
         facet.sort_unstable();
         complex.push_facet_sorted(&facet);
     }
-    stats.facets = complex.facet_count();
-    stats.vertices = complex.vertices().len();
-    stats.classes = classes.len();
-    complex.set_quotient(SignatureQuotient {
-        classes,
+    complex.set_quotient(SignatureQuotient::in_canonical_order(
+        &arena,
+        &class_keys,
         vertex_class,
-    });
-    (complex, stats)
+    ));
+    complex
 }
 
 /// Builds the `r`-round IIS protocol complex `χ^r(Δ^{n−1})` for processes
@@ -371,7 +332,7 @@ fn protocol_complex_with_workers(
 /// ```
 #[must_use]
 pub fn protocol_complex(n: usize, rounds: usize) -> ChromaticComplex {
-    protocol_complex_with_stats(n, rounds).0
+    protocol_complex_with_workers(n, rounds, rayon::current_num_threads().max(1))
 }
 
 /// The seed's tuple-cloning subdivision builder, retained verbatim as
@@ -1236,17 +1197,6 @@ mod tests {
     }
 
     #[test]
-    fn build_stats_reflect_the_construction() {
-        let (complex, stats) = protocol_complex_with_stats(3, 2);
-        assert_eq!(stats.facets, complex.facet_count());
-        assert_eq!(stats.vertices, complex.vertices().len());
-        assert_eq!(stats.classes, complex.signature_quotient().classes.len());
-        // The final frontier is the facet set, and it is the largest.
-        assert_eq!(stats.peak_frontier_rows, complex.facet_count());
-        assert!(stats.chunks >= 1);
-    }
-
-    #[test]
     fn chunked_fanout_is_identical_to_serial_stamping() {
         // The multi-chunk path (chunk-local node tables + serial merge)
         // is unreachable through the public API on a 1-core host, so
@@ -1254,10 +1204,14 @@ mod tests {
         // order, hence the build must be bit-identical to the serial
         // one — same facet rows, same vertex numbering, same classes.
         for workers in [2usize, 3, 5] {
-            let (serial, serial_stats) = protocol_complex_with_workers(3, 2, 1);
-            let (chunked, chunked_stats) = protocol_complex_with_workers(3, 2, workers);
-            assert!(chunked_stats.chunks > 1, "fan-out engaged ({workers})");
-            assert_eq!(serial_stats.facets, chunked_stats.facets);
+            // The second round's 13 rows are at least two per worker,
+            // so it fans out over `workers` chunks.
+            assert!(
+                ordered_bell(3) >= 2 * workers,
+                "fan-out engaged ({workers})"
+            );
+            let serial = protocol_complex_with_workers(3, 2, 1);
+            let chunked = protocol_complex_with_workers(3, 2, workers);
             assert_eq!(serial.facet_data(), chunked.facet_data());
             assert_eq!(serial.vertices(), chunked.vertices());
             let sq = serial.signature_quotient();
@@ -1266,8 +1220,7 @@ mod tests {
             assert_eq!(sq.vertex_class, cq.vertex_class);
         }
         // A width wider than the frontier rows degrades to one chunk.
-        let (wide, wide_stats) = protocol_complex_with_workers(2, 1, 64);
-        assert_eq!(wide_stats.chunks, 1);
+        let wide = protocol_complex_with_workers(2, 1, 64);
         assert_eq!(wide.facet_count(), 3);
     }
 
@@ -1311,18 +1264,27 @@ mod tests {
     #[test]
     fn orbit_frontier_matches_full_build_through_rounds() {
         for (n, r) in [(2usize, 3usize), (3, 2), (4, 2), (5, 1)] {
-            let (_, full) = protocol_complex_with_stats(n, r);
+            let full = protocol_complex(n, r);
             let mut frontier = OrbitFrontier::new(n);
             for _ in 0..r {
                 frontier.advance(&Ticket::unlimited()).unwrap();
             }
             let orbit = frontier.quotient_stats(&Ticket::unlimited()).unwrap();
-            assert_eq!(orbit.facets, full.facets, "facets at ({n},{r})");
-            assert_eq!(orbit.vertices, full.vertices, "vertices at ({n},{r})");
-            assert_eq!(orbit.classes, full.classes, "classes at ({n},{r})");
+            assert_eq!(orbit.facets, full.facet_count(), "facets at ({n},{r})");
+            assert_eq!(
+                orbit.vertices,
+                full.vertices().len(),
+                "vertices at ({n},{r})"
+            );
+            assert_eq!(
+                orbit.classes,
+                full.signature_quotient().classes.len(),
+                "classes at ({n},{r})"
+            );
             assert_eq!(orbit.rounds, r);
+            // The full frontier only grows, so its peak is the facet set.
             assert!(
-                orbit.peak_orbit_rows <= full.peak_frontier_rows,
+                orbit.peak_orbit_rows <= full.facet_count(),
                 "the representative frontier never exceeds the full one"
             );
         }

@@ -155,10 +155,10 @@ pub struct DecisionMap {
     n: usize,
     rounds: usize,
     /// Canonical signature of each symmetry class, in canonical
-    /// (ascending-view) order — the order every search prep and
-    /// [`DecisionMap::rebuild`] use, *not* the raw
-    /// [`SignatureQuotient`](crate::SignatureQuotient) order. Shared with
-    /// the constraint system or complex it came from, never copied.
+    /// (ascending-view) order — the one order of every
+    /// [`SignatureQuotient`](crate::SignatureQuotient), search prep and
+    /// [`DecisionMap::rebuild`]. Shared with the constraint system or
+    /// complex it came from, never copied.
     classes: Arc<[View]>,
     /// Value decided by each class.
     assignment: Vec<usize>,
@@ -166,10 +166,9 @@ pub struct DecisionMap {
 
 impl DecisionMap {
     /// Reconstructs a decision map from `(n, rounds, assignment)` alone —
-    /// the serialized form — over the canonical class list of the
-    /// process-wide shared `χ^rounds(Δ^{n−1})`: the complex is built and
-    /// its classes sorted once per `(n, rounds)`, and every later decode
-    /// clones an [`Arc`].
+    /// the serialized form — over the class list of the process-wide
+    /// shared `χ^rounds(Δ^{n−1})`: the complex is built once per
+    /// `(n, rounds)`, and every later decode clones an [`Arc`].
     ///
     /// # Errors
     ///
@@ -180,7 +179,11 @@ impl DecisionMap {
         // search prep uses, whichever pipeline built it — so a
         // serialized `(n, rounds, assignment)` triple deserializes to
         // the map the search produced.
-        let classes = shared_protocol_complex(n, rounds).canonical_classes();
+        let classes = Arc::clone(
+            &shared_protocol_complex(n, rounds)
+                .signature_quotient()
+                .classes,
+        );
         if classes.len() != assignment.len() {
             return Err(Error::ClassCountMismatch {
                 witness: assignment.len(),
@@ -268,27 +271,17 @@ impl DecisionMap {
                 complex: quotient.classes.len(),
             });
         }
-        // Map the fresh quotient's classes onto the witness's class order
-        // by signature (robust to any future reordering of the quotient).
-        let index: HashMap<&View, usize> = self
-            .classes
-            .iter()
-            .enumerate()
-            .map(|(i, sig)| (sig, i))
-            .collect();
-        let mut fresh_to_witness = Vec::with_capacity(quotient.classes.len());
-        for (class, sig) in quotient.classes.iter().enumerate() {
-            match index.get(sig) {
-                Some(&i) => fresh_to_witness.push(i),
-                None => return Err(Error::UnknownClassSignature { class }),
-            }
+        // Both lists are in canonical order, so the fresh quotient's class
+        // ids index the witness's assignment once the lists agree.
+        let mut pairs = quotient.classes.iter().zip(self.classes.iter());
+        if let Some(class) = pairs.position(|(fresh, witness)| fresh != witness) {
+            return Err(Error::UnknownClassSignature { class });
         }
         let mut counts = vec![0usize; m];
         for (f, facet) in complex.facets().enumerate() {
             counts.iter_mut().for_each(|c| *c = 0);
             for &v in facet.iter() {
-                let fresh_class = quotient.vertex_class[v as usize] as usize;
-                let value = self.assignment[fresh_to_witness[fresh_class]];
+                let value = self.assignment[quotient.vertex_class[v as usize] as usize];
                 counts[value - 1] += 1;
             }
             for v in 1..=m {
@@ -472,27 +465,12 @@ impl ConstraintSystem {
     /// is ever materialized.
     #[must_use]
     pub fn from_complex(complex: &ChromaticComplex) -> Self {
-        let raw = complex.signature_quotient();
-        // Canonical class order: ascending view order — identical to
-        // the orbit pipeline's key-level sort, so the two paths hand
-        // the solver byte-identical instances.
-        let classes = complex.canonical_classes();
-        let class_count = classes.len();
-        let new_of_old: Vec<u32> = raw
-            .classes
-            .iter()
-            .map(|sig| {
-                let new = classes
-                    .binary_search(sig)
-                    .expect("every class is in the canonical list");
-                u32::try_from(new).expect("classes fit in u32")
-            })
-            .collect();
-        let vertex_class: Vec<u32> = raw
-            .vertex_class
-            .iter()
-            .map(|&c| new_of_old[c as usize])
-            .collect();
+        // The quotient's canonical class order is the orbit pipeline's
+        // key-level order, so the two paths hand the solver
+        // byte-identical instances.
+        let quotient = complex.signature_quotient();
+        let vertex_class = &quotient.vertex_class;
+        let class_count = quotient.classes.len();
         // Facets with the same class multiset impose the same constraint;
         // deduplicating them collapses the subdivision's symmetry and is
         // what makes r = 2 searches tractable.
@@ -514,13 +492,13 @@ impl ConstraintSystem {
                 .chunks(window)
                 .collect::<Vec<_>>()
                 .into_par_iter()
-                .map(|window| facet_class_window(window, n, &vertex_class, bits))
+                .map(|window| facet_class_window(window, n, vertex_class, bits))
                 .collect();
             for local in locals {
                 distinct.extend(local);
             }
         } else {
-            distinct = facet_class_window(data, n, &vertex_class, bits);
+            distinct = facet_class_window(data, n, vertex_class, bits);
         }
         // One u128 sort orders the packed family lexicographically.
         let mut packed: Vec<u128> = distinct.into_iter().collect();
@@ -530,7 +508,7 @@ impl ConstraintSystem {
             unpack_multiset(word, bits, chunk);
         }
         ConstraintSystem {
-            classes: OnceLock::from(classes),
+            classes: OnceLock::from(Arc::clone(&quotient.classes)),
             lazy: None,
             index: ConstraintIndex::new(facet_classes, n, class_count),
             class_perms: OnceLock::new(),
@@ -1667,7 +1645,7 @@ mod tests {
 
     /// Decoded maps and searched maps list classes in one canonical
     /// order, though they read it from different `Arc`s: the shared
-    /// complex's sorted quotient and the orbit system's arena keys.
+    /// complex's quotient and the orbit system's arena keys.
     /// Decodes at one `(n, rounds)` share one list, and so do a system
     /// and the maps its searches return.
     #[test]

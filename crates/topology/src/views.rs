@@ -826,10 +826,9 @@ impl ViewArena {
 
     /// Compares the views behind two keys exactly as the derived
     /// [`Ord`] on materialized [`View`]s would — without materializing
-    /// either (the pairwise reference that
-    /// [`ViewArena::view_order_ranks`], the bulk form the pipelines
-    /// actually use, is tested against).
-    #[cfg(test)]
+    /// either, and in O(1) on shared sub-views (hash-consing makes equal
+    /// views equal keys). Sorts a quotient's classes; the pairwise
+    /// reference [`ViewArena::view_order_ranks`] is tested against.
     pub(crate) fn cmp_views(&self, a: ViewKey, b: ViewKey) -> std::cmp::Ordering {
         use std::cmp::Ordering;
         if a == b {

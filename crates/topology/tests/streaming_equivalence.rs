@@ -5,13 +5,12 @@
 //! incremental signature classes — see `DESIGN.md` §8) must be
 //! *indistinguishable* from the seed's tuple-cloning builder: same
 //! facets as vertex-content sets (vertex ids may be numbered
-//! differently), same signature classes, same structural invariants.
+//! differently), same signature classes in the same canonical order,
+//! same structural invariants.
 
-use std::collections::BTreeSet;
-
+use gsb_core::govern::Ticket;
 use gsb_topology::{
-    protocol_complex, protocol_complex_reference, protocol_complex_with_stats, ChromaticComplex,
-    Vertex, View,
+    protocol_complex, protocol_complex_reference, ChromaticComplex, ConstraintSystem, Vertex, View,
 };
 
 /// Canonical content form of a complex: every facet as its sorted
@@ -57,27 +56,41 @@ fn streaming_builder_matches_reference_builder_through_n4_r2() {
                 canonical_facets(&reference),
                 "facet contents at ({n},{r})"
             );
-            // Same signature classes (as sets — class order follows
-            // vertex order, which is builder-specific).
-            let streamed_classes: BTreeSet<View> = streamed
-                .signature_quotient()
-                .classes
-                .iter()
-                .cloned()
-                .collect();
-            let reference_classes: BTreeSet<View> = reference
-                .signature_quotient()
-                .classes
-                .iter()
-                .cloned()
-                .collect();
-            assert_eq!(streamed_classes, reference_classes, "classes at ({n},{r})");
         }
     }
     // One deeper column: the subdivided edge through r = 3.
     let streamed = protocol_complex(2, 3);
     let reference = protocol_complex_reference(2, 3);
     assert_eq!(canonical_facets(&streamed), canonical_facets(&reference));
+}
+
+/// One class order for every pipeline: the streaming builder, the
+/// reference builder (whose quotient is recomputed from its vertices)
+/// and the fused orbit system list the same classes in the same
+/// strictly ascending order.
+#[test]
+fn every_pipeline_lists_classes_in_one_ascending_order() {
+    let points = (1..=4usize)
+        .flat_map(|n| (0..=2usize).map(move |r| (n, r)))
+        .chain([(5, 1)]);
+    for (n, r) in points {
+        let streamed = protocol_complex(n, r).signature_quotient().classes.to_vec();
+        let reference = protocol_complex_reference(n, r)
+            .signature_quotient()
+            .classes
+            .to_vec();
+        let (system, _) = ConstraintSystem::streamed(n, r, &Ticket::unlimited()).unwrap();
+        assert_eq!(streamed, reference, "streaming vs reference at ({n},{r})");
+        assert_eq!(
+            streamed,
+            system.classes(),
+            "streaming vs orbit at ({n},{r})"
+        );
+        assert!(
+            streamed.windows(2).all(|w| w[0] < w[1]),
+            "strictly ascending at ({n},{r})"
+        );
+    }
 }
 
 #[test]
@@ -104,7 +117,7 @@ fn streamed_quotient_is_consistent_per_vertex() {
 /// (stamping is injective); vertex and class counts were cross-checked
 /// against the reference builder when first recorded. The construction
 /// bench (`gsb-bench --bin record`) fails on drift against the same
-/// table via [`gsb_topology::BuildStats`].
+/// table (`CONSTRUCT_PINNED`), read off the built complexes.
 const PINNED: &[(usize, usize, usize, usize, usize)] = &[
     (3, 3, 2_197, 1_140, 1_086),
     (4, 2, 5_625, 1_124, 865),
@@ -117,12 +130,25 @@ fn pinned_construction_counts() {
     for &(n, r, facets, vertices, classes) in PINNED {
         // (5,2) is the largest in-suite case: ~100 ms release, a few
         // seconds debug — still inside a normal test budget.
-        let (complex, stats) = protocol_complex_with_stats(n, r);
-        assert_eq!(stats.facets, facets, "facets of χ^{r}(Δ^{})", n - 1);
-        assert_eq!(stats.vertices, vertices, "vertices of χ^{r}(Δ^{})", n - 1);
-        assert_eq!(stats.classes, classes, "classes of χ^{r}(Δ^{})", n - 1);
-        assert_eq!(complex.facet_count(), facets);
-        assert_eq!(stats.peak_frontier_rows, facets, "final frontier is peak");
+        let complex = protocol_complex(n, r);
+        assert_eq!(
+            complex.facet_count(),
+            facets,
+            "facets of χ^{r}(Δ^{})",
+            n - 1
+        );
+        assert_eq!(
+            complex.vertices().len(),
+            vertices,
+            "vertices of χ^{r}(Δ^{})",
+            n - 1
+        );
+        assert_eq!(
+            complex.signature_quotient().classes.len(),
+            classes,
+            "classes of χ^{r}(Δ^{})",
+            n - 1
+        );
     }
 }
 
@@ -130,9 +156,13 @@ fn pinned_construction_counts() {
 #[ignore = "χ³(Δ³) (421,875 facets) takes ~1 s release but minutes under a debug build; \
             run explicitly or via the construction bench"]
 fn pinned_construction_counts_chi3_delta3() {
-    let (_, stats) = protocol_complex_with_stats(4, 3);
+    let complex = protocol_complex(4, 3);
     assert_eq!(
-        (stats.facets, stats.vertices, stats.classes),
+        (
+            complex.facet_count(),
+            complex.vertices().len(),
+            complex.signature_quotient().classes.len()
+        ),
         (421_875, 72_560, 69_250)
     );
 }

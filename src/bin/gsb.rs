@@ -525,23 +525,18 @@ fn complex(args: &Args) -> Result<(), String> {
         return complex_orbits(n, rounds, args.switch("json"));
     }
     let start = std::time::Instant::now();
-    let (complex, stats) = gsb_universe::topology::protocol_complex_with_stats(n, rounds);
+    let complex = gsb_universe::topology::protocol_complex(n, rounds);
     let wall = start.elapsed();
+    let (facets, vertices) = (complex.facet_count(), complex.vertices().len());
     // The streamed complex carries its quotient: this is a lookup.
     let classes = complex.signature_quotient().classes.len();
-    debug_assert_eq!(classes, stats.classes);
     if args.switch("json") {
         let report = Json::Obj(vec![
             ("n".into(), Json::Num(n as f64)),
             ("rounds".into(), Json::Num(rounds as f64)),
-            ("facets".into(), Json::Num(stats.facets as f64)),
-            ("vertices".into(), Json::Num(stats.vertices as f64)),
+            ("facets".into(), Json::Num(facets as f64)),
+            ("vertices".into(), Json::Num(vertices as f64)),
             ("classes".into(), Json::Num(classes as f64)),
-            (
-                "peak_frontier_rows".into(),
-                Json::Num(stats.peak_frontier_rows as f64),
-            ),
-            ("chunks".into(), Json::Num(stats.chunks as f64)),
             (
                 "build_ms".into(),
                 Json::Num((wall.as_secs_f64() * 1e3 * 1000.0).round() / 1000.0),
@@ -554,10 +549,9 @@ fn complex(args: &Args) -> Result<(), String> {
         "χ^{rounds}(Δ^{}) — the {rounds}-round IIS protocol complex on {n} processes:",
         n.saturating_sub(1)
     );
-    println!("  facets:            {}", stats.facets);
-    println!("  vertices:          {}", stats.vertices);
+    println!("  facets:            {facets}");
+    println!("  vertices:          {vertices}");
     println!("  signature classes: {classes}");
-    println!("  peak frontier:     {} rows", stats.peak_frontier_rows);
     println!(
         "  built in:          {:.3} ms (streaming pipeline, quotient included)",
         wall.as_secs_f64() * 1e3
@@ -914,7 +908,7 @@ fn metrics(args: &Args) -> Result<(), String> {
         num(&["cache", "hits"]),
         num(&["cache", "misses"])
     );
-    for question in ["classify", "solvable-in-rounds", "no-comm-witness"] {
+    for question in gsb_universe::serve::metrics::QUESTION_LABELS {
         let count = num(&["server", "latency", question, "count"]);
         if count > 0.0 {
             println!(

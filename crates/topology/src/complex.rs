@@ -274,8 +274,8 @@ impl ChromaticComplex {
 
     /// Quotients the vertex set by view order-isomorphism, interning
     /// signatures once (each canonical [`View`] is materialized exactly
-    /// once, when its class first appears) and indexing vertices by dense
-    /// class id, classes in canonical order.
+    /// once) and indexing vertices by dense class id, classes in
+    /// canonical order.
     ///
     /// The quotient is computed at most once per complex and shared
     /// behind an [`Arc`]: complexes from the streaming builder carry the

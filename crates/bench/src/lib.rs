@@ -1048,7 +1048,7 @@ pub struct ConstructRow {
     /// Orbit-quotient counters of the fused instance prep (exact
     /// facet/class counts via orbit–stabilizer, representative rows,
     /// stamped rows).
-    pub orbit: gsb_topology::OrbitBuildStats,
+    pub orbit: gsb_topology::OrbitStats,
     /// Fused orbit-quotient instance prep wall time (streams orbit
     /// representatives straight into the solver's constraint system —
     /// no complex is materialized).
@@ -1179,7 +1179,7 @@ fn check_orbit_shape(
     n: usize,
     rounds: usize,
     full: (usize, usize, usize),
-    orbit: &gsb_topology::OrbitBuildStats,
+    orbit: &gsb_topology::OrbitStats,
     classes: usize,
 ) {
     assert_eq!(
@@ -1528,7 +1528,7 @@ mod tests {
                 streaming_wall: wall,
                 reference_wall: None,
                 reference_total_wall: None,
-                orbit: gsb_topology::OrbitBuildStats::default(),
+                orbit: gsb_topology::OrbitStats::default(),
                 fused_wall: wall,
                 full_prep_wall: wall,
             }],

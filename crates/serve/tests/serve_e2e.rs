@@ -137,13 +137,19 @@ fn latency_counts_from_the_first_byte_of_the_request_line() {
     let line = gsb_serve::proto::render_query(&Query::new(spec, Question::Classify), None) + "\n";
     let (head, tail) = line.split_at(line.len() / 2);
     let stream = TcpStream::connect(&addr).expect("connect raw");
-    (&stream).write_all(head.as_bytes()).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-    (&stream).write_all(tail.as_bytes()).unwrap();
+    let mut reader = BufReader::new(&stream);
     let mut reply = String::new();
-    BufReader::new(&stream)
-        .read_line(&mut reply)
-        .expect("verdict");
+    // A ping first, so a worker is already reading this connection when
+    // the first half lands. The pause is 60 ms against a 50 ms bar:
+    // under parallel test load the read that returns the first half can
+    // lag its write by about a millisecond, and the clock starts there.
+    (&stream).write_all(b"{\"kind\":\"ping\"}\n").unwrap();
+    reader.read_line(&mut reply).expect("pong");
+    (&stream).write_all(head.as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(60));
+    (&stream).write_all(tail.as_bytes()).unwrap();
+    reply.clear();
+    reader.read_line(&mut reply).expect("verdict");
     assert!(reply.contains("\"verdict\""), "{reply}");
     let mut client = Client::connect(&addr).expect("connect");
     let p50 = metric(

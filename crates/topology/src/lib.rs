@@ -42,7 +42,7 @@ pub use complex::{ridge_key, ChromaticComplex, RidgeKey, SignatureQuotient, Vert
 pub use error::{Error, Result};
 pub use protocol::{
     ordered_bell, process_permutations, protocol_complex, protocol_complex_reference,
-    shared_protocol_complex, OrbitBuildStats, OrbitFrontier,
+    shared_protocol_complex, OrbitFrontier, OrbitStats,
 };
 pub use solvability::{
     ConstraintSystem, DecisionMap, SearchMode, SearchResult, SolveRoute, SymmetricSearch,

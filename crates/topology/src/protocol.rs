@@ -461,7 +461,7 @@ pub fn process_permutations(n: usize) -> Vec<Vec<u32>> {
 /// orbit–stabilizer, next to the far smaller representative frontier
 /// actually held in memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OrbitBuildStats {
+pub struct OrbitStats {
     /// Facets of the represented full complex — `Σ n!/|Stab(row)|` over
     /// the canonical rows, exact by orbit–stabilizer.
     pub facets: usize,
@@ -587,7 +587,7 @@ pub struct OrbitFrontier {
     /// read on the hot canonicalization path instead of a probe through
     /// the arena's permutation memo.
     perm_cache: Vec<u32>,
-    stats: OrbitBuildStats,
+    stats: OrbitStats,
 }
 
 /// [`ViewArena::permute`] through a dense `(key, perm-slot)` cache: a
@@ -695,11 +695,11 @@ impl OrbitFrontier {
                 .map(|g| u16::try_from(g).expect("fits"))
                 .collect(),
             perm_cache: Vec::new(),
-            stats: OrbitBuildStats {
+            stats: OrbitStats {
                 facets: 1,
                 orbit_rows: 1,
                 peak_orbit_rows: 1,
-                ..OrbitBuildStats::default()
+                ..OrbitStats::default()
             },
         }
     }
@@ -719,7 +719,7 @@ impl OrbitFrontier {
     /// Current construction counters (class/vertex counts are filled by
     /// [`OrbitFrontier::expand`]).
     #[must_use]
-    pub fn stats(&self) -> OrbitBuildStats {
+    pub fn stats(&self) -> OrbitStats {
         self.stats
     }
 
@@ -1078,7 +1078,7 @@ impl OrbitFrontier {
     /// # Errors
     ///
     /// Returns [`Stopped`] when the ticket trips mid-expansion.
-    pub fn quotient_stats(&mut self, ticket: &Ticket) -> Result<OrbitBuildStats, Stopped> {
+    pub fn quotient_stats(&mut self, ticket: &Ticket) -> Result<OrbitStats, Stopped> {
         self.expand(ticket)?;
         Ok(self.stats)
     }

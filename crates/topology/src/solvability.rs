@@ -46,7 +46,7 @@ use crate::error::Error;
 use crate::local::{self, LocalConfig};
 use crate::protocol::{
     multiset_bits, pack_multiset, protocol_complex, shared_protocol_complex, unpack_multiset,
-    OrbitBuildStats, OrbitFrontier,
+    OrbitFrontier, OrbitStats,
 };
 use crate::views::{View, ViewArena, ViewKey};
 
@@ -534,7 +534,7 @@ impl ConstraintSystem {
         n: usize,
         rounds: usize,
         ticket: &Ticket,
-    ) -> Result<(Self, OrbitBuildStats), Stopped> {
+    ) -> Result<(Self, OrbitStats), Stopped> {
         let mut frontier = OrbitFrontier::new(n);
         for _ in 0..rounds {
             frontier.advance(ticket)?;

@@ -35,7 +35,7 @@ fn solve(search: &SymmetricSearch) -> SearchResult {
 }
 
 /// The fused build's system and orbit counters under an unlimited ticket.
-fn streamed(n: usize, rounds: usize) -> (ConstraintSystem, gsb_topology::OrbitBuildStats) {
+fn streamed(n: usize, rounds: usize) -> (ConstraintSystem, gsb_topology::OrbitStats) {
     ConstraintSystem::streamed(n, rounds, &Ticket::unlimited()).expect("unlimited ticket")
 }
 

@@ -42,17 +42,28 @@ check() {
 # file                              max loops   min poll markers
 # cdcl.rs: the conflict and decision strides poll inside the main search
 # loop; its third marker is the solver setup-memory charge in
-# solve_charged.
+# solve_charged. The race's cancel flag is read on every conflict and
+# decision, outside the strides.
 check crates/topology/src/cdcl.rs         11          3
 # solvability.rs: the backtracker's per-node charge, and the constraint
 # index's memory charge when the orbit path builds a system.
 check crates/topology/src/solvability.rs   2          2
-# protocol.rs: round rows, expansion group elements and emission rows
-# poll on strides.
-check crates/topology/src/protocol.rs      1          3
+# protocol.rs: the orbit path's round rows, expansion group elements
+# and emission rows poll on strides (3). The streaming round loop that
+# the complex builder and the facet-class table share polls every 64
+# frontier rows, serial and chunked (2), and charges each round's
+# frontier and arena growth (2); the complex materialization and the
+# table's class pass each charge their lookup memory and poll every
+# 4,096 facets (4).
+check crates/topology/src/protocol.rs      1         11
+# theorem11.rs: the certificate's facet, ridge and vertex passes poll
+# every 4,096 items; its one `while` is union-find's path walk.
+check crates/topology/src/theorem11.rs     1          3
 # local.rs: the repair engine's restart/move loops are all bounded
 # `for` loops; the move loop polls on a 4096-step stride and every
-# restart's construction charges its decisions.
+# restart's construction charges its decisions. (The race's cancel
+# flag is read on every step and construction class; it is no ticket
+# poll and carries no marker.)
 check crates/topology/src/local.rs         0          2
 # run.rs: query admission polls once per query, and the atlas polls
 # once per (n, m) family stride. With no other thread tripping tickets,

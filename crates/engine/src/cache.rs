@@ -20,8 +20,8 @@ use std::sync::Arc;
 use gsb_core::govern::{Stopped, Ticket};
 use gsb_core::{Classification, GsbSpec, StopReason};
 use gsb_topology::{
-    CdclConfig, ConstraintSystem, DecisionMap, OrbitFrontier, SearchResult, SearchStats,
-    SolveRoute, SymmetricSearch,
+    CdclConfig, ConstraintSystem, DecisionMap, FacetClasses, OrbitFrontier, SearchResult,
+    SearchStats, SolveRoute, SymmetricSearch,
 };
 
 use crate::error::Error;
@@ -47,10 +47,13 @@ pub struct CacheStats {
     /// Frontier sweeps served by extending a cached χ^r frontier to
     /// χ^{r+1} instead of re-streaming from round 0.
     pub extensions: u64,
-    /// Decision-map checks ([`DecisionMap::check`]) the search memo ran:
-    /// one per SAT miss of a check-requesting query, before its entry is
-    /// cached. Hits run none.
+    /// Decision-map checks the search memo ran: one per SAT miss of a
+    /// check-requesting query, before its entry is cached. Hits run none.
     pub evidence_checks: u64,
+    /// Cached facet-class tables ([`FacetClasses`]): at most one per
+    /// `(n, rounds)` whose decision maps a query checked. Tables are not
+    /// lookups, so they count toward neither `hits` nor `misses`.
+    pub check_tables: usize,
 }
 
 /// A cached search verdict: result, replayable witness (SAT only), the
@@ -61,8 +64,8 @@ pub(crate) struct SearchEntry {
     pub(crate) result: SearchResult,
     pub(crate) map: Option<DecisionMap>,
     pub(crate) stats: SearchStats,
-    /// Whether `map` passed [`DecisionMap::check`] against the entry's
-    /// spec before the entry was cached. Never set on UNSAT entries:
+    /// Whether `map` passed its check against the entry's spec before
+    /// the entry was cached. Never set on UNSAT entries:
     /// they carry no map, and `execute` checks their counters per query.
     pub(crate) checked: bool,
 }
@@ -126,6 +129,12 @@ pub struct EngineCache {
     /// identical queries would each run the full CDCL solve and only
     /// deduplicate post-hoc at insertion.
     search_guards: BuildGuards<(GsbSpec, usize)>,
+    /// The facet-class table every decision-map check at `(n, rounds)`
+    /// replays over, built by the streaming subdivision builder under
+    /// the first checking query's ticket. No search reads it.
+    check_tables: Mutex<HashMap<(usize, usize), Arc<FacetClasses>>>,
+    /// In-flight guards for `check_tables`.
+    table_guards: BuildGuards<(usize, usize)>,
     hits: AtomicU64,
     misses: AtomicU64,
     extensions: AtomicU64,
@@ -201,8 +210,9 @@ impl EngineCache {
     /// configuration-independent.
     ///
     /// With `opts.check_evidence` on, a miss checks its SAT map
-    /// ([`DecisionMap::check`], on a freshly built complex) before the
-    /// entry is cached and marks it `checked`. A hit returns the cached
+    /// ([`EngineCache::check_map`], over this cache's facet-class table
+    /// for `(n, rounds)`) before the entry is cached and marks it
+    /// `checked`. A hit returns the cached
     /// entry as it is; an entry an unchecked query inserted stays
     /// unmarked, and `execute` checks its verdict on every checking
     /// query.
@@ -214,7 +224,8 @@ impl EngineCache {
     ///
     /// A tripped ticket returns [`Error::Interrupted`] carrying the
     /// partial counters, and the incomplete result is **not** cached —
-    /// a later, better-funded query recomputes it cleanly.
+    /// a later, better-funded query recomputes it cleanly. That holds
+    /// for a trip during the check's table build too.
     /// [`SearchMode::Local`](gsb_topology::SearchMode::Local) cannot
     /// refute: when local search exhausts its restart schedule without a
     /// witness this also returns [`Error::Interrupted`], and nothing is
@@ -250,7 +261,7 @@ impl EngineCache {
         let config = self.seeded_config(spec, rounds, opts, &search);
         let mut computed = solve_entry(&search, &config, SolveRoute::Mode(opts.mode), ticket)?;
         if opts.check_evidence {
-            self.check_entry(spec, &mut computed)?;
+            self.check_entry(spec, &mut computed, ticket)?;
         }
         self.searches
             .lock()
@@ -272,17 +283,79 @@ impl EngineCache {
         Some(hit)
     }
 
-    /// Checks `entry`'s decision map against `spec` on a freshly built
-    /// complex, counted in [`CacheStats::evidence_checks`], and marks
-    /// the entry checked when it passes. UNSAT entries have no map and
-    /// stay unmarked.
-    fn check_entry(&self, spec: &GsbSpec, entry: &mut SearchEntry) -> Result<(), Error> {
+    /// Checks `entry`'s decision map against `spec` as
+    /// [`EngineCache::check_map`] does, counted in
+    /// [`CacheStats::evidence_checks`] once its table is in hand, and
+    /// marks the entry checked when it passes. UNSAT entries have no map
+    /// and stay unmarked.
+    fn check_entry(
+        &self,
+        spec: &GsbSpec,
+        entry: &mut SearchEntry,
+        ticket: &Ticket,
+    ) -> Result<(), Error> {
         if let Some(map) = &entry.map {
+            let table = self.facet_classes(map.n(), map.rounds(), ticket)?;
             self.evidence_checks.fetch_add(1, Ordering::Relaxed);
-            map.check(spec)?;
+            map.check_against(spec, &table)?;
             entry.checked = true;
         }
         Ok(())
+    }
+
+    /// Checks `map` against `spec` facet by facet
+    /// ([`DecisionMap::check_against`]) over this cache's facet-class
+    /// table for the map's `(n, rounds)`, building the table under
+    /// `ticket` on first use.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Interrupted`] when the table build trips the ticket
+    /// (nothing is cached), or the replay failure as
+    /// [`Error::Topology`].
+    pub(crate) fn check_map(
+        &self,
+        spec: &GsbSpec,
+        map: &DecisionMap,
+        ticket: &Ticket,
+    ) -> Result<(), Error> {
+        let table = self.facet_classes(map.n(), map.rounds(), ticket)?;
+        map.check_against(spec, &table)?;
+        Ok(())
+    }
+
+    /// The facet-class table for `(n, rounds)`, memoized; a miss builds
+    /// it under `ticket` behind a per-key in-flight guard, so concurrent
+    /// checks at one `(n, rounds)` build it once. A tripped build caches
+    /// nothing, and the next waiter builds under its own ticket.
+    fn facet_classes(
+        &self,
+        n: usize,
+        rounds: usize,
+        ticket: &Ticket,
+    ) -> Result<Arc<FacetClasses>, Stopped> {
+        let key = (n, rounds);
+        let cached = || {
+            self.check_tables
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .get(&key)
+                .cloned()
+        };
+        if let Some(hit) = cached() {
+            return Ok(hit);
+        }
+        let guard = self.table_guards.guard(&key);
+        let _build = guard.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(hit) = cached() {
+            return Ok(hit);
+        }
+        let table = Arc::new(FacetClasses::build(n, rounds, ticket)?);
+        self.check_tables
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .insert(key, Arc::clone(&table));
+        Ok(table)
     }
 
     /// `opts.cdcl` with the lifted warm-start seed filled in, when
@@ -464,6 +537,11 @@ impl EngineCache {
                 .len(),
             extensions: self.extensions.load(Ordering::Relaxed),
             evidence_checks: self.evidence_checks.load(Ordering::Relaxed),
+            check_tables: self
+                .check_tables
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .len(),
         }
     }
 }
@@ -743,6 +821,96 @@ mod tests {
         // Every class deciding one value: an illegal output on every facet.
         let illegal = ask_tampered(|a| a.iter_mut().for_each(|v| *v = 1));
         assert!(illegal.is_err(), "{illegal:?}");
+    }
+
+    #[test]
+    fn one_check_table_per_n_and_rounds_and_none_unchecked() {
+        let cache = EngineCache::new();
+        let unchecked = cdcl_opts(false);
+        for spec in [
+            loose_renaming_4(),
+            SymmetricGsb::renaming(4, 8).unwrap().to_spec(),
+        ] {
+            cache
+                .search(&spec, 2, &unchecked, &Ticket::unlimited())
+                .unwrap();
+        }
+        assert_eq!(cache.stats().check_tables, 0, "no check, no table");
+        let cache = EngineCache::new();
+        // Two SAT maps at (4, 2) and one at (4, 1) share two tables.
+        for (spec, rounds) in [
+            (loose_renaming_4(), 2),
+            (SymmetricGsb::renaming(4, 8).unwrap().to_spec(), 2),
+            (SymmetricGsb::renaming(4, 10).unwrap().to_spec(), 1),
+        ] {
+            let (entry, _) = search(&cache, &spec, rounds);
+            assert!(entry.checked, "{spec} r={rounds}");
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.evidence_checks, stats.check_tables), (3, 2));
+        // Table builds are not lookups.
+        assert_eq!((stats.hits, stats.misses), (0, 3));
+    }
+
+    #[test]
+    fn a_warm_table_still_rejects_forged_maps() {
+        // The truncated and foreign class lists are forged in
+        // gsb-topology's `decision_map_check_rejects_tampering`, which
+        // shares one table across its checks too.
+        let cache = EngineCache::new();
+        let spec = loose_renaming_4();
+        let (entry, _) = search(&cache, &spec, 2);
+        let map = entry.map.expect("SAT");
+        let ticket = Ticket::unlimited();
+        let forge = |value: usize| {
+            let assignment = vec![value; map.assignment().len()];
+            DecisionMap::rebuild(map.n(), map.rounds(), assignment).unwrap()
+        };
+        for forged in [forge(1), forge(spec.m() + 1)] {
+            let err = cache.check_map(&spec, &forged, &ticket).unwrap_err();
+            assert!(matches!(err, Error::Topology(_)), "{err:?}");
+        }
+        cache.check_map(&spec, &map, &ticket).unwrap();
+        assert_eq!(cache.stats().check_tables, 1);
+    }
+
+    #[test]
+    fn a_tripped_table_build_caches_nothing() {
+        use gsb_core::govern::Limits;
+        let cache = EngineCache::new();
+        let spec = loose_renaming_4();
+        // Construction outside the query; the local lane charges no
+        // memory, so the table build is the query's only charge.
+        let _ = cache.constraint_system(4, 2);
+        let opts = EngineOpts {
+            mode: SearchMode::Local,
+            ..cdcl_opts(true)
+        };
+        let starved = Ticket::new(Limits {
+            memory_bytes: Some(1),
+            ..Limits::none()
+        });
+        // A stop in the solve would carry its counters; this one came
+        // from the table build after it.
+        let err = cache.search(&spec, 2, &opts, &starved).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Interrupted {
+                    reason: StopReason::MemoryBudget,
+                    partial: None,
+                }
+            ),
+            "{err:?}"
+        );
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.searches, stats.check_tables, stats.evidence_checks),
+            (0, 0, 0)
+        );
+        let (entry, hit) = cache.search(&spec, 2, &opts, &Ticket::unlimited()).unwrap();
+        assert!(!hit && entry.checked);
+        assert_eq!(cache.stats().check_tables, 1);
     }
 
     #[test]

@@ -142,8 +142,13 @@ impl From<gsb_algorithms::Error> for Error {
 }
 
 impl From<gsb_topology::Error> for Error {
+    /// A governed topology build that stopped is an interruption, not
+    /// a failed check.
     fn from(e: gsb_topology::Error) -> Self {
-        Error::Topology(e)
+        match e {
+            gsb_topology::Error::Stopped(stopped) => stopped.into(),
+            other => Error::Topology(other),
+        }
     }
 }
 

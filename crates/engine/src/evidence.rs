@@ -4,9 +4,11 @@
 //! The re-verification paths deliberately avoid the producing engine's
 //! machinery:
 //!
-//! * decision maps are replayed **facet by facet** over a freshly built
-//!   protocol complex ([`DecisionMap::check`]), bypassing the CDCL
-//!   encoding, the deduplicated constraint system, and the process-wide
+//! * decision maps are replayed **facet by facet** over a facet-class
+//!   table of the protocol complex built by the streaming subdivision
+//!   builder ([`DecisionMap::check_against`]): fresh offline, once per
+//!   `(n, r)` per [`EngineCache`] in a query, and never from the CDCL
+//!   encoding, the deduplicated constraint system, or the process-wide
 //!   subdivision memo;
 //! * no-communication witnesses are checked against **every** adversarial
 //!   `n`-subset of the identity space by brute force
@@ -26,9 +28,11 @@
 
 use gsb_core::kernel::KernelVector;
 use gsb_core::solvability::{binomial_gcd, BINOMIAL_GCD_MAX_N};
+use gsb_core::Ticket;
 use gsb_core::{GsbSpec, Solvability, SymmetricGsb};
-use gsb_topology::{protocol_complex, DecisionMap, SearchStats};
+use gsb_topology::{protocol_complex_governed, DecisionMap, SearchStats};
 
+use crate::cache::EngineCache;
 use crate::error::{Error, Result};
 
 /// One row of an atlas sweep: a task and its classification.
@@ -184,6 +188,24 @@ impl Evidence {
     /// [`Error::Topology`] replay failure) when the evidence does not
     /// hold up against `spec`.
     pub fn check(&self, spec: &GsbSpec) -> Result<()> {
+        self.check_governed(spec, None, &Ticket::unlimited())
+    }
+
+    /// [`Evidence::check`] as a query runs it: the complexes the check
+    /// builds are built under the query's `ticket`, and with a `cache`
+    /// a decision map replays over the cache's facet-class table for its
+    /// `(n, rounds)` ([`EngineCache::check_map`]) instead of a fresh one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evidence::check`], plus [`Error::Interrupted`] when the
+    /// ticket trips before the check could run.
+    pub(crate) fn check_governed(
+        &self,
+        spec: &GsbSpec,
+        cache: Option<&EngineCache>,
+        ticket: &Ticket,
+    ) -> Result<()> {
         match self {
             Evidence::Infeasible {
                 lower_sum,
@@ -225,10 +247,10 @@ impl Evidence {
                 }
                 Ok(())
             }
-            Evidence::DecisionMap(map) => {
-                map.check(spec)?;
-                Ok(())
-            }
+            Evidence::DecisionMap(map) => match cache {
+                Some(cache) => cache.check_map(spec, map, ticket),
+                None => Ok(map.check(spec)?),
+            },
             Evidence::RoundsUnsat { stats, .. } => {
                 // No cheap independent refutation replay exists; validate
                 // the counters' internal consistency (a refutation that
@@ -261,7 +283,7 @@ impl Evidence {
                     });
                 }
                 // Fresh build, not the process-wide memo.
-                let complex = protocol_complex(n, *rounds);
+                let complex = protocol_complex_governed(n, *rounds, ticket)?;
                 if complex.facet_count() != *facets {
                     return Err(Error::EvidenceRejected {
                         details: format!(
@@ -270,8 +292,7 @@ impl Evidence {
                         ),
                     });
                 }
-                gsb_topology::check_election_certificate(&complex)
-                    .map_err(gsb_topology::Error::from)?;
+                gsb_topology::check_election_certificate(&complex, ticket)?;
                 Ok(())
             }
             Evidence::Atlas { .. } => self.check_rows(),
@@ -504,6 +525,7 @@ impl std::fmt::Display for Evidence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsb_topology::protocol_complex;
 
     #[test]
     fn infeasible_evidence_checks_and_rejects() {

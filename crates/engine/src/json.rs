@@ -1050,12 +1050,13 @@ impl crate::cache::CacheStats {
                 "evidence_checks".into(),
                 Json::Num(self.evidence_checks as f64),
             ),
+            ("check_tables".into(), Json::Num(self.check_tables as f64)),
         ])
     }
 
     /// Parses counters back from [`to_json_value`](Self::to_json_value)
-    /// output. `evidence_checks` postdates the format and reads as 0
-    /// when absent.
+    /// output. `evidence_checks` and `check_tables` postdate the format
+    /// and read as 0 when absent.
     ///
     /// # Errors
     ///
@@ -1071,6 +1072,7 @@ impl crate::cache::CacheStats {
             frontiers: usize_field(value, "frontiers")?,
             extensions: u64_field(value, "extensions")?,
             evidence_checks: opt_u64_field(value, "evidence_checks")?,
+            check_tables: opt_u64_field(value, "check_tables")? as usize,
         })
     }
 }
@@ -1353,6 +1355,7 @@ mod tests {
             frontiers: 1,
             extensions: 5,
             evidence_checks: 6,
+            check_tables: 3,
         };
         let parsed = crate::cache::CacheStats::from_json_value(&stats.to_json_value()).unwrap();
         assert_eq!(parsed, stats);
@@ -1367,6 +1370,7 @@ mod tests {
         .unwrap();
         let parsed = crate::cache::CacheStats::from_json_value(&old).unwrap();
         assert_eq!(parsed.evidence_checks, 0);
+        assert_eq!(parsed.check_tables, 0);
         assert_eq!(parsed.extensions, 5);
     }
 }

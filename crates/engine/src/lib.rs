@@ -15,7 +15,8 @@
 //! * [`Verdict`] = solvability + machine-checkable [`Evidence`] +
 //!   [`Provenance`] + [`RunStats`]. [`Evidence::check`] re-verifies the
 //!   verdict **independently of the engine that produced it** — decision
-//!   maps facet by facet over a freshly built complex, witnesses against
+//!   maps facet by facet over a facet-class table the streaming
+//!   subdivision builder produced (not the solver), witnesses against
 //!   every adversarial identity subset, counts through a second counting
 //!   algorithm.
 //! * [`Batch`] fans a query set out over rayon with one shared

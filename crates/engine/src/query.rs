@@ -142,12 +142,16 @@ pub struct EngineOpts {
     /// in `r` and `n`; meant for small instances and CI sweeps.
     pub agreement_rounds: Option<usize>,
     /// Verify the verdict's evidence before returning it (decision maps
-    /// facet-by-facet on a freshly built complex, witnesses against
-    /// every adversarial identity subset). A decision map the
-    /// [`EngineCache`](crate::EngineCache) serves is checked once per
-    /// cached entry, not once per query: on the checking miss that
-    /// inserts it. An entry an unchecked query inserted is checked on
-    /// every checking query that reads it. Default `true`.
+    /// facet by facet over the [`EngineCache`](crate::EngineCache)'s
+    /// facet-class table for their `(n, rounds)`, witnesses against
+    /// every adversarial identity subset). The table is built once per
+    /// `(n, rounds)` per cache, by the streaming subdivision builder
+    /// under the ticket of the first query that checks a map there. A
+    /// decision map the cache serves is checked once per cached entry,
+    /// not once per query: on the checking miss that inserts it. An
+    /// entry an unchecked query inserted is checked on every checking
+    /// query that reads it. Every check runs under the query's ticket,
+    /// and a trip makes the verdict indeterminate. Default `true`.
     pub check_evidence: bool,
     /// Additionally replay no-communication witnesses through the actual
     /// shared-memory simulator (one run per adversarial identity subset,

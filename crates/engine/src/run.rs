@@ -9,8 +9,7 @@ use gsb_core::solvability::{binomial_gcd, BINOMIAL_GCD_MAX_N};
 use gsb_core::{Classification, GsbSpec, Identity, OutputVector, Solvability, StopReason, Ticket};
 use gsb_memory::ProtocolFactory;
 use gsb_topology::{
-    election_impossibility_certificate, shared_protocol_complex, SearchResult, SearchStats,
-    SolveRoute, SymmetricSearch,
+    election_impossibility_certificate, SearchResult, SearchStats, SolveRoute, SymmetricSearch,
 };
 use rayon::prelude::*;
 
@@ -47,22 +46,29 @@ pub(crate) fn execute(query: &Query, cache: &EngineCache) -> Result<Verdict> {
         }
         Question::Atlas { max_n } => run_atlas(*max_n, cache, ticket),
     });
-    let mut verdict = match outcome {
+    // A verdict built from a checked cache entry arrives with
+    // `evidence_checked` already set: its map was checked once, before
+    // the entry was cached, and is not checked again. Other checks run
+    // under the query's ticket, decision maps over the cache's table.
+    let check = |mut verdict: Verdict| {
+        if query.opts().check_evidence && !verdict.stats.evidence_checked {
+            verdict.check_governed(Some(cache), ticket)?;
+            verdict.stats.evidence_checked = true;
+        }
+        Ok(verdict)
+    };
+    let mut verdict = match outcome.and_then(check) {
         Ok(verdict) => verdict,
         // A stop is a verdict about the *run*, not the task: report it
-        // as indeterminate evidence instead of an error.
+        // as indeterminate evidence instead of an error. It claims
+        // nothing, so it passes any check.
         Err(Error::Interrupted { reason, partial }) => {
-            indeterminate_verdict(query, reason, partial)
+            let mut verdict = indeterminate_verdict(query, reason, partial);
+            verdict.stats.evidence_checked = query.opts().check_evidence;
+            verdict
         }
         Err(other) => return Err(other),
     };
-    // A verdict built from a checked cache entry arrives with
-    // `evidence_checked` already set: its map was checked once, before
-    // the entry was cached, and is not checked again.
-    if query.opts().check_evidence && !verdict.stats.evidence_checked {
-        verdict.check()?;
-        verdict.stats.evidence_checked = true;
-    }
     if query.opts().simulate_witness {
         if let (Some(spec), Some(witness)) = (query.spec(), verdict.evidence.witness()) {
             verdict.stats.simulated_runs = simulate_witness(spec, witness)?;
@@ -400,10 +406,7 @@ fn run_certificate(
     //    proper), which scales past the search.
     let n = spec.n();
     if n >= 2 && *spec == GsbSpec::election(n)? {
-        election_impossibility_certificate(n, rounds).map_err(gsb_topology::Error::from)?;
-        // The process-wide streamed build the certificate above just
-        // memoized.
-        let facets = shared_protocol_complex(n, rounds).facet_count();
+        let facets = election_impossibility_certificate(n, rounds, ticket)?;
         return Ok(Verdict {
             solvability: Some(Solvability::NotWaitFreeSolvable),
             evidence: Evidence::ElectionCertificate { rounds, facets },

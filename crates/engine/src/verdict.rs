@@ -98,8 +98,19 @@ impl Verdict {
     /// Returns [`Error::EvidenceRejected`](crate::Error::EvidenceRejected)
     /// (or a wrapped per-crate error) when the evidence does not hold up.
     pub fn check(&self) -> Result<()> {
+        self.check_governed(None, &gsb_core::Ticket::unlimited())
+    }
+
+    /// [`Verdict::check`] under a query's `ticket`, replaying a decision
+    /// map over `cache`'s facet-class table when one is given (see
+    /// [`Evidence::check_governed`]).
+    pub(crate) fn check_governed(
+        &self,
+        cache: Option<&crate::EngineCache>,
+        ticket: &gsb_core::Ticket,
+    ) -> Result<()> {
         match &self.provenance.spec {
-            Some(spec) => self.evidence.check(spec),
+            Some(spec) => self.evidence.check_governed(spec, cache, ticket),
             // The atlas is the one spec-less question; its evidence rows
             // carry their own specs and ignore the argument.
             None => self.evidence.check_rows(),

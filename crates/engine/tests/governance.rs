@@ -331,6 +331,34 @@ fn interrupted_results_are_not_cached() {
     assert!(again.provenance.cache_hit);
 }
 
+/// The Theorem 11 certificate builds χ^r through the ticketed streaming
+/// round loop: χ³(Δ³)'s 421,875 facets do not fit in 1 MB, and a 1 ms
+/// deadline stops the build at its next poll instead of after the
+/// whole subdivision.
+#[test]
+fn certificate_builds_stop_on_memory_and_deadline() {
+    let _g = lock();
+    let election = gsb_core::GsbSpec::election(4).expect("well-formed");
+    let mut capped = Query::certificate(election.clone(), 3);
+    capped.opts_mut().memory_budget = Some(1 << 20);
+    let verdict = capped
+        .run_with(&EngineCache::new())
+        .expect("a budget trip is a verdict");
+    assert_eq!(stop_reason_of(&verdict), StopReason::MemoryBudget);
+    let mut hurried = Query::certificate(election, 3);
+    hurried.opts_mut().deadline = Some(Duration::from_millis(1));
+    let start = Instant::now();
+    let verdict = hurried
+        .run_with(&EngineCache::new())
+        .expect("a deadline is a verdict");
+    assert_eq!(stop_reason_of(&verdict), StopReason::Deadline);
+    assert!(
+        start.elapsed() < Duration::from_millis(500),
+        "stopped after {:?}",
+        start.elapsed()
+    );
+}
+
 /// Every question — including the closed-form ones that never reach a
 /// solver loop — accepts a deadline: a zero deadline stops each before
 /// any real work (the admission poll observes the tripped ticket).

@@ -166,6 +166,10 @@ pub struct ServerMetrics {
     pub in_flight: AtomicUsize,
     /// Per-question latency histograms, indexed like [`QUESTION_LABELS`].
     pub latency: [Histogram; QUESTION_LABELS.len()],
+    /// How long each accepted connection waited in the accept queue
+    /// before a worker picked it up: time no request latency counts,
+    /// since those clocks start at a line's first read.
+    pub accept_wait: Histogram,
 }
 
 impl ServerMetrics {
@@ -204,6 +208,7 @@ impl ServerMetrics {
                         .collect(),
                 ),
             ),
+            ("accept_wait".into(), self.accept_wait.to_json_value()),
         ])
     }
 }

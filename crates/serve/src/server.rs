@@ -132,8 +132,9 @@ impl Server {
         });
         // A bounded hand-off: when every worker is busy and the backlog
         // is full, the accept loop sheds right at the door instead of
-        // queueing unboundedly.
-        let (tx, rx) = sync_channel::<TcpStream>(workers * 2);
+        // queueing unboundedly. Each connection travels with the moment
+        // it was accepted, so its wait in the queue is timed.
+        let (tx, rx) = sync_channel::<(TcpStream, Instant)>(workers * 2);
         let rx = Arc::new(Mutex::new(rx));
         let worker_handles: Vec<JoinHandle<()>> = (0..workers)
             .map(|i| {
@@ -216,10 +217,10 @@ impl Shared {
     }
 }
 
-fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<TcpStream>) {
+fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<(TcpStream, Instant)>) {
     loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
+        let (stream, accepted) = match listener.accept() {
+            Ok((stream, _)) => (stream, Instant::now()),
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -231,9 +232,9 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<TcpStrea
             return; // drops tx; idle workers drain and exit
         }
         shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        match tx.try_send(stream) {
+        match tx.try_send((stream, accepted)) {
             Ok(()) => {}
-            Err(TrySendError::Full(stream)) => {
+            Err(TrySendError::Full((stream, _))) => {
                 // Shed at the door with the typed overloaded response.
                 shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
                 let limit = shared.config.policy.max_in_flight;
@@ -248,7 +249,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<TcpStrea
     }
 }
 
-fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<TcpStream>>>) {
+fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<(TcpStream, Instant)>>>) {
     loop {
         // Hold the receiver lock only for the dequeue itself.
         let stream = {
@@ -256,7 +257,10 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<TcpStream>>>) {
             rx.recv_timeout(READ_POLL)
         };
         match stream {
-            Ok(stream) => handle_connection(shared, &stream),
+            Ok((stream, accepted)) => {
+                shared.metrics.accept_wait.record(accepted.elapsed());
+                handle_connection(shared, &stream);
+            }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;

@@ -4,6 +4,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -157,6 +158,52 @@ fn latency_counts_from_the_first_byte_of_the_request_line() {
         &["server", "latency", "classify", "p50_us"],
     );
     assert!(p50 >= 50_000.0, "classify p50 read {p50} µs");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn accept_queue_wait_is_timed_until_a_worker_picks_the_connection_up() {
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let store = Arc::new(VerdictStore::in_memory());
+    let handle = Server::start(config, store, Arc::new(EngineCache::new())).expect("bind");
+    let addr = handle.addr().to_string();
+    let ping = |stream: &TcpStream| {
+        (&*stream).write_all(b"{\"kind\":\"ping\"}\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply).expect("pong");
+        assert!(reply.contains("pong"), "{reply}");
+    };
+    // The only worker serves this connection until it hangs up.
+    let busy = TcpStream::connect(&addr).expect("connect busy");
+    ping(&busy);
+    // A second connection queues behind it. Once the accept loop has
+    // taken it (its accept time is read before the counter moves), the
+    // worker stays busy for `hold`.
+    let waiting = TcpStream::connect(&addr).expect("connect waiting");
+    while handle.metrics().connections.load(Ordering::Relaxed) < 2 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let hold = Duration::from_millis(150);
+    std::thread::sleep(hold);
+    drop(busy);
+    ping(&waiting);
+    let waits = &handle.metrics().accept_wait;
+    assert_eq!(waits.count(), 2, "one wait per connection a worker took");
+    let longest = waits.quantile_us(1.0).expect("two waits");
+    assert!(
+        longest >= hold.as_micros() as u64,
+        "the queued connection waited {longest} µs, the worker was busy {hold:?}"
+    );
+    // The wire metrics and the text summary carry the histogram.
+    drop(waiting);
+    let mut client = Client::connect(&addr).expect("connect");
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(metric(&metrics, &["server", "accept_wait", "count"]), 3.0);
+    assert!(metric(&metrics, &["server", "accept_wait", "p99_us"]) >= longest as f64);
     client.shutdown().expect("shutdown");
     handle.join();
 }

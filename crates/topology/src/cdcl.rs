@@ -1170,13 +1170,13 @@ impl<'a> Solver<'a> {
                 self.cancel_until(backtrack);
                 self.record(learnt, lbd, symmetric);
                 self.var_inc /= 0.95;
+                // The race's cancel flag is one relaxed load: read it on
+                // every conflict and decision, so a lost race stops now.
+                if cancelled(cancel) {
+                    return (CdclResult::Interrupted, self.stats);
+                }
                 if self.stats.conflicts.is_multiple_of(1024) {
                     // ticket.check poll site (conflict stride)
-                    if let Some(flag) = cancel {
-                        if flag.load(Ordering::Relaxed) {
-                            return (CdclResult::Interrupted, self.stats);
-                        }
-                    }
                     let delta = self.stats.conflicts - charged_conflicts;
                     charged_conflicts = self.stats.conflicts;
                     if ticket.charge_conflicts(delta).is_err() {
@@ -1198,16 +1198,11 @@ impl<'a> Solver<'a> {
                     self.reduce_db();
                 }
             } else {
-                // Poll cancellation here too: a race's CDCL lane deep in
-                // a low-conflict SAT dive would otherwise only notice the
-                // local lane's win at its next conflict burst.
+                if cancelled(cancel) {
+                    return (CdclResult::Interrupted, self.stats);
+                }
                 if self.stats.decisions.is_multiple_of(2048) {
                     // ticket.check poll site (decision stride)
-                    if let Some(flag) = cancel {
-                        if flag.load(Ordering::Relaxed) {
-                            return (CdclResult::Interrupted, self.stats);
-                        }
-                    }
                     let delta = self.stats.decisions - charged_decisions;
                     charged_decisions = self.stats.decisions;
                     if ticket.charge_decisions(delta).is_err() {
@@ -1289,6 +1284,12 @@ fn luby(mut i: u64) -> u64 {
         }
     }
     1u64 << (k - 1)
+}
+
+/// Whether the race's cancel flag, when there is one, is set.
+#[inline]
+pub(crate) fn cancelled(cancel: Option<&AtomicBool>) -> bool {
+    cancel.is_some_and(|flag| flag.load(Ordering::Relaxed))
 }
 
 /// One CDCL run on the calling thread: the solver is built and its

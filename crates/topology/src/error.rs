@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use gsb_core::govern::Stopped;
+
 use crate::theorem11::CertificateFailure;
 
 /// A specialized [`Result`](std::result::Result) type for `gsb-topology`
@@ -26,14 +28,14 @@ pub enum Error {
     ClassCountMismatch {
         /// Classes recorded in the witness.
         witness: usize,
-        /// Classes of the freshly built quotient.
+        /// Classes of the complex's facet-class table.
         complex: usize,
     },
-    /// The freshly built quotient contains a view-signature class the
+    /// The complex's class list holds a view-signature class the
     /// witness does not cover (same count, different classes) — the
     /// witness describes some other complex.
     UnknownClassSignature {
-        /// Index of the uncovered class in the fresh quotient.
+        /// Index of the uncovered class in the complex's class list.
         class: usize,
     },
     /// A decision map assigned a value outside `[1..m]`.
@@ -61,6 +63,9 @@ pub enum Error {
         /// Colors of the complex the witness was built over.
         complex: usize,
     },
+    /// A governed build stopped on its ticket before the check could
+    /// run: no claim either way.
+    Stopped(Stopped),
 }
 
 impl fmt::Display for Error {
@@ -91,6 +96,7 @@ impl fmt::Display for Error {
                 f,
                 "specification has {spec} processes but the complex has {complex} colors"
             ),
+            Error::Stopped(stopped) => write!(f, "{stopped}"),
         }
     }
 }

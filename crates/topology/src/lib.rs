@@ -41,8 +41,8 @@ pub use cdcl::{CdclConfig, SearchStats};
 pub use complex::{ridge_key, ChromaticComplex, RidgeKey, SignatureQuotient, Vertex, VertexId};
 pub use error::{Error, Result};
 pub use protocol::{
-    ordered_bell, process_permutations, protocol_complex, protocol_complex_reference,
-    shared_protocol_complex, OrbitFrontier, OrbitStats,
+    ordered_bell, process_permutations, protocol_complex, protocol_complex_governed,
+    protocol_complex_reference, shared_protocol_complex, FacetClasses, OrbitFrontier, OrbitStats,
 };
 pub use solvability::{
     ConstraintSystem, DecisionMap, SearchMode, SearchResult, SolveRoute, SymmetricSearch,

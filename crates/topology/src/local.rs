@@ -21,7 +21,9 @@
 //! budgets, and fault injection cover this engine exactly like the
 //! conflict-driven one.
 
-use crate::cdcl::{solve_charged, CdclConfig, CdclResult, Instance, SearchStats, XorShift};
+use crate::cdcl::{
+    cancelled, solve_charged, CdclConfig, CdclResult, Instance, SearchStats, XorShift,
+};
 use gsb_core::govern::{Stopped, Ticket};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -169,12 +171,21 @@ impl<'a> Repair<'a> {
     /// (deficits can still be repaired by later classes, overflows
     /// cannot), breaking ties by the RNG so restarts differ. One walk
     /// of a class's facets scores every value into `penalty` (`m` slots).
-    fn construct(&mut self, warm: Option<&[u32]>, rng: &mut XorShift, penalty: &mut [u64]) {
+    fn construct(
+        &mut self,
+        warm: Option<&[u32]>,
+        rng: &mut XorShift,
+        penalty: &mut [u64],
+        cancel: Option<&AtomicBool>,
+    ) -> bool {
         let inst = self.inst;
         let index = inst.index;
         let m = inst.values;
         self.counts.iter_mut().for_each(|c| *c = 0);
         for &c in &index.precedence_order {
+            if cancelled(cancel) {
+                return false;
+            }
             let c = c as usize;
             // A warm seed pins the class's first-restart value outright;
             // later restarts fall through to the greedy pick.
@@ -216,6 +227,7 @@ impl<'a> Repair<'a> {
             let v = self.facet_violation(f);
             self.set_violation(f, v);
         }
+        true
     }
 
     /// Total-violation delta of moving class `c` to each value, without
@@ -300,11 +312,15 @@ pub(crate) fn solve_local(
     let mut poll_countdown = POLL_STRIDE;
     'restarts: for restart in 0..cfg.restarts.max(1) {
         out.restarts += 1;
-        repair.construct(
+        let built = repair.construct(
             (restart == 0).then_some(warm).flatten(),
             &mut rng,
             &mut penalty,
+            cancel,
         );
+        if !built {
+            break 'restarts;
+        }
         // ticket.check poll site (local-search restart construction)
         if let Err(stop) = ticket.charge_decisions(index.classes() as u64) {
             out.stopped = Some(stop);
@@ -316,12 +332,14 @@ pub(crate) fn solve_local(
                 out.assignment = Some(assignment);
                 break 'restarts;
             }
+            // The race's cancel flag is one relaxed load: read it on
+            // every step, so a lost race stops now.
+            if cancelled(cancel) {
+                break 'restarts;
+            }
             poll_countdown -= 1;
             if poll_countdown == 0 {
                 poll_countdown = POLL_STRIDE;
-                if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                    break 'restarts;
-                }
                 // ticket.check poll site (local-search move stride)
                 if let Err(stop) = ticket.charge_decisions(POLL_STRIDE) {
                     out.stopped = Some(stop);
@@ -582,7 +600,7 @@ mod tests {
             let mut repair = Repair::new(&inst);
             let mut penalty = vec![0u64; m];
             let mut deltas = vec![0i64; m];
-            repair.construct(None, &mut rng, &mut penalty);
+            assert!(repair.construct(None, &mut rng, &mut penalty, None));
             assert_state_recomputes(&repair);
             for _ in 0..24 {
                 let total = brute_total(&inst, &repair.assign);
@@ -706,10 +724,30 @@ mod tests {
             ..LocalConfig::default()
         };
         let out = solve_local(&inst, &cfg, None, Some(&cancel), &Ticket::unlimited());
-        assert!(out.assignment.is_none());
-        assert!(
-            out.steps < 100_000_000,
-            "pre-set cancel flag cuts the run short"
+        assert!(out.assignment.is_none() && out.stopped.is_none());
+        assert_eq!(
+            out.steps, 0,
+            "a pre-set cancel flag stops the first construction"
         );
+    }
+
+    #[test]
+    fn cancel_flag_stops_cdcl_before_its_first_decision() {
+        // Three pairwise-distinct classes over three values: SAT, but
+        // not at the root, so an unflagged solve decides.
+        let index = triangle();
+        let inst = Instance {
+            values: 3,
+            lower: vec![0; 3],
+            upper: vec![1; 3],
+            ..pair_instance(&index)
+        };
+        let ticket = Ticket::unlimited();
+        let (free, free_stats) = solve_charged(&inst, &CdclConfig::default(), None, &ticket);
+        assert!(matches!(free, CdclResult::Sat(_)) && free_stats.decisions > 0);
+        let cancel = AtomicBool::new(true);
+        let (result, stats) = solve_charged(&inst, &CdclConfig::default(), Some(&cancel), &ticket);
+        assert!(matches!(result, CdclResult::Interrupted));
+        assert_eq!((stats.decisions, stats.conflicts), (0, 0));
     }
 }

@@ -27,11 +27,16 @@
 //!   only previous-round keys, so workers intern candidate view nodes
 //!   into chunk-local tables that the merge step replays into the shared
 //!   arena in chunk order (deterministic whatever the thread count).
-//! * Signature classes are tracked **incrementally per round** (arena
-//!   signatures are memoized per key), so the finished complex carries
-//!   its [`SignatureQuotient`] and
+//! * Signature classes are assigned as the final frontier is walked
+//!   (arena signatures are memoized per key), so the finished complex
+//!   carries its [`SignatureQuotient`] and
 //!   [`ChromaticComplex::signature_quotient`] is a lookup, not a
 //!   re-walk.
+//! * The round loop is governed: it polls its [`Ticket`] every 64
+//!   frontier rows and charges each round's frontier and arena growth
+//!   ([`protocol_complex_governed`]). The same loop feeds
+//!   [`FacetClasses`], the per-facet class table decision-map checks
+//!   replay over, which skips vertex materialization.
 //!
 //! The seed's tuple-cloning builder is retained as
 //! [`protocol_complex_reference`] — the oracle the streaming pipeline is
@@ -49,8 +54,15 @@ use rayon::prelude::*;
 use crate::complex::{ChromaticComplex, SignatureQuotient, Vertex, VertexId};
 use crate::views::{
     fx_mix, node_hash_pair, node_hash_seed, ordered_partitions, round_templates, ProbeTable,
-    RoundTemplate, ViewArena, ViewKey,
+    RoundTemplate, View, ViewArena, ViewKey,
 };
+
+/// Frontier rows stamped between ticket polls in the streaming round
+/// loop (the orbit path's representative-row stride).
+const ROW_POLL_STRIDE: usize = 64;
+
+/// Facets walked between ticket polls in the passes after the rounds.
+const FACET_POLL_STRIDE: usize = 4096;
 
 /// Hash of one facet row (a tuple of `n` view keys) — the debug-build
 /// injectivity sweep and the orbit pipeline's canonical-row dedup both
@@ -129,8 +141,14 @@ fn stamp_process(
 }
 
 /// Stamps every template onto every facet row of `chunk`, interning the
-/// produced views into a chunk-local node table.
-fn stamp_chunk(chunk: &[ViewKey], n: usize, templates: &[RoundTemplate]) -> ChunkRows {
+/// produced views into a chunk-local node table. Polls `ticket` every
+/// [`ROW_POLL_STRIDE`] rows.
+fn stamp_chunk(
+    chunk: &[ViewKey],
+    n: usize,
+    templates: &[RoundTemplate],
+    ticket: &Ticket,
+) -> Result<ChunkRows, Stopped> {
     let mut out = ChunkRows {
         rows: Vec::with_capacity(chunk.len() * templates.len()),
         node_offsets: vec![0],
@@ -139,7 +157,11 @@ fn stamp_chunk(chunk: &[ViewKey], n: usize, templates: &[RoundTemplate]) -> Chun
     // Local hash-consing: content hash → local node indices.
     let mut node_index = ProbeTable::with_capacity(chunk.len());
     let mut scratch: Vec<(u32, ViewKey)> = vec![(0, ViewKey::from_index(0)); n];
-    for row in chunk.chunks_exact(n) {
+    for (r, row) in chunk.chunks_exact(n).enumerate() {
+        // ticket.check poll site (chunk-row stride)
+        if r.is_multiple_of(ROW_POLL_STRIDE) {
+            ticket.check()?;
+        }
         for template in templates {
             for p in 0..n {
                 let (id, len, hash) = stamp_process(row, template, p, &mut scratch);
@@ -148,7 +170,7 @@ fn stamp_chunk(chunk: &[ViewKey], n: usize, templates: &[RoundTemplate]) -> Chun
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Interns `(id, seen)` into the chunk-local node table, returning its
@@ -185,14 +207,16 @@ fn intern_local(
 /// indirection. Injectivity of stamping (see [`assert_rows_distinct`])
 /// means the produced rows are distinct by construction — chunks are
 /// contiguous frontier ranges, so the merged row order equals the
-/// serial stamping order whatever the worker count.
+/// serial stamping order whatever the worker count. Both paths poll
+/// `ticket` every [`ROW_POLL_STRIDE`] frontier rows.
 fn advance_round(
     frontier: &[ViewKey],
     n: usize,
     templates: &[RoundTemplate],
     arena: &mut ViewArena,
     workers: usize,
-) -> Vec<ViewKey> {
+    ticket: &Ticket,
+) -> Result<Vec<ViewKey>, Stopped> {
     let rows = frontier.len() / n;
     // One chunk per worker; below a few rows per worker the fan-out
     // overhead outweighs the stamping itself.
@@ -202,7 +226,11 @@ fn advance_round(
         // Fixed-width scratch row: indexed writes, no per-push growth
         // checks (a template row never exceeds n entries).
         let mut scratch: Vec<(u32, ViewKey)> = vec![(0, ViewKey::from_index(0)); n];
-        for row in frontier.chunks_exact(n) {
+        for (r, row) in frontier.chunks_exact(n).enumerate() {
+            // ticket.check poll site (frontier-row stride)
+            if r.is_multiple_of(ROW_POLL_STRIDE) {
+                ticket.check()?;
+            }
             for template in templates {
                 for p in 0..n {
                     let (id, len, hash) = stamp_process(row, template, p, &mut scratch);
@@ -217,8 +245,10 @@ fn advance_round(
             .chunks(rows_per_chunk * n)
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|chunk| stamp_chunk(chunk, n, templates))
-            .collect();
+            .map(|chunk| stamp_chunk(chunk, n, templates, ticket))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .collect::<Result<_, _>>()?;
         let mut next: Vec<ViewKey> =
             Vec::with_capacity(chunk_outputs.iter().map(|c| c.rows.len()).sum());
         for chunk in chunk_outputs {
@@ -237,14 +267,21 @@ fn advance_round(
     };
     #[cfg(debug_assertions)]
     assert_rows_distinct(&next, n);
-    next
+    Ok(next)
 }
 
-/// [`protocol_complex`] with an explicit chunk-fan-out width (normally
-/// `rayon::current_num_threads()`) — kept injectable so the test suite
-/// exercises the multi-chunk stamping/merge path even on the 1-core
-/// containers CI runs on.
-fn protocol_complex_with_workers(n: usize, rounds: usize, workers: usize) -> ChromaticComplex {
+/// The streaming builder's round loop, shared by the complex builder
+/// and [`FacetClasses::build`]: `rounds` rounds of template stamping
+/// from the initial simplex, returning the arena and the flat facet
+/// frontier (`n` view keys per facet, process order). Stamping polls
+/// `ticket` every [`ROW_POLL_STRIDE`] frontier rows; each round charges
+/// its frontier before allocating it and its arena growth after.
+fn stream_rounds(
+    n: usize,
+    rounds: usize,
+    workers: usize,
+    ticket: &Ticket,
+) -> Result<(ViewArena, Vec<ViewKey>), Stopped> {
     assert!(n > 0, "need at least one process");
     let templates = round_templates(n);
     let mut arena = ViewArena::new();
@@ -252,18 +289,44 @@ fn protocol_complex_with_workers(n: usize, rounds: usize, workers: usize) -> Chr
     let mut frontier: Vec<ViewKey> = (1..=n as u32).map(|id| arena.initial(id)).collect();
     for _ in 0..rounds {
         let keys_before = arena.len();
-        frontier = advance_round(&frontier, n, &templates, &mut arena, workers);
-        // Incremental class tracking: canonical signatures of this
-        // round's new views are computed (and memoized) now, so the
-        // final quotient assembly below is pure lookup.
-        for index in keys_before..arena.len() {
-            arena.signature(ViewKey::from_index(index));
-        }
+        let next_keys = frontier.len() * templates.len();
+        // ticket.check poll site (next frontier memory, before allocation)
+        ticket.charge_memory((next_keys * std::mem::size_of::<ViewKey>()) as u64)?;
+        frontier = advance_round(&frontier, n, &templates, &mut arena, workers, ticket)?;
+        // ticket.check poll site (arena growth memory)
+        ticket.charge_memory(((arena.len() - keys_before) * arena_node_bytes(n)) as u64)?;
     }
+    Ok((arena, frontier))
+}
+
+/// Approximate heap bytes of one arena node over `n` processes: the
+/// node with its boxed seen list, the support mask, the signature slot
+/// and the index entry. Only memory-budget charges read it.
+fn arena_node_bytes(n: usize) -> usize {
+    32 + n * std::mem::size_of::<(u32, ViewKey)>() + 8 + 4 + 8
+}
+
+/// [`protocol_complex`] with an explicit chunk-fan-out width (normally
+/// `rayon::current_num_threads()`) — kept injectable so the test suite
+/// exercises the multi-chunk stamping/merge path even on the 1-core
+/// containers CI runs on — and a ticket, polled and charged by the
+/// round loop and the materialization pass.
+fn protocol_complex_with_workers(
+    n: usize,
+    rounds: usize,
+    workers: usize,
+    ticket: &Ticket,
+) -> Result<ChromaticComplex, Stopped> {
+    let (mut arena, frontier) = stream_rounds(n, rounds, workers, ticket)?;
     // Materialize: one vertex per distinct (color, key), each class
     // once; the classes are then put in canonical order, exactly as
     // `compute_quotient` would, so the attached quotient is
     // indistinguishable from a recomputation.
+    // ticket.check poll site (complex facet and lookup memory)
+    ticket.charge_memory(
+        (frontier.len() * std::mem::size_of::<VertexId>()
+            + 2 * arena.len() * std::mem::size_of::<u32>()) as u64,
+    )?;
     let mut complex = ChromaticComplex::new(n);
     complex.reserve(arena.len(), frontier.len() / n);
     // Dense key → vertex map (keys are arena indices); u32::MAX = unseen.
@@ -273,7 +336,11 @@ fn protocol_complex_with_workers(n: usize, rounds: usize, workers: usize) -> Chr
     let mut class_keys: Vec<ViewKey> = Vec::new();
     let mut vertex_class: Vec<u32> = Vec::new();
     let mut facet: Vec<VertexId> = Vec::with_capacity(n);
-    for row in frontier.chunks_exact(n) {
+    for (f, row) in frontier.chunks_exact(n).enumerate() {
+        // ticket.check poll site (materialized-facet stride)
+        if f.is_multiple_of(FACET_POLL_STRIDE) {
+            ticket.check()?;
+        }
         facet.clear();
         for (color, &key) in (1..=n as u32).zip(row) {
             let mut vertex = vertex_of[key.index()];
@@ -285,12 +352,7 @@ fn protocol_complex_with_workers(n: usize, rounds: usize, workers: usize) -> Chr
                 });
                 let signature = arena.signature(key);
                 vertex_of[key.index()] = vertex;
-                let mut class = class_of_signature[signature.index()];
-                if class == u32::MAX {
-                    class = u32::try_from(class_keys.len()).expect("classes fit in u32");
-                    class_keys.push(signature);
-                    class_of_signature[signature.index()] = class;
-                }
+                let class = class_id(&mut class_of_signature, &mut class_keys, signature);
                 vertex_class.push(class);
             }
             facet.push(vertex);
@@ -303,7 +365,23 @@ fn protocol_complex_with_workers(n: usize, rounds: usize, workers: usize) -> Chr
         &class_keys,
         vertex_class,
     ));
-    complex
+    Ok(complex)
+}
+
+/// The class of `signature` in discovery order, numbering it on first
+/// sight (`class_of_signature` is dense over arena keys, `u32::MAX` =
+/// unseen); [`SignatureQuotient::in_canonical_order`] renumbers later.
+fn class_id(
+    class_of_signature: &mut [u32],
+    class_keys: &mut Vec<ViewKey>,
+    signature: ViewKey,
+) -> u32 {
+    let class = &mut class_of_signature[signature.index()];
+    if *class == u32::MAX {
+        *class = u32::try_from(class_keys.len()).expect("classes fit in u32");
+        class_keys.push(signature);
+    }
+    *class
 }
 
 /// Builds the `r`-round IIS protocol complex `χ^r(Δ^{n−1})` for processes
@@ -332,7 +410,28 @@ fn protocol_complex_with_workers(n: usize, rounds: usize, workers: usize) -> Chr
 /// ```
 #[must_use]
 pub fn protocol_complex(n: usize, rounds: usize) -> ChromaticComplex {
-    protocol_complex_with_workers(n, rounds, rayon::current_num_threads().max(1))
+    protocol_complex_governed(n, rounds, &Ticket::unlimited())
+        .expect("an unlimited ticket only stops under an armed fault plan")
+}
+
+/// [`protocol_complex`] under `ticket`: the round loop polls it every
+/// 64 frontier rows and the materialization every 4,096 facets, and the
+/// frontier, the arena's growth and the complex's facet storage are
+/// charged to its memory budget.
+///
+/// # Errors
+///
+/// Returns [`Stopped`] when the ticket trips; nothing is kept.
+///
+/// # Panics
+///
+/// Panics if `n = 0`.
+pub fn protocol_complex_governed(
+    n: usize,
+    rounds: usize,
+    ticket: &Ticket,
+) -> Result<ChromaticComplex, Stopped> {
+    protocol_complex_with_workers(n, rounds, rayon::current_num_threads().max(1), ticket)
 }
 
 /// The seed's tuple-cloning subdivision builder, retained verbatim as
@@ -409,6 +508,17 @@ pub fn protocol_complex_reference(n: usize, rounds: usize) -> ChromaticComplex {
 /// quotient) instead of re-running the subdivision fan-out.
 #[must_use]
 pub fn shared_protocol_complex(n: usize, rounds: usize) -> Arc<ChromaticComplex> {
+    shared_protocol_complex_governed(n, rounds, &Ticket::unlimited())
+        .expect("an unlimited ticket only stops under an armed fault plan")
+}
+
+/// [`shared_protocol_complex`] under `ticket`: a miss builds through
+/// [`protocol_complex_governed`], and a tripped build memoizes nothing.
+pub(crate) fn shared_protocol_complex_governed(
+    n: usize,
+    rounds: usize,
+    ticket: &Ticket,
+) -> Result<Arc<ChromaticComplex>, Stopped> {
     type Cache = Mutex<HashMap<(usize, usize), Arc<ChromaticComplex>>>;
     static CACHE: OnceLock<Cache> = OnceLock::new();
     let cache = CACHE.get_or_init(Mutex::default);
@@ -417,19 +527,150 @@ pub fn shared_protocol_complex(n: usize, rounds: usize) -> Arc<ChromaticComplex>
         .expect("subdivision cache poisoned")
         .get(&(n, rounds))
     {
-        return Arc::clone(hit);
+        return Ok(Arc::clone(hit));
     }
     // Build outside the lock: subdivisions can take milliseconds and other
     // threads may want different parameters meanwhile. A racing builder at
     // the same key just loses its copy.
-    let built = Arc::new(protocol_complex(n, rounds));
-    Arc::clone(
+    let built = Arc::new(protocol_complex_governed(n, rounds, ticket)?);
+    Ok(Arc::clone(
         cache
             .lock()
             .expect("subdivision cache poisoned")
             .entry((n, rounds))
             .or_insert(built),
-    )
+    ))
+}
+
+/// The check-side table of `χ^r(Δ^{n−1})`: its canonical class list
+/// and, for every raw facet in the streaming builder's facet order, the
+/// class of each process's view (`n` class ids per facet, process
+/// order). A [`DecisionMap`](crate::DecisionMap) check replays over it
+/// ([`DecisionMap::check_against`](crate::DecisionMap::check_against)).
+///
+/// It comes from the streaming round loop the complex builder runs, but
+/// skips vertex materialization: only the class views are built. No
+/// facet is deduplicated, and nothing in it is shared with a search's
+/// [`ConstraintSystem`](crate::ConstraintSystem), so a check over it
+/// trusts no state a solver built.
+#[derive(Debug)]
+pub struct FacetClasses {
+    n: usize,
+    rounds: usize,
+    /// The canonical class list, built with the table. Once a witness
+    /// list is found equal to it element by element, the table keeps
+    /// that list in its place: the same contents, held once in memory.
+    /// The maps of one search share their system's list, so later
+    /// checks of them compare by pointer.
+    classes: Mutex<Arc<[View]>>,
+    facets: Box<[u32]>,
+}
+
+impl FacetClasses {
+    /// Streams `rounds` subdivision rounds under `ticket` and tables
+    /// every facet's classes. The round loop polls and charges the
+    /// ticket like [`protocol_complex_governed`]'s, the class pass
+    /// polls every 4,096 facets, and its lookup tables are charged too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Stopped`] when the ticket trips; nothing is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n = 0`.
+    pub fn build(n: usize, rounds: usize, ticket: &Ticket) -> Result<Self, Stopped> {
+        let workers = rayon::current_num_threads().max(1);
+        let (mut arena, frontier) = stream_rounds(n, rounds, workers, ticket)?;
+        // ticket.check poll site (class lookup memory)
+        ticket.charge_memory((2 * arena.len() * std::mem::size_of::<u32>()) as u64)?;
+        // Dense key → discovery-order class (u32::MAX = unseen).
+        let mut class_of_key: Vec<u32> = vec![u32::MAX; arena.len()];
+        let mut class_of_signature: Vec<u32> = vec![u32::MAX; arena.len()];
+        let mut class_keys: Vec<ViewKey> = Vec::new();
+        for (f, row) in frontier.chunks_exact(n).enumerate() {
+            // ticket.check poll site (class-pass facet stride)
+            if f.is_multiple_of(FACET_POLL_STRIDE) {
+                ticket.check()?;
+            }
+            for &key in row {
+                if class_of_key[key.index()] == u32::MAX {
+                    let signature = arena.signature(key);
+                    class_of_key[key.index()] =
+                        class_id(&mut class_of_signature, &mut class_keys, signature);
+                }
+            }
+        }
+        // Same element layout, so this collect reuses the frontier's
+        // buffer: the table costs no second copy of the facets.
+        let raw: Vec<u32> = frontier
+            .into_iter()
+            .map(|key| class_of_key[key.index()])
+            .collect();
+        let quotient = SignatureQuotient::in_canonical_order(&arena, &class_keys, raw);
+        Ok(FacetClasses {
+            n,
+            rounds,
+            classes: Mutex::new(quotient.classes),
+            facets: quotient.vertex_class.into_boxed_slice(),
+        })
+    }
+
+    /// Number of processes.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Subdivision rounds.
+    #[must_use]
+    pub fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    /// The classes, in canonical ascending-view order.
+    #[must_use]
+    pub fn classes(&self) -> Arc<[View]> {
+        Arc::clone(&self.classes.lock().unwrap_or_else(|p| p.into_inner()))
+    }
+
+    /// Number of classes.
+    #[must_use]
+    pub fn class_count(&self) -> usize {
+        self.classes.lock().unwrap_or_else(|p| p.into_inner()).len()
+    }
+
+    /// Number of raw facets.
+    #[must_use]
+    pub fn facet_count(&self) -> usize {
+        self.facets.len() / self.n
+    }
+
+    /// Each facet's class ids, process `1..n` in order.
+    pub fn facets(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.facets.chunks_exact(self.n)
+    }
+
+    /// The first position where `witness`, a list as long as this
+    /// table's, differs from this table's class list, or `None` when
+    /// the lists are equal. A list found equal takes the table's list's
+    /// place (see the `classes` field), so asking about it again is a
+    /// pointer comparison.
+    pub(crate) fn class_mismatch(&self, witness: &Arc<[View]>) -> Option<usize> {
+        let mut classes = self.classes.lock().unwrap_or_else(|p| p.into_inner());
+        debug_assert_eq!(classes.len(), witness.len());
+        if Arc::ptr_eq(&classes, witness) {
+            return None;
+        }
+        let mismatch = classes
+            .iter()
+            .zip(witness.iter())
+            .position(|(table, witness)| table != witness);
+        if mismatch.is_none() {
+            *classes = Arc::clone(witness);
+        }
+        mismatch
+    }
 }
 
 /// All permutations of the identities `1..=n`, lexicographic —
@@ -1210,8 +1451,8 @@ mod tests {
                 ordered_bell(3) >= 2 * workers,
                 "fan-out engaged ({workers})"
             );
-            let serial = protocol_complex_with_workers(3, 2, 1);
-            let chunked = protocol_complex_with_workers(3, 2, workers);
+            let serial = with_workers(3, 2, 1);
+            let chunked = with_workers(3, 2, workers);
             assert_eq!(serial.facet_data(), chunked.facet_data());
             assert_eq!(serial.vertices(), chunked.vertices());
             let sq = serial.signature_quotient();
@@ -1220,8 +1461,43 @@ mod tests {
             assert_eq!(sq.vertex_class, cq.vertex_class);
         }
         // A width wider than the frontier rows degrades to one chunk.
-        let wide = protocol_complex_with_workers(2, 1, 64);
+        let wide = with_workers(2, 1, 64);
         assert_eq!(wide.facet_count(), 3);
+    }
+
+    /// An ungoverned build at an explicit fan-out width.
+    fn with_workers(n: usize, rounds: usize, workers: usize) -> ChromaticComplex {
+        protocol_complex_with_workers(n, rounds, workers, &Ticket::unlimited()).unwrap()
+    }
+
+    #[test]
+    fn governed_builds_stop_on_a_tripped_ticket() {
+        use gsb_core::govern::{Limits, StopReason};
+        // χ³(Δ³)'s last frontier alone is 421,875 × 4 keys (6.75 MB),
+        // so a 1 MB budget trips inside the round loop, serial and
+        // chunked alike; a cancelled ticket stops at the first poll.
+        let capped = || {
+            Ticket::new(Limits {
+                memory_bytes: Some(1 << 20),
+                ..Limits::none()
+            })
+        };
+        for workers in [1usize, 2] {
+            let stopped = protocol_complex_with_workers(4, 3, workers, &capped()).unwrap_err();
+            assert_eq!(
+                stopped.reason,
+                StopReason::MemoryBudget,
+                "{workers} workers"
+            );
+        }
+        let stopped = FacetClasses::build(4, 3, &capped()).unwrap_err();
+        assert_eq!(stopped.reason, StopReason::MemoryBudget);
+        let cancelled = Ticket::unlimited();
+        cancelled.cancel();
+        let stopped = protocol_complex_governed(3, 1, &cancelled).unwrap_err();
+        assert_eq!(stopped.reason, StopReason::Cancelled);
+        let stopped = FacetClasses::build(3, 1, &cancelled).unwrap_err();
+        assert_eq!(stopped.reason, StopReason::Cancelled);
     }
 
     #[test]

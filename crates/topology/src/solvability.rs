@@ -45,7 +45,7 @@ use crate::complex::ChromaticComplex;
 use crate::error::Error;
 use crate::local::{self, LocalConfig};
 use crate::protocol::{
-    multiset_bits, pack_multiset, protocol_complex, shared_protocol_complex, unpack_multiset,
+    multiset_bits, pack_multiset, shared_protocol_complex, unpack_multiset, FacetClasses,
     OrbitFrontier, OrbitStats,
 };
 use crate::views::{View, ViewArena, ViewKey};
@@ -145,11 +145,12 @@ impl SearchMode {
 /// the engine that found it — can re-verify it facet by facet.
 ///
 /// The map assigns one value to every order-isomorphism class of views of
-/// `χ^rounds(Δ^{n−1})`. [`DecisionMap::check`] rebuilds that protocol
-/// complex from scratch (bypassing the process-wide memo) and replays the
-/// assignment over **every raw facet** — not the deduplicated constraint
-/// system the solvers work on — so a bug in the search's quotienting or
-/// clause encoding cannot also hide in the checker.
+/// `χ^rounds(Δ^{n−1})`. [`DecisionMap::check_against`] replays the
+/// assignment over **every raw facet** of a [`FacetClasses`] table —
+/// built by the streaming subdivision builder, not from the
+/// deduplicated constraint system the solvers work on — so a bug in the
+/// search's quotienting or clause encoding cannot also hide in the
+/// checker. [`DecisionMap::check`] builds that table fresh.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecisionMap {
     n: usize,
@@ -235,9 +236,9 @@ impl DecisionMap {
     }
 
     /// Independently re-verifies the witness against `spec`, **facet by
-    /// facet**: rebuilds `χ^rounds(Δ^{n−1})` from scratch, maps every
-    /// vertex through its signature class, and checks the decision vector
-    /// of every raw facet against the task's counting bounds.
+    /// facet**, over a [`FacetClasses`] table of `χ^rounds(Δ^{n−1})`
+    /// built fresh under an unlimited ticket (see
+    /// [`DecisionMap::check_against`]).
     ///
     /// # Errors
     ///
@@ -245,6 +246,37 @@ impl DecisionMap {
     /// failure (process-count, class-coverage, value-range, or a facet
     /// whose counts violate the bounds).
     pub fn check(&self, spec: &GsbSpec) -> Result<(), Error> {
+        if spec.n() != self.n {
+            return Err(Error::ProcessCountMismatch {
+                spec: spec.n(),
+                complex: self.n,
+            });
+        }
+        let table = FacetClasses::build(self.n, self.rounds, &Ticket::unlimited())
+            .expect("an unlimited ticket only stops under an armed fault plan");
+        self.check_against(spec, &table)
+    }
+
+    /// The one decision-map check: compares the table's canonical class
+    /// list with the witness's position by position, then maps every
+    /// raw facet's views through their classes and checks the decision
+    /// vector against the task's counting bounds. `table` may be shared
+    /// across checks; it must come from the streaming builder, never
+    /// from the search that produced the map.
+    ///
+    /// # Errors
+    ///
+    /// As [`DecisionMap::check`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` is not the table of this map's `(n, rounds)`.
+    pub fn check_against(&self, spec: &GsbSpec, table: &FacetClasses) -> Result<(), Error> {
+        assert_eq!(
+            (table.n(), table.rounds()),
+            (self.n, self.rounds),
+            "a map is checked against the table of its own (n, rounds)"
+        );
         if spec.n() != self.n {
             return Err(Error::ProcessCountMismatch {
                 spec: spec.n(),
@@ -261,36 +293,34 @@ impl DecisionMap {
                 });
             }
         }
-        // A fresh build — deliberately not the shared memo — so the replay
-        // does not trust any state the search populated.
-        let complex = protocol_complex(self.n, self.rounds);
-        let quotient = complex.signature_quotient();
-        if quotient.classes.len() != self.classes.len() {
+        if table.class_count() != self.classes.len() {
             return Err(Error::ClassCountMismatch {
                 witness: self.classes.len(),
-                complex: quotient.classes.len(),
+                complex: table.class_count(),
             });
         }
-        // Both lists are in canonical order, so the fresh quotient's class
-        // ids index the witness's assignment once the lists agree.
-        let mut pairs = quotient.classes.iter().zip(self.classes.iter());
-        if let Some(class) = pairs.position(|(fresh, witness)| fresh != witness) {
+        // Both lists are in canonical order, so the table's class ids
+        // index the witness's assignment once the lists agree.
+        if let Some(class) = table.class_mismatch(&self.classes) {
             return Err(Error::UnknownClassSignature { class });
         }
+        let lower: Vec<usize> = (1..=m).map(|v| spec.lower(v)).collect();
+        let upper: Vec<usize> = (1..=m).map(|v| spec.upper(v)).collect();
         let mut counts = vec![0usize; m];
-        for (f, facet) in complex.facets().enumerate() {
+        for (f, facet) in table.facets().enumerate() {
             counts.iter_mut().for_each(|c| *c = 0);
-            for &v in facet.iter() {
-                let value = self.assignment[quotient.vertex_class[v as usize] as usize];
-                counts[value - 1] += 1;
+            for &class in facet {
+                counts[self.assignment[class as usize] - 1] += 1;
             }
-            for v in 1..=m {
-                if counts[v - 1] < spec.lower(v) || counts[v - 1] > spec.upper(v) {
-                    return Err(Error::IllegalFacet {
-                        facet: f,
-                        counts: counts.clone(),
-                    });
-                }
+            let legal = counts
+                .iter()
+                .zip(lower.iter().zip(&upper))
+                .all(|(&count, (&lo, &hi))| lo <= count && count <= hi);
+            if !legal {
+                return Err(Error::IllegalFacet {
+                    facet: f,
+                    counts: counts.clone(),
+                });
             }
         }
         Ok(())
@@ -1242,6 +1272,7 @@ fn facet_class_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::protocol_complex;
     use gsb_core::SymmetricGsb;
 
     const FRONT_DOOR: SolveRoute = SolveRoute::Mode(SearchMode::Cdcl);
@@ -1694,8 +1725,8 @@ mod tests {
             DecisionMap::rebuild(3, 1, vec![1; classes + 1]),
             Err(Error::ClassCountMismatch { .. })
         ));
-        // The replay builds its complex fresh, so a map whose class list
-        // no longer matches the shared one is still caught.
+        // The replay reads its own table, so a map whose class list no
+        // longer matches the shared one is still caught.
         let truncated = DecisionMap {
             classes: forged.classes[1..].into(),
             assignment: vec![1; classes - 1],
@@ -1709,12 +1740,35 @@ mod tests {
         foreign[0] = View::one_round(2, &[1, 2, 3, 4]);
         let foreign = DecisionMap {
             classes: foreign.into(),
-            ..forged
+            ..forged.clone()
         };
         assert!(matches!(
             foreign.check(&spec),
             Err(Error::UnknownClassSignature { .. })
         ));
+        // One warm table, shared across checks, rejects every forgery
+        // the fresh builds above rejected and still passes the genuine
+        // witness.
+        let table = FacetClasses::build(3, 1, &Ticket::unlimited()).unwrap();
+        let genuine = search.decision_map(&run(&search, FRONT_DOOR).0).unwrap();
+        genuine.check_against(&spec, &table).unwrap();
+        assert!(matches!(
+            forged.check_against(&spec, &table),
+            Err(Error::IllegalFacet { .. })
+        ));
+        assert!(matches!(
+            out_of_range.check_against(&spec, &table),
+            Err(Error::ValueOutOfRange { .. })
+        ));
+        assert!(matches!(
+            truncated.check_against(&spec, &table),
+            Err(Error::ClassCountMismatch { .. })
+        ));
+        assert!(matches!(
+            foreign.check_against(&spec, &table),
+            Err(Error::UnknownClassSignature { .. })
+        ));
+        genuine.check_against(&spec, &table).unwrap();
         // Wrong process count.
         let other = SymmetricGsb::renaming(2, 3).unwrap().to_spec();
         let map = search.decision_map(&run(&search, FRONT_DOOR).0).unwrap();

@@ -30,8 +30,11 @@
 
 use std::collections::HashMap;
 
+use gsb_core::govern::Ticket;
+
 use crate::complex::{ridge_key, ChromaticComplex, RidgeKey, VertexId};
-use crate::protocol::shared_protocol_complex;
+use crate::error::Error;
+use crate::protocol::shared_protocol_complex_governed;
 use crate::views::View;
 
 /// Why a certificate attempt failed (the structure did not support the
@@ -103,7 +106,11 @@ impl RidgeSlot {
     }
 }
 
-/// Checks the Theorem 11 certificate on an explicit complex.
+/// Facets, ridges or vertices walked between ticket polls.
+const POLL_STRIDE: usize = 4096;
+
+/// Checks the Theorem 11 certificate on an explicit complex, polling
+/// `ticket` every 4,096 facets, ridges and vertices of its passes.
 ///
 /// On success, election (one process decides 1, the rest 2) admits **no**
 /// symmetric decision map on this complex — for `χ^r(Δ^{n−1})` this is
@@ -111,20 +118,33 @@ impl RidgeSlot {
 ///
 /// # Errors
 ///
-/// Returns the first [`CertificateFailure`] encountered; see its variants
-/// for what each means.
-pub fn check_election_certificate(complex: &ChromaticComplex) -> Result<(), CertificateFailure> {
+/// Returns [`Error::Stopped`] when the ticket trips, and otherwise
+/// [`Error::Certificate`] with the first [`CertificateFailure`]
+/// encountered; see its variants for what each means.
+pub fn check_election_certificate(
+    complex: &ChromaticComplex,
+    ticket: &Ticket,
+) -> Result<(), Error> {
     let n = complex.n();
+    let poll = |i: usize| {
+        if i.is_multiple_of(POLL_STRIDE) {
+            ticket.check().map_err(Error::Stopped)
+        } else {
+            Ok(())
+        }
+    };
     // Build ridge → private-vertex incidence, keyed by the exact packed
     // ridge key (no per-ridge id-vector allocation). A ridge meets at
     // most two facets in a pseudomanifold, so two slots suffice.
     let mut ridge_privates: HashMap<RidgeKey, RidgeSlot> = HashMap::new();
-    for facet in complex.facets() {
+    for (f, facet) in complex.facets().enumerate() {
+        // ticket.check poll site (certificate facet stride)
+        poll(f)?;
         for skip in 0..facet.len() {
             let private = facet[skip];
             let slot = ridge_privates.entry(ridge_key(facet, skip)).or_default();
             if !slot.push(private) {
-                return Err(CertificateFailure::NotPseudomanifold);
+                return Err(CertificateFailure::NotPseudomanifold.into());
             }
         }
     }
@@ -142,7 +162,9 @@ pub fn check_election_certificate(complex: &ChromaticComplex) -> Result<(), Cert
         }
         x
     }
-    for slot in ridge_privates.values() {
+    for (r, slot) in ridge_privates.values().enumerate() {
+        // ticket.check poll site (certificate ridge stride)
+        poll(r)?;
         if let Some((a, b)) = slot.pair() {
             debug_assert_eq!(
                 complex.vertices()[a as usize].color,
@@ -157,12 +179,14 @@ pub fn check_election_certificate(complex: &ChromaticComplex) -> Result<(), Cert
         let mut members =
             (0..vertex_count as u32).filter(|&v| complex.vertices()[v as usize].color == color);
         let Some(first) = members.next() else {
-            return Err(CertificateFailure::MissingCorner { color });
+            return Err(CertificateFailure::MissingCorner { color }.into());
         };
         let root = find(&mut parent, first);
-        for v in members {
+        for (i, v) in members.enumerate() {
+            // ticket.check poll site (certificate vertex stride)
+            poll(i)?;
             if find(&mut parent, v) != root {
-                return Err(CertificateFailure::ColorLinkageDisconnected { color });
+                return Err(CertificateFailure::ColorLinkageDisconnected { color }.into());
             }
         }
     }
@@ -176,31 +200,39 @@ pub fn check_election_certificate(complex: &ChromaticComplex) -> Result<(), Cert
             .find(|v| v.color == color && v.view.id_support().len() == 1);
         match corner {
             Some(v) => corner_signatures.push(v.view.signature()),
-            None => return Err(CertificateFailure::MissingCorner { color }),
+            None => return Err(CertificateFailure::MissingCorner { color }.into()),
         }
     }
     if corner_signatures.windows(2).any(|w| w[0] != w[1]) {
-        return Err(CertificateFailure::CornersNotSymmetric);
+        return Err(CertificateFailure::CornersNotSymmetric.into());
     }
     Ok(())
 }
 
-/// Convenience: certify Theorem 11 for the `r`-round IIS protocol complex
-/// on `n ≥ 2` processes.
+/// Certifies Theorem 11 for the `r`-round IIS protocol complex on
+/// `n ≥ 2` processes under `ticket`, returning the complex's facet
+/// count.
+///
+/// The complex comes from the process-wide [`shared_protocol_complex`]
+/// memo, so repeated certificates at one `(n, r)` share a single build;
+/// a miss builds through the ticketed streaming round loop, and a
+/// tripped build memoizes nothing.
+///
+/// [`shared_protocol_complex`]: crate::shared_protocol_complex
 ///
 /// # Errors
 ///
-/// Propagates [`CertificateFailure`] from
-/// [`check_election_certificate`]; complexes built by
-/// [`crate::protocol::protocol_complex`] are expected to always pass.
-/// The complex comes from the process-wide [`shared_protocol_complex`]
-/// memo, so repeated certificates at one `(n, r)` share a single build.
+/// As [`check_election_certificate`], whose ticket polls cover the
+/// build too; complexes built by [`crate::protocol::protocol_complex`]
+/// are expected to always pass.
 pub fn election_impossibility_certificate(
     n: usize,
     rounds: usize,
-) -> Result<(), CertificateFailure> {
-    let complex = shared_protocol_complex(n, rounds);
-    check_election_certificate(&complex)
+    ticket: &Ticket,
+) -> Result<usize, Error> {
+    let complex = shared_protocol_complex_governed(n, rounds, ticket).map_err(Error::Stopped)?;
+    check_election_certificate(&complex, ticket)?;
+    Ok(complex.facet_count())
 }
 
 #[cfg(test)]
@@ -221,7 +253,8 @@ mod tests {
             (4, 1),
             (5, 1),
         ] {
-            election_impossibility_certificate(n, r).unwrap_or_else(|e| panic!("n={n} r={r}: {e}"));
+            election_impossibility_certificate(n, r, &Ticket::unlimited())
+                .unwrap_or_else(|e| panic!("n={n} r={r}: {e}"));
         }
     }
 
@@ -230,15 +263,31 @@ mod tests {
         // Where the DPLL search runs, both methods must agree that
         // election is unsolvable.
         use crate::solvability::{SearchMode, SolveRoute, SymmetricSearch};
-        let ticket = gsb_core::govern::Ticket::unlimited();
+        let ticket = Ticket::unlimited();
         for (n, r) in [(2usize, 1usize), (2, 2), (3, 1), (3, 2)] {
-            assert!(election_impossibility_certificate(n, r).is_ok());
+            assert!(election_impossibility_certificate(n, r, &ticket).is_ok());
             let spec = gsb_core::GsbSpec::election(n).unwrap();
             let search = SymmetricSearch::build(spec, r, &ticket).unwrap();
             let route = SolveRoute::Mode(SearchMode::Cdcl);
             let (result, _) = search.solve(&crate::CdclConfig::default(), route, &ticket);
             assert!(!result.unwrap().is_solvable(), "n={n} r={r}");
         }
+    }
+
+    #[test]
+    fn a_tripped_certificate_build_is_a_stop() {
+        use gsb_core::govern::{Limits, StopReason, Stopped};
+        // χ³(Δ³) streams 421,875 facets; 1 MB does not hold them.
+        let ticket = Ticket::new(Limits {
+            memory_bytes: Some(1 << 20),
+            ..Limits::none()
+        });
+        assert_eq!(
+            election_impossibility_certificate(4, 3, &ticket),
+            Err(Error::Stopped(Stopped {
+                reason: StopReason::MemoryBudget
+            }))
+        );
     }
 
     #[test]
@@ -263,10 +312,10 @@ mod tests {
         });
         c.add_facet(vec![a, b]);
         c.add_facet(vec![d, e]);
-        let err = check_election_certificate(&c).unwrap_err();
+        let err = check_election_certificate(&c, &Ticket::unlimited()).unwrap_err();
         assert!(matches!(
             err,
-            CertificateFailure::ColorLinkageDisconnected { .. }
+            Error::Certificate(CertificateFailure::ColorLinkageDisconnected { .. })
         ));
     }
 

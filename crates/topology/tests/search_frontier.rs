@@ -49,7 +49,8 @@ fn wsb_n3_r2_unsat_certificate() {
 fn election_n3_r2_unsat_cross_checked_against_certificate() {
     // The search's UNSAT and Theorem 11's structural certificate must
     // both hold on the same complex.
-    election_impossibility_certificate(3, 2).expect("Theorem 11 certificate holds");
+    election_impossibility_certificate(3, 2, &Ticket::unlimited())
+        .expect("Theorem 11 certificate holds");
     let election = gsb_core::GsbSpec::election(3).unwrap();
     assert!(!solvable_in_rounds(&election, 2).is_solvable());
 }
@@ -117,8 +118,9 @@ fn renaming_n5_needs_fifteen_names_in_one_round() {
 }
 
 #[test]
-#[ignore = "χ³(Δ²) UNSAT over 1,086 classes: ~125k conflicts, ~7 s of release-build CDCL \
-            (minutes under debug); the --full search bench records it in BENCH_search.json"]
+#[ignore = "χ³(Δ²) UNSAT over 1,086 classes: 94,727 conflicts, 6.6 s of release-build CDCL \
+            on 2 vCPUs (minutes under debug); the --full search bench records it in \
+            BENCH_search.json"]
 fn wsb_n3_r3_unsat_certificate() {
     // One round deeper than the r = 2 frontier row: the index-lemma
     // UNSAT still holds on χ³(Δ²), whose 2,197 facets stream through
@@ -128,9 +130,9 @@ fn wsb_n3_r3_unsat_certificate() {
 }
 
 #[test]
-#[ignore = "χ²(Δ⁴) SAT over 10,945 classes: ~25 s of 2-thread release CDCL, far longer \
-            under debug (the --full search bench records it in BENCH_search.json); the \
-            orbit-quotient prep itself takes ~50 ms"]
+#[ignore = "χ²(Δ⁴) SAT over 10,945 classes: 4,704 conflicts, 54.0 s of one-solver release \
+            CDCL on 2 vCPUs, far longer under debug (the --full search bench records it in \
+            BENCH_search.json); the orbit-quotient prep itself takes ~50 ms"]
 fn loose_renaming_n5_solved_in_two_rounds() {
     // The first n = 5, r = 2 frontier row, reached through the fused
     // orbit-quotient instance prep: (2n−1)-renaming (9 names) has a

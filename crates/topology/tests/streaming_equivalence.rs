@@ -10,7 +10,8 @@
 
 use gsb_core::govern::Ticket;
 use gsb_topology::{
-    protocol_complex, protocol_complex_reference, ChromaticComplex, ConstraintSystem, Vertex, View,
+    protocol_complex, protocol_complex_reference, ChromaticComplex, ConstraintSystem, FacetClasses,
+    Vertex, View,
 };
 
 /// Canonical content form of a complex: every facet as its sorted
@@ -108,6 +109,32 @@ fn streamed_quotient_is_consistent_per_vertex() {
                 "vertex {v} of χ^{r}(Δ^{})",
                 n - 1
             );
+        }
+    }
+}
+
+/// The check-side table is the streamed complex with its vertices
+/// replaced by their classes: the same class list and, facet for facet
+/// in the builder's order, each process's class.
+#[test]
+fn facet_class_tables_match_the_streamed_complex() {
+    let points = (1..=4usize)
+        .flat_map(|n| (0..=2usize).map(move |r| (n, r)))
+        .chain([(5, 1)]);
+    for (n, r) in points {
+        let complex = protocol_complex(n, r);
+        let quotient = complex.signature_quotient();
+        let table = FacetClasses::build(n, r, &Ticket::unlimited()).unwrap();
+        assert_eq!((table.n(), table.rounds()), (n, r));
+        assert_eq!(table.classes(), quotient.classes, "({n},{r}) classes");
+        assert_eq!(table.facet_count(), complex.facet_count(), "({n},{r})");
+        for (f, (facet, row)) in complex.facets().zip(table.facets()).enumerate() {
+            let mut by_color = vec![u32::MAX; n];
+            for &v in facet {
+                let color = complex.vertices()[v as usize].color as usize;
+                by_color[color - 1] = quotient.vertex_class[v as usize];
+            }
+            assert_eq!(row, &by_color[..], "({n},{r}) facet {f}");
         }
     }
 }

@@ -919,6 +919,16 @@ fn metrics(args: &Args) -> Result<(), String> {
             );
         }
     }
+    let waits = num(&["server", "accept_wait", "count"]);
+    if waits > 0.0 {
+        println!(
+            "  {:<18} n={waits} p50≤{}µs p95≤{}µs p99≤{}µs (accept to worker)",
+            "accept-wait",
+            num(&["server", "accept_wait", "p50_us"]),
+            num(&["server", "accept_wait", "p95_us"]),
+            num(&["server", "accept_wait", "p99_us"]),
+        );
+    }
     Ok(())
 }
 
@@ -991,8 +1001,9 @@ fn cache_stats(args: &Args) -> Result<(), String> {
         num("extensions")
     );
     println!(
-        "  evidence: {} decision-map checks (one per checked search entry)",
-        num("evidence_checks")
+        "  evidence: {} decision-map checks (one per checked search entry) over {} facet-class tables",
+        num("evidence_checks"),
+        num("check_tables")
     );
     Ok(())
 }

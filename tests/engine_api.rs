@@ -175,6 +175,7 @@ fn cache_stats_json_round_trips_and_reads_old_payloads() {
         frontiers: 1,
         extensions: 1,
         evidence_checks: 2,
+        check_tables: 1,
     };
     assert_eq!(
         CacheStats::from_json_value(&stats.to_json_value()).unwrap(),
@@ -190,6 +191,7 @@ fn cache_stats_json_round_trips_and_reads_old_payloads() {
         parsed,
         CacheStats {
             evidence_checks: 0,
+            check_tables: 0,
             ..stats
         }
     );

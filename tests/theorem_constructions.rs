@@ -7,7 +7,7 @@ use gsb_universe::algorithms::harness::{sweep_adversarial, sweep_random, Algorit
 use gsb_universe::algorithms::{
     FreeDecisionProtocol, InnerFactory, RenameThenProtocol, RenamingProtocol, UniversalGsbProtocol,
 };
-use gsb_universe::core::{GsbSpec, Identity, SymmetricGsb};
+use gsb_universe::core::{GsbSpec, Identity, SymmetricGsb, Ticket};
 use gsb_universe::memory::{
     build_executor, CrashPlan, GsbOracle, Oracle, OraclePolicy, Pid, ProtocolFactory,
     RoundRobinScheduler,
@@ -72,7 +72,8 @@ fn theorem_11_certificate_through_n5() {
         (4, 1),
         (5, 1),
     ] {
-        election_impossibility_certificate(n, r).unwrap_or_else(|e| panic!("n={n} r={r}: {e}"));
+        election_impossibility_certificate(n, r, &Ticket::unlimited())
+            .unwrap_or_else(|e| panic!("n={n} r={r}: {e}"));
     }
 }
 

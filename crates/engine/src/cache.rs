@@ -631,8 +631,6 @@ mod tests {
         assert!(hit);
         assert_eq!(cached.result, entry.result);
         let cached_map = cached.map.expect("the hit carries the witness");
-        // The hit shares the miss's class list instead of copying it.
-        assert!(std::ptr::eq(cached_map.classes(), map.classes()));
         assert_eq!(cached_map, map);
     }
 
@@ -807,7 +805,7 @@ mod tests {
             .expect("SAT");
         let mut assignment = map.assignment().to_vec();
         tamper(&mut assignment);
-        let forged = DecisionMap::rebuild(map.n(), map.rounds(), assignment).unwrap();
+        let forged = DecisionMap::new(map.n(), map.rounds(), assignment);
         cache.searches.lock().unwrap().get_mut(&key).unwrap().map = Some(forged);
         query.opts_mut().check_evidence = true;
         query.run_with(&cache)
@@ -854,9 +852,8 @@ mod tests {
 
     #[test]
     fn a_warm_table_still_rejects_forged_maps() {
-        // The truncated and foreign class lists are forged in
-        // gsb-topology's `decision_map_check_rejects_tampering`, which
-        // shares one table across its checks too.
+        // Wrong-length maps are refused in
+        // `wrong_length_maps_parse_and_fail_the_check`.
         let cache = EngineCache::new();
         let spec = loose_renaming_4();
         let (entry, _) = search(&cache, &spec, 2);
@@ -864,7 +861,7 @@ mod tests {
         let ticket = Ticket::unlimited();
         let forge = |value: usize| {
             let assignment = vec![value; map.assignment().len()];
-            DecisionMap::rebuild(map.n(), map.rounds(), assignment).unwrap()
+            DecisionMap::new(map.n(), map.rounds(), assignment)
         };
         for forged in [forge(1), forge(spec.m() + 1)] {
             let err = cache.check_map(&spec, &forged, &ticket).unwrap_err();
@@ -872,6 +869,45 @@ mod tests {
         }
         cache.check_map(&spec, &map, &ticket).unwrap();
         assert_eq!(cache.stats().check_tables, 1);
+    }
+
+    /// A decode checks nothing about a map's length: a map one class
+    /// short or one class long parses, and both checks refuse it.
+    #[test]
+    fn wrong_length_maps_parse_and_fail_the_check() {
+        use crate::Evidence;
+        use gsb_topology::Error as TopologyError;
+        let cache = EngineCache::new();
+        let spec = SymmetricGsb::renaming(3, 6).unwrap().to_spec();
+        let verdict = crate::Query::solvable_in_rounds(spec.clone(), 1)
+            .run_with(&cache)
+            .unwrap();
+        let Evidence::DecisionMap(map) = &verdict.evidence else {
+            panic!("renaming(3,6) solves at r = 1");
+        };
+        let classes = map.assignment().len();
+        for len in [classes - 1, classes + 1] {
+            let mut forged = verdict.clone();
+            forged.evidence = Evidence::DecisionMap(DecisionMap::new(3, 1, vec![1; len]));
+            let parsed = crate::Verdict::from_json(&forged.to_json()).expect("a map parses");
+            let Evidence::DecisionMap(parsed_map) = &parsed.evidence else {
+                panic!("a decision map parses as one");
+            };
+            assert_eq!(parsed_map.assignment().len(), len);
+            let refused = |err: Error| {
+                matches!(
+                    err,
+                    Error::Topology(TopologyError::ClassCountMismatch { witness, complex })
+                        if witness == len && complex == classes
+                )
+            };
+            let err = parsed.check().unwrap_err();
+            assert!(refused(err), "check of {len} values");
+            let err = cache
+                .check_map(&spec, parsed_map, &Ticket::unlimited())
+                .unwrap_err();
+            assert!(refused(err), "check_map of {len} values");
+        }
     }
 
     #[test]

@@ -528,23 +528,21 @@ fn duration_from_ms(ms: f64, key: &str) -> Result<Duration> {
     }
 }
 
-/// Facet ceiling for decision-map rebuilds parsed from untrusted bytes.
-/// `χ^r(Δ^{n−1})` has `fubini(n)^r` facets and the first
-/// [`DecisionMap::rebuild`] at a pair materializes the whole complex, so
-/// a crafted `(n, rounds)` pair would otherwise turn a parse into an
-/// out-of-memory build. The ceiling comfortably covers every complex
-/// the engine has ever searched (χ³(Δ³) = 421,875, χ²(Δ⁴) = 292,681,
-/// χ²(Δ⁵) = 21,932,489 facets).
+/// Facet ceiling for decision maps parsed from untrusted bytes.
+/// `χ^r(Δ^{n−1})` has `fubini(n)^r` facets, and a check of the decoded
+/// map ([`DecisionMap::check`]) streams every one of them into its
+/// facet-class table, so a crafted `(n, rounds)` pair would otherwise
+/// turn a parse-then-check into an out-of-memory build. The ceiling
+/// comfortably covers every complex the engine has ever searched
+/// (χ³(Δ³) = 421,875, χ²(Δ⁴) = 292,681, χ²(Δ⁵) = 21,932,489 facets).
 const MAX_REBUILD_FACETS: u128 = 30_000_000;
 
-/// Rejects `(n, rounds)` pairs whose rebuild would materialize more
+/// Rejects `(n, rounds)` pairs whose facet-class table would hold more
 /// than [`MAX_REBUILD_FACETS`] facets (or a degenerate `n = 0`).
 ///
-/// [`DecisionMap::rebuild`] builds `χ^rounds(Δ^{n−1})` once per
-/// `(n, rounds)` and keeps it, with its sorted class list, in the
-/// process-wide shared memo, so later decodes at the pair clone an
-/// `Arc`. The guard bounds that first build, and with it what one
-/// accepted pair keeps resident.
+/// Decoding builds nothing: a decision map is `(n, rounds,
+/// assignment)`. The guard bounds the table a check of the decoded map
+/// would build, so every map a parse accepts can also be checked.
 fn rebuild_cost_guard(n: usize, rounds: usize) -> Result<()> {
     let oversized = || Error::Json {
         details: format!(
@@ -919,15 +917,18 @@ impl Evidence {
         Json::Obj(pairs)
     }
 
-    /// Parses evidence from its tagged JSON object. Decision maps are
-    /// rebuilt through the deterministic signature quotient
-    /// ([`DecisionMap::rebuild`]), so a parsed report is as replayable
-    /// as a fresh one.
+    /// Parses evidence from its tagged JSON object. A decision map is
+    /// its serialized `(n, rounds, assignment)`, read in the canonical
+    /// class order of its `(n, rounds)`, so a parsed report is as
+    /// replayable as a fresh one. Nothing about the map is checked
+    /// here beyond a facet-ceiling bound on `(n, rounds)`: a
+    /// wrong-length assignment parses, and [`Evidence::check`] refuses
+    /// it.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Json`] on malformed shapes and wraps replay
-    /// failures from the decision-map rebuild.
+    /// Returns [`Error::Json`] on malformed shapes and on decision maps
+    /// over a complex past the guard's facet ceiling.
     pub fn from_json_value(value: &Json) -> Result<Evidence> {
         match str_field(value, "kind")? {
             "infeasible" => Ok(Evidence::Infeasible {
@@ -943,7 +944,7 @@ impl Evidence {
                 let rounds = usize_field(value, "rounds")?;
                 rebuild_cost_guard(n, rounds)?;
                 let assignment = usize_array(field(value, "assignment")?, "assignment")?;
-                let map = DecisionMap::rebuild(n, rounds, assignment).map_err(Error::Topology)?;
+                let map = DecisionMap::new(n, rounds, assignment);
                 Ok(Evidence::DecisionMap(map))
             }
             "rounds-unsat" => Ok(Evidence::RoundsUnsat {

@@ -296,7 +296,7 @@ fn run_rounds(
                 };
             let justification = format!(
                 "symmetric decision map on χ^{rounds} over {} classes",
-                map.classes().len()
+                map.assignment().len()
             );
             (solvability, Evidence::DecisionMap(map), justification)
         }

@@ -240,8 +240,7 @@ fn tampered_reports_fail_the_recheck() {
     // Forge the witness (everyone decides 1 — renaming's u = 1 tolerates
     // no duplicated value inside a facet), ship it through JSON, and
     // verify the parsed report's facet-by-facet replay rejects it.
-    let forged = gsb_topology::DecisionMap::rebuild(3, 1, vec![1; map.assignment().len()])
-        .expect("right arity");
+    let forged = gsb_topology::DecisionMap::new(3, 1, vec![1; map.assignment().len()]);
     let mut bad = verdict.clone();
     bad.evidence = Evidence::DecisionMap(forged);
     let parsed = Verdict::from_json(&bad.to_json()).expect("well-formed JSON");

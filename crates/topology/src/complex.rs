@@ -73,22 +73,41 @@ pub fn ridge_key(facet: &[VertexId], skip: usize) -> RidgeKey {
 #[derive(Debug, Clone)]
 pub struct SignatureQuotient {
     /// Canonical signature of each class, ascending. Shared behind an
-    /// [`Arc`], so decision maps over the complex clone no class.
+    /// [`Arc`], so a constraint system built from the complex clones no
+    /// class.
     pub classes: Arc<[View]>,
     /// Class index of each vertex.
     pub vertex_class: Vec<u32>,
 }
 
 impl SignatureQuotient {
-    /// Puts classes found in any order into canonical order: sorts the
-    /// distinct signature keys once (through the arena, so equal shared
-    /// sub-views compare in O(1)), materializes each class view and
-    /// renumbers `vertex_class` to match.
+    /// Puts classes found in any order into canonical order: ranks the
+    /// distinct signature keys ([`SignatureQuotient::rank_canonically`])
+    /// and materializes each class view.
     pub(crate) fn in_canonical_order(
         arena: &ViewArena,
         class_keys: &[ViewKey],
         mut vertex_class: Vec<u32>,
     ) -> Self {
+        let order = Self::rank_canonically(arena, class_keys, &mut vertex_class);
+        SignatureQuotient {
+            classes: order
+                .iter()
+                .map(|&old| arena.view(class_keys[old as usize]))
+                .collect(),
+            vertex_class,
+        }
+    }
+
+    /// Sorts the distinct signature keys once (through the arena, so
+    /// equal shared sub-views compare in O(1)) and renumbers
+    /// `class_ids` from discovery order to canonical order. Returns the
+    /// discovery-order class at each canonical position.
+    pub(crate) fn rank_canonically(
+        arena: &ViewArena,
+        class_keys: &[ViewKey],
+        class_ids: &mut [u32],
+    ) -> Vec<u32> {
         let mut order: Vec<u32> = (0..).take(class_keys.len()).collect();
         order.sort_unstable_by(|&a, &b| {
             arena.cmp_views(class_keys[a as usize], class_keys[b as usize])
@@ -97,16 +116,10 @@ impl SignatureQuotient {
         for (new, &old) in (0..).zip(&order) {
             rank[old as usize] = new;
         }
-        for class in &mut vertex_class {
+        for class in class_ids {
             *class = rank[*class as usize];
         }
-        SignatureQuotient {
-            classes: order
-                .iter()
-                .map(|&old| arena.view(class_keys[old as usize]))
-                .collect(),
-            vertex_class,
-        }
+        order
     }
 }
 

@@ -22,21 +22,13 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// A Theorem 11 structural certificate did not go through.
     Certificate(CertificateFailure),
-    /// A decision map was replayed against a complex whose symmetry
-    /// quotient has a different class count — the witness does not
-    /// describe this `(n, rounds)` subdivision.
+    /// A decision map's assignment does not have one value per symmetry
+    /// class of its `(n, rounds)` subdivision.
     ClassCountMismatch {
-        /// Classes recorded in the witness.
+        /// Values in the witness's assignment.
         witness: usize,
         /// Classes of the complex's facet-class table.
         complex: usize,
-    },
-    /// The complex's class list holds a view-signature class the
-    /// witness does not cover (same count, different classes) — the
-    /// witness describes some other complex.
-    UnknownClassSignature {
-        /// Index of the uncovered class in the complex's class list.
-        class: usize,
     },
     /// A decision map assigned a value outside `[1..m]`.
     ValueOutOfRange {
@@ -75,10 +67,6 @@ impl fmt::Display for Error {
             Error::ClassCountMismatch { witness, complex } => write!(
                 f,
                 "decision map covers {witness} symmetry classes but the complex has {complex}"
-            ),
-            Error::UnknownClassSignature { class } => write!(
-                f,
-                "complex class {class} has a view signature the decision map does not cover"
             ),
             Error::ValueOutOfRange {
                 class,

@@ -41,20 +41,19 @@
 //! The seed's tuple-cloning builder is retained as
 //! [`protocol_complex_reference`] — the oracle the streaming pipeline is
 //! equivalence-tested against (`tests/streaming_equivalence.rs`).
-//! [`shared_protocol_complex`] memoizes the finished complex per
-//! `(n, rounds)` behind a process-wide table, mirroring the atlas memo
-//! pattern — repeated searches at the same parameters share one build.
+//! Nothing here is memoized across calls: every build is owned by its
+//! caller and charged to its caller's ticket (an unlimited one for the
+//! ticket-less forms).
 
 use gsb_core::govern::{Stopped, Ticket};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use rayon::prelude::*;
 
 use crate::complex::{ChromaticComplex, SignatureQuotient, Vertex, VertexId};
 use crate::views::{
     fx_mix, node_hash_pair, node_hash_seed, ordered_partitions, round_templates, ProbeTable,
-    RoundTemplate, View, ViewArena, ViewKey,
+    RoundTemplate, ViewArena, ViewKey,
 };
 
 /// Frontier rows stamped between ticket polls in the streaming round
@@ -502,67 +501,25 @@ pub fn protocol_complex_reference(n: usize, rounds: usize) -> ChromaticComplex {
     complex
 }
 
-/// The process-wide memoized `χ^r(Δ^{n−1})`: built once per `(n, rounds)`
-/// and shared behind an [`Arc`] — searches, certificates, and benches at
-/// the same parameters reuse one complex (and its attached signature
-/// quotient) instead of re-running the subdivision fan-out.
-#[must_use]
-pub fn shared_protocol_complex(n: usize, rounds: usize) -> Arc<ChromaticComplex> {
-    shared_protocol_complex_governed(n, rounds, &Ticket::unlimited())
-        .expect("an unlimited ticket only stops under an armed fault plan")
-}
-
-/// [`shared_protocol_complex`] under `ticket`: a miss builds through
-/// [`protocol_complex_governed`], and a tripped build memoizes nothing.
-pub(crate) fn shared_protocol_complex_governed(
-    n: usize,
-    rounds: usize,
-    ticket: &Ticket,
-) -> Result<Arc<ChromaticComplex>, Stopped> {
-    type Cache = Mutex<HashMap<(usize, usize), Arc<ChromaticComplex>>>;
-    static CACHE: OnceLock<Cache> = OnceLock::new();
-    let cache = CACHE.get_or_init(Mutex::default);
-    if let Some(hit) = cache
-        .lock()
-        .expect("subdivision cache poisoned")
-        .get(&(n, rounds))
-    {
-        return Ok(Arc::clone(hit));
-    }
-    // Build outside the lock: subdivisions can take milliseconds and other
-    // threads may want different parameters meanwhile. A racing builder at
-    // the same key just loses its copy.
-    let built = Arc::new(protocol_complex_governed(n, rounds, ticket)?);
-    Ok(Arc::clone(
-        cache
-            .lock()
-            .expect("subdivision cache poisoned")
-            .entry((n, rounds))
-            .or_insert(built),
-    ))
-}
-
-/// The check-side table of `χ^r(Δ^{n−1})`: its canonical class list
-/// and, for every raw facet in the streaming builder's facet order, the
-/// class of each process's view (`n` class ids per facet, process
-/// order). A [`DecisionMap`](crate::DecisionMap) check replays over it
+/// The check-side table of `χ^r(Δ^{n−1})`: its class count and, for
+/// every raw facet in the streaming builder's facet order, the
+/// canonical class id of each process's view (`n` ids per facet,
+/// process order). Ids index the canonical ascending-view class order
+/// of `(n, r)`, the order a [`DecisionMap`](crate::DecisionMap)'s
+/// assignment is read in; a check replays over the table
 /// ([`DecisionMap::check_against`](crate::DecisionMap::check_against)).
 ///
 /// It comes from the streaming round loop the complex builder runs, but
-/// skips vertex materialization: only the class views are built. No
-/// facet is deduplicated, and nothing in it is shared with a search's
+/// skips vertex materialization, and no class view is built either:
+/// classes are ranked by comparing arena keys. No facet is
+/// deduplicated, and nothing in it is shared with a search's
 /// [`ConstraintSystem`](crate::ConstraintSystem), so a check over it
 /// trusts no state a solver built.
 #[derive(Debug)]
 pub struct FacetClasses {
     n: usize,
     rounds: usize,
-    /// The canonical class list, built with the table. Once a witness
-    /// list is found equal to it element by element, the table keeps
-    /// that list in its place: the same contents, held once in memory.
-    /// The maps of one search share their system's list, so later
-    /// checks of them compare by pointer.
-    classes: Mutex<Arc<[View]>>,
+    class_count: usize,
     facets: Box<[u32]>,
 }
 
@@ -603,16 +560,16 @@ impl FacetClasses {
         }
         // Same element layout, so this collect reuses the frontier's
         // buffer: the table costs no second copy of the facets.
-        let raw: Vec<u32> = frontier
+        let mut facets: Vec<u32> = frontier
             .into_iter()
             .map(|key| class_of_key[key.index()])
             .collect();
-        let quotient = SignatureQuotient::in_canonical_order(&arena, &class_keys, raw);
+        SignatureQuotient::rank_canonically(&arena, &class_keys, &mut facets);
         Ok(FacetClasses {
             n,
             rounds,
-            classes: Mutex::new(quotient.classes),
-            facets: quotient.vertex_class.into_boxed_slice(),
+            class_count: class_keys.len(),
+            facets: facets.into_boxed_slice(),
         })
     }
 
@@ -628,16 +585,10 @@ impl FacetClasses {
         self.rounds
     }
 
-    /// The classes, in canonical ascending-view order.
-    #[must_use]
-    pub fn classes(&self) -> Arc<[View]> {
-        Arc::clone(&self.classes.lock().unwrap_or_else(|p| p.into_inner()))
-    }
-
     /// Number of classes.
     #[must_use]
     pub fn class_count(&self) -> usize {
-        self.classes.lock().unwrap_or_else(|p| p.into_inner()).len()
+        self.class_count
     }
 
     /// Number of raw facets.
@@ -649,27 +600,6 @@ impl FacetClasses {
     /// Each facet's class ids, process `1..n` in order.
     pub fn facets(&self) -> std::slice::ChunksExact<'_, u32> {
         self.facets.chunks_exact(self.n)
-    }
-
-    /// The first position where `witness`, a list as long as this
-    /// table's, differs from this table's class list, or `None` when
-    /// the lists are equal. A list found equal takes the table's list's
-    /// place (see the `classes` field), so asking about it again is a
-    /// pointer comparison.
-    pub(crate) fn class_mismatch(&self, witness: &Arc<[View]>) -> Option<usize> {
-        let mut classes = self.classes.lock().unwrap_or_else(|p| p.into_inner());
-        debug_assert_eq!(classes.len(), witness.len());
-        if Arc::ptr_eq(&classes, witness) {
-            return None;
-        }
-        let mismatch = classes
-            .iter()
-            .zip(witness.iter())
-            .position(|(table, witness)| table != witness);
-        if mismatch.is_none() {
-            *classes = Arc::clone(witness);
-        }
-        mismatch
     }
 }
 
@@ -734,7 +664,7 @@ pub struct OrbitStats {
 #[derive(Debug)]
 pub(crate) struct OrbitExpansion {
     /// Signature key of each class, canonically ordered (ascending
-    /// [`View`] order — the same order the full path sorts into).
+    /// [`View`](crate::View) order — the same order the full path sorts into).
     pub class_keys: Vec<ViewKey>,
     /// The distinct facet constraints of the **full** complex as sorted
     /// class multisets, flat (`n` class ids per constraint) and
@@ -1425,16 +1355,6 @@ mod tests {
                 "missing solo corner for color {color}"
             );
         }
-    }
-
-    #[test]
-    fn shared_complex_is_memoized_and_identical() {
-        let a = shared_protocol_complex(3, 1);
-        let b = shared_protocol_complex(3, 1);
-        assert!(Arc::ptr_eq(&a, &b), "same (n, r) must share one build");
-        let fresh = protocol_complex(3, 1);
-        assert_eq!(a.facet_count(), fresh.facet_count());
-        assert_eq!(a.vertices().len(), fresh.vertices().len());
     }
 
     #[test]

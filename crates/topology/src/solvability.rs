@@ -33,7 +33,7 @@
 //! checker *reproduces* those facts at small `n` rather than re-proving
 //! them in full generality.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use gsb_core::govern::{Stopped, Ticket};
@@ -45,8 +45,7 @@ use crate::complex::ChromaticComplex;
 use crate::error::Error;
 use crate::local::{self, LocalConfig};
 use crate::protocol::{
-    multiset_bits, pack_multiset, shared_protocol_complex, unpack_multiset, FacetClasses,
-    OrbitFrontier, OrbitStats,
+    multiset_bits, pack_multiset, unpack_multiset, FacetClasses, OrbitFrontier, OrbitStats,
 };
 use crate::views::{View, ViewArena, ViewKey};
 
@@ -144,59 +143,35 @@ impl SearchMode {
 /// round-bounded solvability search, packaged so that anyone — not just
 /// the engine that found it — can re-verify it facet by facet.
 ///
-/// The map assigns one value to every order-isomorphism class of views of
-/// `χ^rounds(Δ^{n−1})`. [`DecisionMap::check_against`] replays the
-/// assignment over **every raw facet** of a [`FacetClasses`] table —
-/// built by the streaming subdivision builder, not from the
-/// deduplicated constraint system the solvers work on — so a bug in the
-/// search's quotienting or clause encoding cannot also hide in the
-/// checker. [`DecisionMap::check`] builds that table fresh.
+/// The map is `(n, rounds, assignment)`, exactly its serialized form:
+/// one value per order-isomorphism class of views of
+/// `χ^rounds(Δ^{n−1})`, read in the canonical ascending-view class
+/// order, which depends only on `(n, rounds)`.
+/// [`DecisionMap::check_against`] replays the assignment over **every
+/// raw facet** of a [`FacetClasses`] table — built by the streaming
+/// subdivision builder, not from the deduplicated constraint system the
+/// solvers work on — so a bug in the search's quotienting or clause
+/// encoding cannot also hide in the checker. [`DecisionMap::check`]
+/// builds that table fresh.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecisionMap {
     n: usize,
     rounds: usize,
-    /// Canonical signature of each symmetry class, in canonical
-    /// (ascending-view) order — the one order of every
-    /// [`SignatureQuotient`](crate::SignatureQuotient), search prep and
-    /// [`DecisionMap::rebuild`]. Shared with the constraint system or
-    /// complex it came from, never copied.
-    classes: Arc<[View]>,
-    /// Value decided by each class.
+    /// Value decided by each class, in canonical class order.
     assignment: Vec<usize>,
 }
 
 impl DecisionMap {
-    /// Reconstructs a decision map from `(n, rounds, assignment)` alone —
-    /// the serialized form — over the class list of the process-wide
-    /// shared `χ^rounds(Δ^{n−1})`: the complex is built once per
-    /// `(n, rounds)`, and every later decode clones an [`Arc`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ClassCountMismatch`] if `assignment` does not
-    /// have one value per symmetry class of that complex.
-    pub fn rebuild(n: usize, rounds: usize, assignment: Vec<usize>) -> Result<Self, Error> {
-        // Canonical (ascending-view) class order — the order every
-        // search prep uses, whichever pipeline built it — so a
-        // serialized `(n, rounds, assignment)` triple deserializes to
-        // the map the search produced.
-        let classes = Arc::clone(
-            &shared_protocol_complex(n, rounds)
-                .signature_quotient()
-                .classes,
-        );
-        if classes.len() != assignment.len() {
-            return Err(Error::ClassCountMismatch {
-                witness: assignment.len(),
-                complex: classes.len(),
-            });
-        }
-        Ok(DecisionMap {
+    /// A decision map from its serialized form. Nothing is checked
+    /// here, not even the assignment's length: [`DecisionMap::check`]
+    /// is what refuses a map that does not fit its `(n, rounds)`.
+    #[must_use]
+    pub fn new(n: usize, rounds: usize, assignment: Vec<usize>) -> Self {
+        DecisionMap {
             n,
             rounds,
-            classes,
             assignment,
-        })
+        }
     }
 
     /// Number of processes (colors of the underlying complex).
@@ -211,28 +186,11 @@ impl DecisionMap {
         self.rounds
     }
 
-    /// The symmetry classes (canonical view signatures), in canonical
-    /// ascending-view order, aligned with [`DecisionMap::assignment`].
-    #[must_use]
-    pub fn classes(&self) -> &[View] {
-        &self.classes
-    }
-
-    /// Value decided by each class, aligned with [`DecisionMap::classes`].
+    /// Value decided by each class, in canonical ascending-view class
+    /// order.
     #[must_use]
     pub fn assignment(&self) -> &[usize] {
         &self.assignment
-    }
-
-    /// The value this map decides for `view` (any view of the complex —
-    /// looked up through its canonical signature), or `None` if the view
-    /// belongs to no recorded class.
-    #[must_use]
-    pub fn value_of(&self, view: &View) -> Option<usize> {
-        self.classes
-            .binary_search(&view.signature())
-            .ok()
-            .map(|i| self.assignment[i])
     }
 
     /// Independently re-verifies the witness against `spec`, **facet by
@@ -243,7 +201,7 @@ impl DecisionMap {
     /// # Errors
     ///
     /// Returns the structured [`Error`] describing the first replay
-    /// failure (process-count, class-coverage, value-range, or a facet
+    /// failure (process-count, value-range, class-count, or a facet
     /// whose counts violate the bounds).
     pub fn check(&self, spec: &GsbSpec) -> Result<(), Error> {
         if spec.n() != self.n {
@@ -257,12 +215,12 @@ impl DecisionMap {
         self.check_against(spec, &table)
     }
 
-    /// The one decision-map check: compares the table's canonical class
-    /// list with the witness's position by position, then maps every
-    /// raw facet's views through their classes and checks the decision
-    /// vector against the task's counting bounds. `table` may be shared
-    /// across checks; it must come from the streaming builder, never
-    /// from the search that produced the map.
+    /// The one decision-map check: requires one value in `1..=m` per
+    /// class of the table, then maps every raw facet's views through
+    /// their classes and checks the decision vector against the task's
+    /// counting bounds. `table` may be shared across checks; it must
+    /// come from the streaming builder, never from the search that
+    /// produced the map.
     ///
     /// # Errors
     ///
@@ -293,17 +251,14 @@ impl DecisionMap {
                 });
             }
         }
-        if table.class_count() != self.classes.len() {
+        if table.class_count() != self.assignment.len() {
             return Err(Error::ClassCountMismatch {
-                witness: self.classes.len(),
+                witness: self.assignment.len(),
                 complex: table.class_count(),
             });
         }
-        // Both lists are in canonical order, so the table's class ids
-        // index the witness's assignment once the lists agree.
-        if let Some(class) = table.class_mismatch(&self.classes) {
-            return Err(Error::UnknownClassSignature { class });
-        }
+        // The table's class ids are canonical, so they index the
+        // assignment directly.
         let lower: Vec<usize> = (1..=m).map(|v| spec.lower(v)).collect();
         let upper: Vec<usize> = (1..=m).map(|v| spec.upper(v)).collect();
         let mut counts = vec![0usize; m];
@@ -334,7 +289,7 @@ impl std::fmt::Display for DecisionMap {
             "decision map on χ^{}(Δ^{}) over {} classes",
             self.rounds,
             self.n.saturating_sub(1),
-            self.classes.len()
+            self.assignment.len()
         )
     }
 }
@@ -364,8 +319,8 @@ impl std::fmt::Display for DecisionMap {
 #[derive(Debug)]
 pub struct ConstraintSystem {
     /// Materialized class signatures, canonically ordered. Set eagerly
-    /// by the complex path; the orbit path fills it lazily from `lazy`.
-    /// Decision maps share this list rather than copy it.
+    /// by the complex path, sharing the complex's list; the orbit path
+    /// fills it lazily from `lazy`.
     classes: OnceLock<Arc<[View]>>,
     /// Orbit-path source: the frontier's arena, the canonical class
     /// keys, and the first free permutation-memo id (the group ids
@@ -652,11 +607,6 @@ impl ConstraintSystem {
     /// and displays do).
     #[must_use]
     pub fn classes(&self) -> &[View] {
-        self.shared_classes()
-    }
-
-    /// The canonical class list itself, for decision maps to share.
-    pub(crate) fn shared_classes(&self) -> &Arc<[View]> {
         self.classes.get_or_init(|| {
             let lazy = self
                 .lazy
@@ -914,12 +864,7 @@ impl SymmetricSearch {
     pub fn decision_map(&self, result: &SearchResult) -> Option<DecisionMap> {
         let assignment = result.assignment()?;
         let rounds = self.rounds?;
-        Some(DecisionMap {
-            n: self.spec.n(),
-            rounds,
-            classes: Arc::clone(self.system.shared_classes()),
-            assignment: assignment.to_vec(),
-        })
+        Some(DecisionMap::new(self.spec.n(), rounds, assignment.to_vec()))
     }
 
     /// Number of facet constraints.
@@ -1017,30 +962,35 @@ impl SymmetricSearch {
     /// `χ^{r−1}` with the same value multiset, so a lifted SAT map is
     /// again SAT — warm-seeded dives complete without conflicts.
     ///
+    /// The parent's classes are not stored anywhere: every `r−1` class
+    /// is the own subview of some `r` class, so the sorted, distinct
+    /// signatures of those subviews are the canonical `r−1` class list
+    /// the parent's assignment is read in ([`classes_by_parent`]).
+    ///
     /// All-zero (never harmful, merely unseeded) when `parent` is not
-    /// the matching `(n, r−1)` map.
+    /// the matching `(n, r−1)` map, or when its assignment does not
+    /// have one value per derived parent class.
     #[must_use]
     pub fn lift_warm_start(&self, parent: &DecisionMap) -> Vec<u32> {
+        let mut seed = vec![0; self.system.class_count()];
         let matching = self.spec.n() == parent.n()
             && self
                 .rounds
                 .is_some_and(|r| r >= 1 && r - 1 == parent.rounds())
             && parent.rounds() >= 1;
         if !matching {
-            return vec![0; self.system.class_count()];
+            return seed;
         }
-        self.classes()
-            .iter()
-            .map(|view| {
-                let View::Round { id, seen } = view else {
-                    return 0;
-                };
-                seen.iter()
-                    .find(|(q, _)| q == id)
-                    .and_then(|(_, prev)| parent.classes.binary_search(&prev.signature()).ok())
-                    .map_or(0, |i| parent.assignment[i] as u32)
-            })
-            .collect()
+        let parents = classes_by_parent(self.classes());
+        if parents.len() != parent.assignment().len() {
+            return seed;
+        }
+        for (members, &value) in parents.values().zip(parent.assignment()) {
+            for &class in members {
+                seed[class] = value as u32;
+            }
+        }
+        seed
     }
 
     /// The reference backtracker over the whole instance: the verdict
@@ -1246,6 +1196,33 @@ impl SymmetricSearch {
     }
 }
 
+/// The signature of a round view's own previous-round subview (`None`
+/// for a round-0 view).
+fn own_subview(view: &View) -> Option<View> {
+    let View::Round { id, seen } = view else {
+        return None;
+    };
+    seen.iter()
+        .find(|(q, _)| q == id)
+        .map(|(_, prev)| prev.signature())
+}
+
+/// The round-`r` classes grouped by the signature of their own
+/// previous-round subview ([`own_subview`]; round-0 classes have none),
+/// in ascending subview order: the keys are the canonical `r−1` class
+/// list. A map rather than a sorted list of every subview, because the
+/// classes outnumber their distinct subviews by far (10,945 to 15 at
+/// `(5, 2)`).
+fn classes_by_parent(classes: &[View]) -> BTreeMap<View, Vec<usize>> {
+    let mut parents: BTreeMap<View, Vec<usize>> = BTreeMap::new();
+    for (class, view) in classes.iter().enumerate() {
+        if let Some(own) = own_subview(view) {
+            parents.entry(own).or_default().push(class);
+        }
+    }
+    parents
+}
+
 /// Maps one window of facets to its distinct sorted class multisets,
 /// each packed into one `u128` word — the per-chunk streaming step of
 /// [`ConstraintSystem::from_complex`]'s constraint construction.
@@ -1284,7 +1261,7 @@ mod tests {
 
     /// The materialized reference build.
     fn full(spec: GsbSpec, rounds: usize) -> SymmetricSearch {
-        let complex = shared_protocol_complex(spec.n(), rounds);
+        let complex = protocol_complex(spec.n(), rounds);
         let system = Arc::new(ConstraintSystem::from_complex(&complex));
         SymmetricSearch::with_system(spec, Some(rounds), system)
     }
@@ -1664,42 +1641,7 @@ mod tests {
         assert_eq!(map.rounds(), 1);
         assert_eq!(map.n(), 3);
         map.check(&spec).expect("genuine witness must replay");
-        // Lookup by view signature agrees with the raw assignment.
-        for (i, class) in map.classes().iter().enumerate() {
-            assert_eq!(map.value_of(class), Some(map.assignment()[i]));
-        }
-        // Views of no class: a round-0 view, and a round-1 view that saw
-        // four processes.
-        assert_eq!(map.value_of(&View::Initial { id: 1 }), None);
-        assert_eq!(map.value_of(&View::one_round(2, &[1, 2, 3, 4])), None);
-    }
-
-    /// Decoded maps and searched maps list classes in one canonical
-    /// order, though they read it from different `Arc`s: the shared
-    /// complex's quotient and the orbit system's arena keys.
-    /// Decodes at one `(n, rounds)` share one list, and so do a system
-    /// and the maps its searches return.
-    #[test]
-    fn decision_map_class_lists_are_shared_in_canonical_order() {
-        let points = (1..=4usize)
-            .flat_map(|n| (0..=2usize).map(move |r| (n, r)))
-            .chain([(5, 1)]);
-        for (n, r) in points {
-            let (system, _) = ConstraintSystem::streamed(n, r, &Ticket::unlimited()).unwrap();
-            let decoded = DecisionMap::rebuild(n, r, vec![1; system.class_count()]).unwrap();
-            assert_eq!(decoded.classes(), system.classes(), "n={n} r={r}");
-            assert!(
-                decoded.classes().windows(2).all(|w| w[0] < w[1]),
-                "n={n} r={r}: ascending"
-            );
-            let again = DecisionMap::rebuild(n, r, vec![2; system.class_count()]).unwrap();
-            assert!(Arc::ptr_eq(&decoded.classes, &again.classes), "n={n} r={r}");
-        }
-        let spec = SymmetricGsb::renaming(3, 6).unwrap().to_spec();
-        let search = fused(spec, 1);
-        let (result, _) = run(&search, FRONT_DOOR);
-        let map = search.decision_map(&result).unwrap();
-        assert!(Arc::ptr_eq(&map.classes, search.system.shared_classes()));
+        assert_eq!(map.assignment().len(), search.classes().len());
     }
 
     #[test]
@@ -1708,44 +1650,27 @@ mod tests {
         let search = fused(spec.clone(), 1);
         let classes = search.classes().len();
         // All-ones violates u = 1 on every facet.
-        let forged = DecisionMap::rebuild(3, 1, vec![1; classes]).unwrap();
+        let forged = DecisionMap::new(3, 1, vec![1; classes]);
         assert!(matches!(
             forged.check(&spec),
             Err(Error::IllegalFacet { .. })
         ));
         // A value outside [1..m].
-        let out_of_range = DecisionMap::rebuild(3, 1, vec![99; classes]).unwrap();
+        let out_of_range = DecisionMap::new(3, 1, vec![99; classes]);
         assert!(matches!(
             out_of_range.check(&spec),
             Err(Error::ValueOutOfRange { .. })
         ));
-        // Wrong arity for the complex, whose class list the decodes
-        // above have already cached.
-        assert!(matches!(
-            DecisionMap::rebuild(3, 1, vec![1; classes + 1]),
-            Err(Error::ClassCountMismatch { .. })
-        ));
-        // The replay reads its own table, so a map whose class list no
-        // longer matches the shared one is still caught.
-        let truncated = DecisionMap {
-            classes: forged.classes[1..].into(),
-            assignment: vec![1; classes - 1],
-            ..forged.clone()
-        };
-        assert!(matches!(
-            truncated.check(&spec),
-            Err(Error::ClassCountMismatch { .. })
-        ));
-        let mut foreign = forged.classes.to_vec();
-        foreign[0] = View::one_round(2, &[1, 2, 3, 4]);
-        let foreign = DecisionMap {
-            classes: foreign.into(),
-            ..forged.clone()
-        };
-        assert!(matches!(
-            foreign.check(&spec),
-            Err(Error::UnknownClassSignature { .. })
-        ));
+        // One class short or one class long: constructed as decoded,
+        // refused by the check.
+        let short = DecisionMap::new(3, 1, vec![1; classes - 1]);
+        let long = DecisionMap::new(3, 1, vec![1; classes + 1]);
+        for wrong_length in [&short, &long] {
+            assert!(matches!(
+                wrong_length.check(&spec),
+                Err(Error::ClassCountMismatch { .. })
+            ));
+        }
         // One warm table, shared across checks, rejects every forgery
         // the fresh builds above rejected and still passes the genuine
         // witness.
@@ -1760,14 +1685,12 @@ mod tests {
             out_of_range.check_against(&spec, &table),
             Err(Error::ValueOutOfRange { .. })
         ));
-        assert!(matches!(
-            truncated.check_against(&spec, &table),
-            Err(Error::ClassCountMismatch { .. })
-        ));
-        assert!(matches!(
-            foreign.check_against(&spec, &table),
-            Err(Error::UnknownClassSignature { .. })
-        ));
+        for wrong_length in [&short, &long] {
+            assert!(matches!(
+                wrong_length.check_against(&spec, &table),
+                Err(Error::ClassCountMismatch { .. })
+            ));
+        }
         genuine.check_against(&spec, &table).unwrap();
         // Wrong process count.
         let other = SymmetricGsb::renaming(2, 3).unwrap().to_spec();
@@ -1776,6 +1699,65 @@ mod tests {
             map.check(&other),
             Err(Error::ProcessCountMismatch { .. })
         ));
+    }
+
+    /// The lift derives the `(n, r−1)` class list from the round-`r`
+    /// classes; it must be the streamed `r−1` system's list. A parent
+    /// that decides class `i` as `i + 1` then seeds each class with the
+    /// position of its own subview in that list.
+    #[test]
+    fn lift_derives_the_canonical_parent_class_list() {
+        let points = (1..=4usize)
+            .flat_map(|n| (1..=2usize).map(move |r| (n, r)))
+            .chain([(3, 3)]);
+        for (n, r) in points {
+            let spec = SymmetricGsb::renaming(n, 2 * n).unwrap().to_spec();
+            let child = fused(spec, r);
+            let (parent, _) = ConstraintSystem::streamed(n, r - 1, &Ticket::unlimited()).unwrap();
+            let expected = parent.classes();
+            let derived: Vec<View> = classes_by_parent(child.classes()).into_keys().collect();
+            assert_eq!(derived, expected, "({n},{r})");
+            if r < 2 {
+                continue; // a round-0 parent seeds nothing
+            }
+            let numbered = DecisionMap::new(n, r - 1, (1..=expected.len()).collect());
+            let seed = child.lift_warm_start(&numbered);
+            let want: Vec<u32> = child
+                .classes()
+                .iter()
+                .map(|view| {
+                    let own = own_subview(view).expect("a round view");
+                    expected.binary_search(&own).expect("a parent class") as u32 + 1
+                })
+                .collect();
+            assert_eq!(seed, want, "({n},{r})");
+        }
+    }
+
+    /// A parent that is not the `(n, r−1)` map, or whose assignment does
+    /// not have one value per derived parent class, seeds nothing.
+    #[test]
+    fn mismatched_parents_lift_to_the_all_zero_seed() {
+        let spec = SymmetricGsb::renaming(3, 6).unwrap().to_spec();
+        let child = fused(spec, 2);
+        let zero = vec![0u32; child.classes().len()];
+        let parent_count = ConstraintSystem::streamed(3, 1, &Ticket::unlimited())
+            .unwrap()
+            .0
+            .class_count();
+        // The right parent seeds every class.
+        let right = DecisionMap::new(3, 1, vec![1; parent_count]);
+        assert!(child.lift_warm_start(&right).iter().all(|&v| v == 1));
+        for wrong in [
+            DecisionMap::new(2, 1, vec![1; parent_count]),
+            DecisionMap::new(3, 2, vec![1; parent_count]),
+            DecisionMap::new(3, 0, vec![1; 1]),
+            DecisionMap::new(3, 1, vec![1; parent_count - 1]),
+            DecisionMap::new(3, 1, vec![1; parent_count + 1]),
+            DecisionMap::new(3, 1, Vec::new()),
+        ] {
+            assert_eq!(child.lift_warm_start(&wrong), zero, "{wrong:?}");
+        }
     }
 
     #[test]

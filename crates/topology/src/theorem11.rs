@@ -34,7 +34,7 @@ use gsb_core::govern::Ticket;
 
 use crate::complex::{ridge_key, ChromaticComplex, RidgeKey, VertexId};
 use crate::error::Error;
-use crate::protocol::shared_protocol_complex_governed;
+use crate::protocol::protocol_complex_governed;
 use crate::views::View;
 
 /// Why a certificate attempt failed (the structure did not support the
@@ -213,12 +213,9 @@ pub fn check_election_certificate(
 /// `n ≥ 2` processes under `ticket`, returning the complex's facet
 /// count.
 ///
-/// The complex comes from the process-wide [`shared_protocol_complex`]
-/// memo, so repeated certificates at one `(n, r)` share a single build;
-/// a miss builds through the ticketed streaming round loop, and a
-/// tripped build memoizes nothing.
-///
-/// [`shared_protocol_complex`]: crate::shared_protocol_complex
+/// The complex is built for this call through the ticketed streaming
+/// round loop ([`protocol_complex_governed`]) and dropped when it
+/// returns.
 ///
 /// # Errors
 ///
@@ -230,7 +227,7 @@ pub fn election_impossibility_certificate(
     rounds: usize,
     ticket: &Ticket,
 ) -> Result<usize, Error> {
-    let complex = shared_protocol_complex_governed(n, rounds, ticket).map_err(Error::Stopped)?;
+    let complex = protocol_complex_governed(n, rounds, ticket).map_err(Error::Stopped)?;
     check_election_certificate(&complex, ticket)?;
     Ok(complex.facet_count())
 }

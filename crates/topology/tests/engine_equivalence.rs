@@ -13,14 +13,14 @@ use std::sync::Arc;
 use gsb_core::govern::Ticket;
 use gsb_core::{GsbSpec, SymmetricGsb};
 use gsb_topology::{
-    shared_protocol_complex, CdclConfig, ConstraintSystem, DecisionMap, SearchMode, SearchResult,
+    protocol_complex, CdclConfig, ConstraintSystem, DecisionMap, SearchMode, SearchResult,
     SolveRoute, SymmetricSearch,
 };
 use proptest::prelude::*;
 
 /// The materialized reference build of `spec` at `rounds`.
 fn reference_build(spec: &GsbSpec, rounds: usize) -> SymmetricSearch {
-    let system = ConstraintSystem::from_complex(&shared_protocol_complex(spec.n(), rounds));
+    let system = ConstraintSystem::from_complex(&protocol_complex(spec.n(), rounds));
     SymmetricSearch::with_system(spec.clone(), Some(rounds), Arc::new(system))
 }
 
@@ -109,8 +109,8 @@ fn warm_start_agrees(spec: &GsbSpec, rounds: usize) {
     let SearchResult::Solvable { assignment } = oracle(&parent) else {
         return; // no r−1 map to lift
     };
-    let map = DecisionMap::rebuild(spec.n(), rounds - 1, assignment)
-        .expect("reference assignments align with the canonical class order");
+    // Reference assignments are in the canonical class order.
+    let map = DecisionMap::new(spec.n(), rounds - 1, assignment);
     let config = CdclConfig {
         warm_start: Some(std::sync::Arc::new(search.lift_warm_start(&map))),
     };

@@ -15,13 +15,13 @@ use std::sync::Arc;
 use gsb_core::govern::Ticket;
 use gsb_core::{GsbSpec, SymmetricGsb};
 use gsb_topology::{
-    protocol_complex, shared_protocol_complex, CdclConfig, ConstraintSystem, OrbitFrontier,
-    SearchMode, SearchResult, SymmetricSearch,
+    protocol_complex, CdclConfig, ConstraintSystem, OrbitFrontier, SearchMode, SearchResult,
+    SymmetricSearch,
 };
 
 /// The materialized reference build and the fused build of one search.
 fn both_builds(spec: &GsbSpec, rounds: usize) -> (SymmetricSearch, SymmetricSearch) {
-    let system = ConstraintSystem::from_complex(&shared_protocol_complex(spec.n(), rounds));
+    let system = ConstraintSystem::from_complex(&protocol_complex(spec.n(), rounds));
     let full = SymmetricSearch::with_system(spec.clone(), Some(rounds), Arc::new(system));
     let fused = SymmetricSearch::build(spec.clone(), rounds, &Ticket::unlimited())
         .expect("unlimited ticket");

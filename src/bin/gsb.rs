@@ -448,7 +448,7 @@ fn frontier(args: &Args) -> Result<(), String> {
         let (answer, conflicts) = match verdict.evidence.decision_map() {
             Some(map) => (
                 "SAT".to_string(),
-                format!("{} classes", map.classes().len()),
+                format!("{} classes", map.assignment().len()),
             ),
             None => (
                 "UNSAT".to_string(),
